@@ -1,7 +1,7 @@
 """Codes correcting deletable errors: bit flips, erasures and deletions.
 
 The package provides the error model (patterns and corruption maps),
-Varshamov-Tenenbaum single-error codes, a repetition construction for
+Varshamov–Tenengolts single-error codes, a repetition construction for
 up to t errors and bursts, a concatenated VT construction for far-apart
 patterns, exact counting and redundancy bounds, and verification tools
 (combinatorial audits, exhaustive round trips, Monte Carlo simulation).

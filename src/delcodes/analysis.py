@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import FormulaDomainError
+from .patterns import PatternFamily, family_size
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,9 @@ def redundancy(n: int, size: int) -> float:
     return n - math.log2(size)
 
 
-def _comb(x: int, k: int) -> int:
-    return math.comb(x, k) if x >= k >= 0 else 0
-
-
 def count_patterns(n: int, t: int) -> int:
     """Number of patterns with at most t errors: sum C(n,k) 3^k."""
-    if not 0 <= t <= n:
-        raise ValueError("need 0 <= t <= n")
-    return sum(math.comb(n, k) * 3 ** k for k in range(t + 1))
+    return family_size(PatternFamily.at_most(n, t))
 
 
 def count_far_patterns(n: int, P: int, t: int) -> int:
@@ -55,18 +50,14 @@ def count_far_patterns(n: int, P: int, t: int) -> int:
         raise ValueError("need P >= 1")
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
-    return sum(_comb(n - (k - 1) * (P - 1), k) * 3 ** k for k in range(t + 1))
+    if P == 1:  # distinct positions are always at distance >= 1
+        return count_patterns(n, t)
+    return family_size(PatternFamily.p_far(n, P, t=t))
 
 
 def count_burst_patterns(n: int, b: int) -> int:
     """Patterns whose support spread is at most b (weights 0, 1 included)."""
-    if not 0 <= b < n:
-        raise ValueError("need 0 <= b < n")
-    total = 1 + 3 * n
-    for k in range(2, min(b + 1, n) + 1):
-        supports = sum((n - d) * _comb(d - 1, k - 2) for d in range(k - 1, b + 1))
-        total += supports * 3 ** k
-    return total
+    return family_size(PatternFamily.burst(n, b))
 
 
 def far_fraction(n: int, t: int, omega: int) -> Tuple[float, float]:

@@ -8,12 +8,13 @@ format is human-oriented.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 from typing import Optional
 
-from . import analysis, far, rep, verify, vt
+from . import analysis, verify, vt
 from .errors import BudgetExceeded, DecodeFailure, FormulaDomainError
 from .patterns import ErrorPattern, PatternFamily, apply_pattern, sample_pattern
 from .words import parse_word, word_to_str
@@ -35,17 +36,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_word(arg: str):
+def _read_text(arg: str) -> str:
     if arg.startswith("@"):
         with open(arg[1:], encoding="ascii") as fh:
-            text = fh.read().strip()
-    else:
-        if len(arg) > MAX_INLINE_WORD:
-            raise UsageError(
-                f"inline words are capped at {MAX_INLINE_WORD} symbols; "
-                "use @path for longer input")
-        text = arg
-    return parse_word(text)
+            return fh.read().strip()
+    if len(arg) > MAX_INLINE_WORD:
+        raise UsageError(
+            f"inline words are capped at {MAX_INLINE_WORD} symbols; "
+            "use @path for longer input")
+    return arg
+
+
+def _read_word(arg: str):
+    return parse_word(_read_text(arg))
 
 
 def _parse_family(spec: str, n: int) -> PatternFamily:
@@ -68,27 +71,23 @@ def _parse_family(spec: str, n: int) -> PatternFamily:
     raise UsageError(f"unknown family kind {name!r}")
 
 
-def _make_code(args) -> object:
-    kind = args.code
-    if kind == "vt":
-        _require(args, "n", "a")
-        return verify.make_code("vt", n=args.n, a=args.a)
-    if kind == "rep":
-        _require(args, "n", "t")
-        return verify.make_code("rep", n=args.n, t=args.t)
-    if kind == "burst":
-        _require(args, "n", "b")
-        return verify.make_code("burst", n=args.n, b=args.b)
-    if kind == "far":
-        _require(args, "n", "P")
-        return verify.make_code("far", n=args.n, P=args.P)
-    raise UsageError(f"unknown code {kind!r}")
+def _required_args(fn, args, what: str) -> dict:
+    """Values of the flags named by fn's parameters; each must be given."""
+    values = {}
+    for name in inspect.signature(fn).parameters:
+        value = getattr(args, name, None)
+        if value is None:
+            raise UsageError(f"--{name} is required for {what}")
+        values[name] = value
+    return values
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name} is required for --code {args.code}")
+def _code(args):
+    """The adapter that --code and its parameter flags select, and those
+    parameters."""
+    params = _required_args(verify.CODES[args.code], args,
+                            f"--code {args.code}")
+    return verify.make_code(args.code, **params), params
 
 
 def _budget() -> int:
@@ -120,21 +119,11 @@ def _cmd_vt_enum(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    config = {"command": "encode", "code": args.code}
-    if args.code == "rep":
-        _require(args, "n", "t")
-        params = rep.RepParams(args.n, args.t)
-        info = _read_word(args.info)
-        codeword = rep.rep_encode(params, info)
-        config.update(n=args.n, t=args.t, info=word_to_str(info))
-    elif args.code == "far":
-        _require(args, "n", "P")
-        params = far.far_params(args.n, args.P)
-        indices = [int(part) for part in args.info.split(",")]
-        codeword = far.far_encode(params, indices)
-        config.update(n=args.n, P=args.P, indices=indices)
-    else:
-        raise UsageError("encode supports --code rep|far")
+    if not hasattr(verify.CODES[args.code], "encode"):
+        raise UsageError(f"encode does not support --code {args.code}")
+    code, params = _code(args)
+    codeword, fields = code.encode(_read_text(args.info))
+    config = {"command": "encode", "code": args.code, **params, **fields}
     _emit(args, {"config": config, "codeword": word_to_str(codeword)},
           [word_to_str(codeword)])
     return EXIT_OK
@@ -142,26 +131,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     word = _read_word(args.word)
+    code, params = _code(args)
+    estimate, diagnostics = code.decode_diagnostics(word)
     config = {"command": "decode", "code": args.code,
-              "word": word_to_str(word)}
-    if args.code == "vt":
-        _require(args, "n", "a")
-        estimate, ambiguous = vt.correct_single(vt.VtParams(args.n, args.a), word)
-        diagnostics = {"ambiguous": ambiguous}
-        config.update(n=args.n, a=args.a)
-    elif args.code == "rep":
-        _require(args, "n", "t")
-        info, tied = rep.rep_decode(rep.RepParams(args.n, args.t), word)
-        estimate, diagnostics = info, {"majorityTie": tied}
-        config.update(n=args.n, t=args.t)
-    elif args.code == "far":
-        _require(args, "n", "P")
-        estimate, info = far.far_decode(far.far_params(args.n, args.P), word)
-        diagnostics = {"iterations": info.iterations,
-                       "ambiguousFlips": info.ambiguous_flips}
-        config.update(n=args.n, P=args.P)
-    else:
-        raise UsageError("decode supports --code vt|rep|far")
+              "word": word_to_str(word), **params}
     _emit(args, {"config": config, "estimate": word_to_str(estimate),
                  "diagnostics": diagnostics},
           [word_to_str(estimate)])
@@ -209,32 +182,12 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-_BOUND_ARGS = {
-    "rep_bounds": ("n", "t"),
-    "any_code_lower": ("n", "t"),
-    "frac_upper": ("n", "t", "omega"),
-    "frac_upper_K": ("n", "t", "K"),
-    "delta": ("P",),
-    "far_upper": ("n", "P"),
-    "far_lower": ("n", "P"),
-    "far_lower_largeP": ("n", "P"),
-    "burst_lower": ("n", "b"),
-}
-
-
 def _cmd_bounds(args) -> int:
     evaluator = analysis.BOUND_EVALUATORS.get(args.name)
     if evaluator is None:
-        raise UsageError(f"unknown bound name {args.name!r}; "
-                         f"choices: {', '.join(sorted(_BOUND_ARGS))}")
-    arg_names = _BOUND_ARGS[args.name]
-    values = []
-    for name in arg_names:
-        value = getattr(args, name, None)
-        if value is None:
-            raise UsageError(f"--{name} is required for bound {args.name}")
-        values.append(value)
-    report = evaluator(*values)
+        raise UsageError(f"unknown bound name {args.name!r}; choices: "
+                         f"{', '.join(sorted(analysis.BOUND_EVALUATORS))}")
+    report = evaluator(**_required_args(evaluator, args, f"bound {args.name}"))
     _emit(args, {"config": {"command": "bounds", "name": args.name,
                             "inputs": report.inputs},
                  "report": report.to_json_dict()},
@@ -257,7 +210,7 @@ def _cmd_fraction(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    code = _make_code(args)
+    code, _ = _code(args)
     family = _parse_family(args.family, args.n)
     budget = _budget()
     if args.mode == "combinatorial":
@@ -279,10 +232,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    code = _make_code(args)
+    code, _ = _code(args)
     family = _parse_family(args.family, args.n)
-    report = verify.simulate(code, family, args.trials, args.seed,
-                             workers=args.workers)
+    report = verify.simulate(code, family, args.trials, args.seed)
     payload = report.to_json_dict()
     payload["config"]["command"] = "simulate"
     _emit(args, payload,
@@ -303,25 +255,29 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
+    code_params = dict.fromkeys(
+        name for adapter in verify.CODES.values()
+        for name in inspect.signature(adapter).parameters)
+
+    def add_code(name, func, **kwargs):
+        p = add(name, func, **kwargs)
+        p.add_argument("--code", required=True, choices=verify.CODES)
+        for param in code_params:
+            p.add_argument(f"--{param}", type=int)
+        return p
+
     p = add("vt-enum", _cmd_vt_enum, help="enumerate a VT codebook")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--out", help="write codebook file (one word per line)")
 
-    p = add("encode", _cmd_encode, help="encode with rep or far code")
-    p.add_argument("--code", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--P", type=int)
+    p = add_code("encode", _cmd_encode,
+                 help="encode with a rep, burst or far code")
     p.add_argument("--info", required=True,
-                   help="info word (rep) or comma-separated indices (far)")
+                   help="info word (rep, burst) or comma-separated indices "
+                        "(far)")
 
-    p = add("decode", _cmd_decode, help="decode a received word")
-    p.add_argument("--code", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--P", type=int)
+    p = add_code("decode", _cmd_decode, help="decode a received word")
     p.add_argument("--word", required=True)
 
     p = add("corrupt", _cmd_corrupt, help="apply or sample an error pattern")
@@ -351,20 +307,14 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=int, required=True)
 
     for name, func in (("verify", _cmd_verify), ("simulate", _cmd_simulate)):
-        p = add(name, func, help=f"{name} a code against a pattern family")
-        p.add_argument("--code", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--a", type=int)
-        p.add_argument("--t", type=int)
-        p.add_argument("--P", type=int)
-        p.add_argument("--b", type=int)
+        p = add_code(name, func,
+                     help=f"{name} a code against a pattern family")
         p.add_argument("--family", required=True)
         if name == "verify":
             p.add_argument("--mode", required=True)
         else:
             p.add_argument("--trials", type=int, required=True)
             p.add_argument("--seed", type=int, required=True)
-            p.add_argument("--workers", type=int, default=1)
     return parser
 
 

@@ -94,9 +94,12 @@ def far_encode(p: FarParams, indices: Sequence[int]) -> Word:
     if len(indices) != p.t:
         raise ValueError(f"need {p.t} indices, got {len(indices)}")
     out: List[int] = []
-    for i in indices[:-1]:
-        out.extend(p.inner_alphabet[i])
-    out.extend(p.final_alphabet[indices[-1]])
+    for j, i in enumerate(indices, start=1):
+        alphabet = p.inner_alphabet if j < p.t else p.final_alphabet
+        if not 0 <= i < len(alphabet):
+            raise ValueError(f"block {j}: index {i} outside "
+                             f"0..{len(alphabet) - 1}")
+        out.extend(alphabet[i])
     return tuple(out)
 
 

@@ -46,7 +46,7 @@ class ErrorPattern:
         for pos, kind in self.errors:
             if not 1 <= pos <= self.n:
                 raise ValueError(f"position {pos} outside 1..{self.n}")
-            if kind not in KINDS:
+            if len(kind) != 1 or kind not in KINDS:
                 raise ValueError(f"unknown error kind {kind!r}")
 
     @classmethod
@@ -73,8 +73,14 @@ class ErrorPattern:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ErrorPattern":
-        errors = tuple((e["pos"], e["kind"]) for e in obj["errors"])
-        return cls(int(obj["n"]), errors)
+        """Inverse of to_json_dict; malformed input raises ValueError."""
+        try:
+            errors = tuple((e["pos"], e["kind"]) for e in obj["errors"])
+            if any(type(pos) is not int for pos, _ in errors):
+                raise ValueError("error positions must be integers")
+            return cls(int(obj["n"]), errors)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed error pattern: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

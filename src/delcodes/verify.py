@@ -10,8 +10,8 @@ positions make them distinct.
 
 from __future__ import annotations
 
+import functools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -19,7 +19,7 @@ from . import far, rep, vt
 from .errors import BudgetExceeded, DecodeFailure
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
-from .words import Word, word_to_str
+from .words import Word, parse_word, word_to_str
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -35,11 +35,15 @@ def mix64(seed: int, i: int) -> int:
 
 
 class VtCodeAdapter:
-    kind = "vt"
+    """VT_a(n); the codebook is enumerated on first use, so decoding a
+    single word costs no 2^n walk."""
 
-    def __init__(self, params: vt.VtParams):
-        self.params = params
-        self._codewords = vt.vt_enumerate(params)
+    def __init__(self, n: int, a: int):
+        self.params = vt.VtParams(n, a)
+
+    @functools.cached_property
+    def _codewords(self) -> List[Word]:
+        return vt.vt_enumerate(self.params)
 
     @property
     def codeword_count(self) -> int:
@@ -54,15 +58,17 @@ class VtCodeAdapter:
     def decode(self, received: Word) -> Tuple[Word, bool]:
         return vt.correct_single(self.params, received)
 
+    def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
+        estimate, ambiguous = vt.correct_single(self.params, received)
+        return estimate, {"ambiguous": ambiguous}
+
     def describe(self) -> dict:
         return {"code": "vt", "n": self.params.n, "a": self.params.a}
 
 
 class RepCodeAdapter:
-    kind = "rep"
-
-    def __init__(self, params: rep.RepParams):
-        self.params = params
+    def __init__(self, n: int, t: int):
+        self.params = rep.RepParams(n, t)
 
     @property
     def codeword_count(self) -> int:
@@ -76,19 +82,34 @@ class RepCodeAdapter:
     def codewords(self) -> Iterable[Word]:
         return (self.codeword(i) for i in range(self.codeword_count))
 
+    def encode(self, info: str) -> Tuple[Word, dict]:
+        """Encode an info word given as text; returns (codeword, its config)."""
+        word = parse_word(info)
+        return rep.rep_encode(self.params, word), {"info": word_to_str(word)}
+
     def decode(self, received: Word) -> Tuple[Word, bool]:
         info, tied = rep.rep_decode(self.params, received)
         return rep.rep_encode(self.params, info), tied
+
+    def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
+        """The decoded info word (not the codeword) and the tie flag."""
+        info, tied = rep.rep_decode(self.params, received)
+        return info, {"majorityTie": tied}
 
     def describe(self) -> dict:
         return {"code": "rep", "n": self.params.n, "t": self.params.t}
 
 
-class FarCodeAdapter:
-    kind = "far"
+class BurstCodeAdapter(RepCodeAdapter):
+    """The repetition code that rep.burst_params sizes for spread <= b."""
 
-    def __init__(self, params: far.FarParams):
-        self.params = params
+    def __init__(self, n: int, b: int):
+        self.params = rep.burst_params(n, b)
+
+
+class FarCodeAdapter:
+    def __init__(self, n: int, P: int):
+        self.params = far.far_params(n, P)
 
     @property
     def codeword_count(self) -> int:
@@ -100,24 +121,40 @@ class FarCodeAdapter:
     def codewords(self) -> Iterable[Word]:
         return (self.codeword(i) for i in range(self.codeword_count))
 
+    def encode(self, info: str) -> Tuple[Word, dict]:
+        """Encode comma-separated block indices; returns (codeword, config)."""
+        indices = [int(part) for part in info.split(",")]
+        return far.far_encode(self.params, indices), {"indices": indices}
+
     def decode(self, received: Word) -> Tuple[Word, bool]:
         estimate, info = far.far_decode(self.params, received)
         return estimate, info.ambiguous_flips > 0
+
+    def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
+        estimate, info = far.far_decode(self.params, received)
+        return estimate, {"iterations": info.iterations,
+                          "ambiguousFlips": info.ambiguous_flips}
 
     def describe(self) -> dict:
         return {"code": "far", "n": self.params.n, "P": self.params.P}
 
 
-def make_code(kind: str, **kwargs):
-    if kind == "vt":
-        return VtCodeAdapter(vt.VtParams(kwargs["n"], kwargs["a"]))
-    if kind == "rep":
-        return RepCodeAdapter(rep.RepParams(kwargs["n"], kwargs["t"]))
-    if kind == "burst":
-        return RepCodeAdapter(rep.burst_params(kwargs["n"], kwargs["b"]))
-    if kind == "far":
-        return FarCodeAdapter(far.far_params(kwargs["n"], kwargs["P"]))
-    raise ValueError(f"unknown code kind {kind!r}")
+# Each adapter's constructor arguments are the parameters its kind needs;
+# the CLI reads them from the signature.  Adapters call the library through
+# its modules (far.far_decode), so wrappers set on module attributes apply.
+CODES = {
+    "vt": VtCodeAdapter,
+    "rep": RepCodeAdapter,
+    "burst": BurstCodeAdapter,
+    "far": FarCodeAdapter,
+}
+
+
+def make_code(kind: str, **params):
+    """Build the adapter of a code kind from its named parameters."""
+    if kind not in CODES:
+        raise ValueError(f"unknown code kind {kind!r}")
+    return CODES[kind](**params)
 
 
 @dataclass
@@ -138,6 +175,15 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return self.result == "pass"
+
+    def add_failure(self, witness: dict) -> None:
+        """Count a failure, keeping the first ten witnesses."""
+        self.result = "fail"
+        self.failures += 1
+        if self.counterexample is None:
+            self.counterexample = witness
+        if len(self.counterexamples) < 10:
+            self.counterexamples.append(witness)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -192,24 +238,30 @@ def verify_combinatorial(codebook: Sequence[Word], family: PatternFamily,
             if prior is None:
                 seen[received] = (ci, g)
             elif prior[0] != ci:
-                report.result = "fail"
-                report.failures += 1
-                witness = _collision_witness(
-                    codebook[prior[0]], prior[1], x, g, received)
-                if report.counterexample is None:
-                    report.counterexample = witness
-                if len(report.counterexamples) < 10:
-                    report.counterexamples.append(witness)
+                report.add_failure(_collision_witness(
+                    codebook[prior[0]], prior[1], x, g, received))
     return report
 
 
-def _roundtrip_witness(x: Word, g: ErrorPattern,
-                       estimate: Optional[Word], error: Optional[str]) -> dict:
-    out = {"x": word_to_str(x), "g": g.to_json_dict()}
-    out["estimate"] = word_to_str(estimate) if estimate is not None else None
+def _roundtrip_case(report: VerifyReport, code, x: Word,
+                    g: ErrorPattern) -> Optional[dict]:
+    """Decode x corrupted by g into the report; returns the witness of a
+    wrong estimate or a decode failure, else None."""
+    estimate, error = None, None
+    try:
+        estimate, flagged = code.decode(apply_pattern(x, g))
+        report.ambiguity_count += int(flagged)
+    except DecodeFailure as exc:
+        error = str(exc)
+    if estimate == x:
+        return None
+    witness = {"x": word_to_str(x), "g": g.to_json_dict(), "estimate": None}
+    if estimate is not None:
+        witness["estimate"] = word_to_str(estimate)
     if error is not None:
-        out["error"] = error
-    return out
+        witness["error"] = error
+    report.add_failure(witness)
+    return witness
 
 
 def verify_roundtrip(code, family: PatternFamily,
@@ -227,78 +279,29 @@ def verify_roundtrip(code, family: PatternFamily,
     for x in code.codewords():
         for g in patterns:
             report.cases += 1
-            received = apply_pattern(x, g)
-            estimate, error = None, None
-            try:
-                estimate, flagged = code.decode(received)
-                report.ambiguity_count += int(flagged)
-            except DecodeFailure as exc:
-                error = str(exc)
-            if estimate != x:
-                report.result = "fail"
-                report.failures += 1
-                witness = _roundtrip_witness(x, g, estimate, error)
-                if report.counterexample is None:
-                    report.counterexample = witness
-                if len(report.counterexamples) < 10:
-                    report.counterexamples.append(witness)
+            _roundtrip_case(report, code, x, g)
     return report
 
 
-def _run_trials(code, family: PatternFamily, seed: int,
-                start: int, stop: int) -> Tuple[int, int, List[Tuple[int, dict]]]:
-    successes = 0
-    ambiguities = 0
-    failures: List[Tuple[int, dict]] = []
-    for i in range(start, stop):
-        rng = random.Random(mix64(seed, i))
-        x = code.codeword(rng.randrange(code.codeword_count))
-        g = sample_pattern(family, rng.getrandbits(63))
-        received = apply_pattern(x, g)
-        estimate, error = None, None
-        try:
-            estimate, flagged = code.decode(received)
-            ambiguities += int(flagged)
-        except DecodeFailure as exc:
-            error = str(exc)
-        if estimate == x:
-            successes += 1
-        else:
-            witness = _roundtrip_witness(x, g, estimate, error)
-            witness["trial"] = i
-            failures.append((i, witness))
-    return successes, ambiguities, failures
-
-
-def simulate(code, family: PatternFamily, trials: int, seed: int,
-             workers: int = 1) -> VerifyReport:
+def simulate(code, family: PatternFamily, trials: int,
+             seed: int) -> VerifyReport:
     """Monte Carlo round trips with per-trial derived seeds.
 
-    The result is identical for any worker count: trial i depends only on
-    mix64(seed, i), and shard results are merged in trial order.
+    Trial i depends only on mix64(seed, i), so the report is byte-identical
+    for a given seed and trial count, and a run of k trials reports the
+    same witnesses as a longer run restricted to trials below k.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    shards = [(k * trials // workers, (k + 1) * trials // workers)
-              for k in range(max(1, workers))]
-    shards = [(a, b) for a, b in shards if a < b]
-    if len(shards) == 1:
-        results = [_run_trials(code, family, seed, *shards[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            futures = [pool.submit(_run_trials, code, family, seed, a, b)
-                       for a, b in shards]
-            results = [f.result() for f in futures]
-    successes = sum(r[0] for r in results)
-    ambiguities = sum(r[1] for r in results)
-    failures = sorted((w for r in results for w in r[2]), key=lambda t: t[0])
     report = VerifyReport(
         mode="montecarlo", codebook_size=code.codeword_count,
-        trial_count=trials, seed=seed,
-        result="pass" if successes == trials else "fail",
-        failures=trials - successes, ambiguity_count=ambiguities,
+        trial_count=trials, seed=seed, result="pass",
         config={"family": family.describe(), **code.describe()})
-    if failures:
-        report.counterexample = failures[0][1]
-        report.counterexamples = [w for _, w in failures[:10]]
+    for i in range(trials):
+        rng = random.Random(mix64(seed, i))
+        x = code.codeword(rng.randrange(code.codeword_count))
+        g = sample_pattern(family, rng.getrandbits(63))
+        witness = _roundtrip_case(report, code, x, g)
+        if witness is not None:
+            witness["trial"] = i
     return report

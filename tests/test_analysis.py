@@ -20,6 +20,9 @@ def test_count_patterns_spot_values():
     assert analysis.count_patterns(4, 2) == 67
     # 1 + 3*12 + 9*C(4,2) with supports 9 apart in n = 12
     assert analysis.count_far_patterns(12, 9, 2) == 91
+    # P = 1 puts no constraint on distinct positions
+    assert analysis.count_far_patterns(5, 1, 1) == 16 == \
+        analysis.count_patterns(5, 1)
     assert analysis.count_burst_patterns(9, 1) == 1 + 27 + 9 * 8
 
 

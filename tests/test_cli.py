@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from delcodes import analysis
 from delcodes.cli import main
 
 
@@ -44,6 +46,21 @@ def test_encode_far_json(capsys):
     assert obj["config"]["indices"] == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("info, block", [("-1,0,0,0", 1), ("0,0,99,1", 3),
+                                         ("0,0,0,2", 4)])
+def test_encode_far_index_out_of_range(capsys, info, block):
+    code, out, err = run(capsys, "encode", "--code", "far", "--n", "12",
+                         "--P", "3", f"--info={info}")
+    assert code == 1 and out == ""
+    assert f"block {block}" in err and "0..1" in err
+
+
+def test_encode_vt_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "encode", "--code", "vt", "--n", "4",
+                       "--a", "0", "--info", "01")
+    assert code == 1 and "usage error" in err
+
+
 def test_decode_vt(capsys):
     code, obj, _ = run_json(capsys, "decode", "--code", "vt", "--n", "4",
                             "--a", "0", "--word", "010")
@@ -65,6 +82,18 @@ def test_corrupt_with_pattern(capsys):
     assert code == 0 and out.strip() == "01e"
 
 
+@pytest.mark.parametrize("pattern", [
+    "{}", "[]", '{"n": 4}', '{"n": 4, "errors": [{"pos": 1}]}',
+    '{"n": 4, "errors": [{"pos": "1", "kind": "D"}]}',
+    '{"n": 4, "errors": [{"pos": 1, "kind": "DE"}]}',
+])
+def test_corrupt_rejects_malformed_pattern(capsys, pattern):
+    code, out, err = run(capsys, "corrupt", "--word", "0110",
+                         "--pattern", pattern)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_corrupt_with_family_is_seeded(capsys):
     code1, out1, _ = run(capsys, "corrupt", "--word", "011011100100",
                          "--family", "pfar:9", "--seed", "5")
@@ -80,6 +109,8 @@ def test_count(capsys):
     assert code == 0 and out.strip() == "91"
     code, out, _ = run(capsys, "count", "--n", "9", "--burst", "1")
     assert code == 0 and out.strip() == "100"
+    code, out, _ = run(capsys, "count", "--n", "5", "--t", "1", "--far", "1")
+    assert code == 0 and out.strip() == "16"
 
 
 def test_bounds(capsys):
@@ -88,6 +119,23 @@ def test_bounds(capsys):
     code, _, err = run(capsys, "bounds", "--name", "far_upper", "--n", "12",
                        "--P", "3")
     assert code == 1 and "delta" in err
+
+
+BOUND_FLAGS = {"n": "1000", "t": "2", "P": "10", "b": "2", "omega": "10",
+               "K": "4"}
+
+
+@pytest.mark.parametrize("name", sorted(analysis.BOUND_EVALUATORS))
+def test_bounds_require_each_argument(capsys, name):
+    arg_names = inspect.signature(analysis.BOUND_EVALUATORS[name]).parameters
+    flags = [f for arg in arg_names for f in (f"--{arg}", BOUND_FLAGS[arg])]
+    _, _, err = run(capsys, "bounds", "--name", name, *flags)
+    assert "is required" not in err
+    for arg in arg_names:
+        rest = [f for other in arg_names if other != arg
+                for f in (f"--{other}", BOUND_FLAGS[other])]
+        code, _, err = run(capsys, "bounds", "--name", name, *rest)
+        assert code == 1 and f"--{arg} is required" in err
 
 
 def test_fraction(capsys):
@@ -124,13 +172,15 @@ def test_verify_budget_exit_code(capsys, monkeypatch):
     assert code == 3 and "budget" in err
 
 
-def test_simulate_worker_independence(capsys):
+def test_simulate_is_repeatable(capsys):
     base = ("simulate", "--code", "far", "--n", "12", "--P", "3",
             "--family", "pfar:9", "--trials", "200", "--seed", "9")
-    code1, out1, _ = run(capsys, *base, "--workers", "1", "--format", "json")
-    code4, out4, _ = run(capsys, *base, "--workers", "4", "--format", "json")
-    assert code1 == code4 == 0
-    assert out1 == out4
+    code1, out1, _ = run(capsys, *base, "--format", "json")
+    code2, out2, _ = run(capsys, *base, "--format", "json")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    code, _, err = run(capsys, *base, "--workers", "4")
+    assert code == 1 and "--workers" in err
 
 
 def test_usage_errors(capsys):

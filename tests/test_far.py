@@ -45,6 +45,15 @@ def test_encode_golden():
         far_encode(p, (0, 0, 1))
 
 
+@pytest.mark.parametrize("indices, block", [((-1, 0, 0, 0), 1),
+                                            ((0, 0, 99, 1), 3),
+                                            ((0, 0, 0, 2), 4)])
+def test_encode_rejects_out_of_range_index(indices, block):
+    p = far_params(12, 3)
+    with pytest.raises(ValueError, match=f"block {block}: .* outside 0..1"):
+        far_encode(p, indices)
+
+
 def test_codewords_distinct_and_members():
     p = far_params(12, 3)
     words = {far_codeword(p, i) for i in range(p.codeword_count)}
