@@ -4,19 +4,26 @@ Codewords are t-1 inner blocks from VT_a1(P) with the constant words
 removed, followed by a final block from VT_a2(P+s) where n = t*P + s.
 When the errors hitting a codeword are pairwise at least 3P apart, each
 inner block suffers at most one error and the blocks around it stay
-clean, so errors can be located by scanning block checksums left to
-right and corrected one at a time.
+clean.  The decoder therefore makes one left-to-right scan of the block
+checksums over a mutable copy of the received word and corrects each
+error in place at the first block it upsets, resuming the scan there.
+Its work is linear in n, and since blocks are sliced only when the scan
+reaches them, words shortened by any number of far-apart deletions are
+accepted: a block pushed past the end of the word reads as a deletion
+still pending.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DecodeFailure
 from .vt import (VtParams, correct_deletion, correct_erasure, flip_candidates,
-                 vt_enumerate)
+                 vt_class_sizes, vt_enumerate)
 from .words import ERASURE, Word
 
 
@@ -25,15 +32,15 @@ def _constant_words(m: int) -> Tuple[Word, Word]:
 
 
 def _best_residue_without_constants(m: int) -> int:
-    """Residue maximizing |VT_a(m)| after dropping the constant words."""
-    zero, one = _constant_words(m)
-    best_a, best_size = 0, -1
-    for a in range(m + 1):
-        codewords = vt_enumerate(VtParams(m, a))
-        size = sum(1 for w in codewords if w not in (zero, one))
-        if size > best_size:
-            best_a, best_size = a, size
-    return best_a
+    """Residue maximizing |VT_a(m)| after dropping the constant words.
+
+    The all-zero word has residue 0 and the all-one word m(m+1)/2 mod
+    m+1; ties go to the smallest residue.
+    """
+    sizes = vt_class_sizes(m)
+    sizes[0] -= 1
+    sizes[m * (m + 1) // 2 % (m + 1)] -= 1
+    return sizes.index(max(sizes))
 
 
 @dataclass(frozen=True)
@@ -47,13 +54,21 @@ class FarParams:
     inner_alphabet: Tuple[Word, ...] = field(repr=False)
     final_alphabet: Tuple[Word, ...] = field(repr=False)
 
-    @property
+    @cached_property
     def inner_code(self) -> VtParams:
         return VtParams(self.P, self.a1)
 
-    @property
+    @cached_property
     def final_code(self) -> VtParams:
         return VtParams(self.P + self.s, self.a2)
+
+    @cached_property
+    def inner_set(self) -> FrozenSet[Word]:
+        return frozenset(self.inner_alphabet)
+
+    @cached_property
+    def final_set(self) -> FrozenSet[Word]:
+        return frozenset(self.final_alphabet)
 
     @property
     def codeword_count(self) -> int:
@@ -123,19 +138,19 @@ def far_codeword(p: FarParams, index: int) -> Word:
 def far_contains(p: FarParams, x: Word) -> bool:
     if len(x) != p.n:
         return False
-    inner_set = set(p.inner_alphabet)
-    for j in range(p.t - 1):
-        if x[j * p.P:(j + 1) * p.P] not in inner_set:
+    head = (p.t - 1) * p.P
+    inner = p.inner_set
+    for start in range(0, head, p.P):
+        if x[start:start + p.P] not in inner:
             return False
-    return x[(p.t - 1) * p.P:] in set(p.final_alphabet)
+    return x[head:] in p.final_set
 
 
-def checksum_difference(block: Word, a: int, modulus: int) -> int:
+def checksum_difference(block: Sequence[int], a: int, modulus: int) -> int:
     """(sum i*b_i - a) mod modulus; zero means the checksum matches."""
     if ERASURE in block:
         raise ValueError("checksum undefined with erasures present")
-    cs = sum(i * bit for i, bit in enumerate(block, start=1))
-    return (cs - a) % modulus
+    return (sum(itertools.compress(itertools.count(1), block)) - a) % modulus
 
 
 @dataclass
@@ -144,75 +159,80 @@ class FarDecodeInfo:
     ambiguous_flips: int = 0
 
 
-def _split_blocks(p: FarParams, work: Word) -> List[Word]:
-    """Split into t blocks: t-1 of length P, the final one the remainder."""
-    head = (p.t - 1) * p.P
-    if len(work) <= head:
-        raise DecodeFailure("received word too short to block-split",
-                            {"length": len(work)})
-    blocks = [work[j * p.P:(j + 1) * p.P] for j in range(p.t - 1)]
-    blocks.append(work[head:])
-    return blocks
-
-
 def far_decode(p: FarParams, y: Word) -> Tuple[Word, FarDecodeInfo]:
     """Sequentially correct a far-apart deletable error pattern.
 
-    Each outer iteration rescans the block checksums from the left,
-    locates the first inconsistency and corrects exactly one error
-    (erasure in place; deletion vs flip told apart via the next block's
-    checksum), then restarts.  Terminates when every checksum matches.
+    One scan walks the blocks of a mutable copy of y from the left,
+    filling in a block's erasure before checking its checksum.  At a
+    mismatch in block j it corrects exactly one error in place (a
+    deletion vs flip is told apart via the next block's checksum) and
+    checks block j again.  Blocks left of j need no second look: a
+    correction leaves them untouched, except that a deletion found in
+    block j-1 rewrites that block to a VT codeword.  A block is sliced
+    when the scan reaches it: an inner block shorter than P mismatches,
+    and a short block after the one being corrected means a deletion is
+    pending.  Terminates when the scan passes the final block;
+    iterations counts the corrections plus one.
     """
-    info = FarDecodeInfo()
-    final_len = p.P + p.s
+    info = FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
-    work = tuple(y)
-
-    for _ in range(max_iterations + 1):
-        info.iterations += 1
-        try:
-            blocks = _split_blocks(p, work)
-            mismatch_j: Optional[int] = None
-            for j in range(1, p.t + 1):
-                blk = blocks[j - 1]
-                if ERASURE in blk:
-                    blk = _fix_erasure(p, j, blk, final_len)
-                    blocks[j - 1] = blk
-                if j < p.t:
-                    diff = checksum_difference(blk, p.a1, p.P + 1)
-                elif len(blk) == final_len:
-                    diff = checksum_difference(blk, p.a2, final_len + 1)
-                else:
-                    diff = -1  # final block has the wrong length
-                if diff != 0:
-                    mismatch_j = j
-                    break
-            if mismatch_j is None:
-                estimate = tuple(s for blk in blocks for s in blk)
-                if not far_contains(p, estimate):
-                    raise DecodeFailure("estimate is not a codeword",
-                                        {"estimate_length": len(estimate)})
-                return estimate, info
-            _correct_one(p, blocks, mismatch_j, final_len, info)
-        except ValueError as exc:  # erasures or lengths outside the model
-            raise DecodeFailure(str(exc)) from exc
-        work = tuple(s for blk in blocks for s in blk)
-
-    raise DecodeFailure("iteration cap exceeded",
-                        {"cap": max_iterations, "length": len(work)})
+    P, t = p.P, p.t
+    inner = (P, p.a1, P + 1)  # block length, residue, modulus
+    final = (P + p.s, p.a2, P + p.s + 1)
+    j = 1
+    try:
+        work = bytearray(y)  # C-speed slices and erasure tests; grows in place
+        while j <= t:
+            start = (j - 1) * P
+            if j < t:
+                length, a, modulus = inner
+                blk = work[start:start + P]
+            else:
+                length, a, modulus = final
+                blk = work[start:]
+            if ERASURE in blk:
+                blk = _fix_erasure(p, j, tuple(blk))
+                work[start:start + length] = blk
+            if len(blk) == length and checksum_difference(blk, a, modulus) == 0:
+                j += 1
+                continue
+            _correct_one(p, work, j, info)
+            if info.iterations > max_iterations:  # = corrections made
+                raise DecodeFailure("iteration cap exceeded",
+                                    {"cap": max_iterations, "length": len(work)})
+            info.iterations += 1
+        estimate = tuple(work)
+        if not far_contains(p, estimate):
+            raise DecodeFailure("estimate is not a codeword",
+                                {"estimate_length": len(estimate)})
+    except ValueError as exc:  # erasures or lengths outside the model
+        raise DecodeFailure(str(exc)) from exc
+    return estimate, info
 
 
-def _fix_erasure(p: FarParams, j: int, blk: Word, final_len: int) -> Word:
-    if sum(1 for s in blk if s == ERASURE) != 1:
+def _block_code(p: FarParams, j: int) -> VtParams:
+    return p.inner_code if j < p.t else p.final_code
+
+
+def _block(p: FarParams, work: bytearray, j: int) -> Word:
+    """Block j of the working word: P symbols, or the rest for the final
+    block; fewer where the word ends early."""
+    start = (j - 1) * p.P
+    return tuple(work[start:start + p.P] if j < p.t else work[start:])
+
+
+def _fix_erasure(p: FarParams, j: int, blk: Word) -> Word:
+    if blk.count(ERASURE) != 1:
         raise DecodeFailure("multiple erasures in one block", {"block": j})
-    if j < p.t:
-        return correct_erasure(p.inner_code, blk)
-    if len(blk) != final_len:
-        raise DecodeFailure("erasure in a short final block", {"block": j})
-    return correct_erasure(p.final_code, blk)
+    code = _block_code(p, j)
+    if len(blk) != code.n:
+        where = "inner" if j < p.t else "final"
+        raise DecodeFailure(f"erasure in a short {where} block", {"block": j})
+    return correct_erasure(code, blk)
 
 
-def _pick_flip(code: VtParams, blk: Word, alphabet, info: "FarDecodeInfo") -> Word:
+def _pick_flip(code: VtParams, blk: Word, alphabet: FrozenSet[Word],
+               info: FarDecodeInfo) -> Word:
     """Undo one flip, keeping only candidates from the block alphabet.
 
     Both flip readings can be alphabet words (VT classes contain pairs at
@@ -236,40 +256,48 @@ def _try_deletion_in_block(p: FarParams, blk: Word) -> Optional[Word]:
         return None
 
 
-def _correct_one(p: FarParams, blocks: List[Word], j: int,
-                 final_len: int, info: FarDecodeInfo) -> None:
-    """Fix the single error behind the checksum mismatch at block j."""
+def _correct_one(p: FarParams, work: bytearray, j: int,
+                 info: FarDecodeInfo) -> None:
+    """Fix the single error behind the checksum mismatch at block j.
+
+    A deletion fix writes the P-1 symbols it read back as P, so the
+    inserted symbol shifts the rest of the word right by one.
+    """
     if j > 1:
         # A mismatch at j can stem from a deletion in block j-1 that left
         # its own checksum consistent; a flip there would have mismatched
         # earlier, so only the deletion reading needs testing.
-        prev = blocks[j - 2]
+        prev = _block(p, work, j - 1)
         fixed = _try_deletion_in_block(p, prev)
         if fixed is not None and fixed != prev:
-            blocks[j - 2] = fixed + (prev[-1],)
+            start = (j - 2) * p.P
+            work[start:start + p.P - 1] = fixed
             return
-    blk = blocks[j - 1]
+    start = (j - 1) * p.P
+    blk = _block(p, work, j)
     if j == p.t:
+        final_len = p.P + p.s
         if len(blk) == final_len:
-            repaired = _pick_flip(p.final_code, blk, set(p.final_alphabet), info)
+            work[start:] = _pick_flip(p.final_code, blk, p.final_set, info)
         elif len(blk) == final_len - 1:
-            repaired = correct_deletion(p.final_code, blk)
+            work[start:] = correct_deletion(p.final_code, blk)
         else:
             raise DecodeFailure("final block length outside the error model",
                                 {"block": j, "length": len(blk)})
-        blocks[j - 1] = repaired
         return
+    if len(blk) < p.P:
+        raise DecodeFailure("received word ends inside an inner block",
+                            {"block": j, "length": len(work)})
     # Error sits in block j; the next block's checksum tells a flip
-    # (clean neighbour) from a deletion (neighbour shifted left).
-    nxt = blocks[j]
-    if j + 1 < p.t:
-        next_diff = checksum_difference(nxt, p.a1, p.P + 1)
-    elif len(nxt) == final_len:
-        next_diff = checksum_difference(nxt, p.a2, final_len + 1)
+    # (clean neighbour) from a deletion (neighbour shifted left, or cut
+    # short because more deletions are pending).
+    nxt = _block(p, work, j + 1)
+    code = _block_code(p, j + 1)
+    if len(nxt) == code.n:
+        next_diff = checksum_difference(nxt, code.a, code.modulus)
     else:
-        next_diff = 1  # short final block: a deletion is pending
+        next_diff = 1
     if next_diff == 0:
-        blocks[j - 1] = _pick_flip(p.inner_code, blk, set(p.inner_alphabet), info)
+        work[start:start + p.P] = _pick_flip(p.inner_code, blk, p.inner_set, info)
     else:
-        repaired = correct_deletion(p.inner_code, blk[:-1])
-        blocks[j - 1] = repaired + (blk[-1],)
+        work[start:start + p.P - 1] = correct_deletion(p.inner_code, blk[:-1])

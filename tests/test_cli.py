@@ -74,6 +74,18 @@ def test_decode_far(capsys):
     assert code == 0 and obj["estimate"] == "011011100100"
 
 
+@pytest.mark.parametrize("word, iterations", [
+    ("011010100100", 2),   # one flip
+    ("11011100100", 2),    # one deletion
+    ("01101110010e", 1),   # one erasure, filled in without a correction
+])
+def test_decode_far_diagnostics(capsys, word, iterations):
+    code, obj, _ = run_json(capsys, "decode", "--code", "far", "--n", "12",
+                            "--P", "3", "--word", word)
+    assert code == 0 and obj["estimate"] == "011011100100"
+    assert obj["diagnostics"] == {"iterations": iterations, "ambiguousFlips": 0}
+
+
 def test_corrupt_with_pattern(capsys):
     pattern = json.dumps({"n": 4, "errors": [{"pos": 2, "kind": "D"},
                                              {"pos": 4, "kind": "E"}]})

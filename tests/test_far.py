@@ -1,10 +1,16 @@
-import pytest
+import functools
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delcodes import far, verify
 from delcodes.errors import DecodeFailure
 from delcodes.far import (FarParams, checksum_difference, far_codeword,
                           far_contains, far_decode, far_encode, far_params)
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
-                               enumerate_family)
+                               enumerate_family, sample_pattern)
 from delcodes.words import ERASURE, parse_word
 
 
@@ -126,3 +132,66 @@ def test_larger_parameters_roundtrip():
             assert far_contains(p, estimate), g
         else:
             assert estimate == x, g
+
+
+def test_decode_pins_iterations_across_kinds():
+    # One correction per flip or deletion; the erasure is filled in
+    # during the scan and does not count.
+    p = far_params(600, 6)
+    x = far_codeword(p, 12345)
+    g = ErrorPattern.from_dict(600, {5: "F", 100: "D", 300: "E", 500: "F"})
+    estimate, info = far_decode(p, apply_pattern(x, g))
+    assert estimate == x
+    assert (info.iterations, info.ambiguous_flips) == (4, 0)
+
+
+@pytest.mark.parametrize("n", [21, 24])
+@pytest.mark.parametrize("kinds", ["D", "E"])
+def test_decode_exhaustive_where_audit_passes(n, kinds):
+    # With P + s or more deletions the received word is shorter than the
+    # t-1 inner blocks; the decoder must still recover every codeword the
+    # combinatorial audit shows to be uniquely decodable.
+    code = verify.make_code("far", n=n, P=3)
+    family = PatternFamily.p_far(n, 9, kinds=kinds)
+    assert verify.verify_combinatorial(list(code.codewords()), family).passed
+    report = verify.verify_roundtrip(code, family)
+    assert report.cases == code.codeword_count * report.family_size
+    assert report.failures == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _far_1000_8() -> FarParams:
+    return far_params(1000, 8)
+
+
+@pytest.mark.parametrize("kinds", ["D", "E", "DE"])
+@given(index=st.integers(min_value=0), seed=st.integers(0, 2 ** 63 - 1))
+@settings(max_examples=40, deadline=None)
+def test_decode_recovers_paper_scale_words(kinds, index, seed):
+    # far(1000,8) under pFar(24): patterns carry about 30 errors, so a
+    # word with deletions loses more symbols than one block holds.
+    p = _far_1000_8()
+    x = far_codeword(p, index % p.codeword_count)
+    g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P, kinds=kinds), seed)
+    estimate, _ = far_decode(p, apply_pattern(x, g))
+    assert estimate == x
+
+
+def test_decode_checksum_work_is_linear(monkeypatch):
+    # One scan checks each of the t blocks and, per correction, the block
+    # after it and the corrected block again; rescanning from block 1
+    # after every correction would cost about t checks per correction.
+    p = far_params(12000, 6)
+    x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
+    g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P, kinds="F"), 0)
+    k = g.weight
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return checksum_difference(*args)
+
+    monkeypatch.setattr(far, "checksum_difference", counted)
+    _, info = far_decode(p, apply_pattern(x, g))
+    assert k > 400 and info.iterations == k + 1
+    assert len(calls) <= p.t + 3 * k
