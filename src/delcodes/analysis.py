@@ -3,6 +3,7 @@
 Counting is exact big-integer arithmetic; fractions stay rational until
 report time.  Lower bounds that hold only asymptotically carry an
 applicability note and are never asserted against desk-scale codes.
+Domain guards are written as `not (in domain)`, so NaN fails them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def count_patterns(n: int, t: int) -> int:
 
 def count_far_patterns(n: int, P: int, t: int) -> int:
     """Patterns with at most t errors, pairwise at distance >= P."""
-    if P < 1:
+    if not P >= 1:
         raise ValueError("need P >= 1")
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
@@ -67,7 +68,7 @@ def far_fraction(n: int, t: int, omega: int) -> Tuple[float, float]:
     The guarantee fraction >= target is asymptotic, so both values are
     returned for comparison rather than asserted.
     """
-    if omega < 6:
+    if not omega >= 6:
         raise ValueError("need omega >= 6")
     if t == 0:
         return 1.0, 1.0 - 42.0 / omega
@@ -80,7 +81,7 @@ def far_fraction(n: int, t: int, omega: int) -> Tuple[float, float]:
 
 def rep_bounds(n: int, t: int) -> BoundReport:
     """Two-sided redundancy bounds for the repetition construction."""
-    if t < 0 or 2 * t + 1 > n:
+    if not (t >= 0 and 2 * t + 1 <= n):
         raise FormulaDomainError("need 0 <= t and 2t+1 <= n")
     lower = n * (1 - 1 / (2 * t + 1))
     return BoundReport("rep_bounds", {"n": n, "t": t},
@@ -89,7 +90,7 @@ def rep_bounds(n: int, t: int) -> BoundReport:
 
 def any_code_lower(n: int, t: int) -> BoundReport:
     """Redundancy floor for any code correcting up to t deletable errors."""
-    if t < 1 or t > n:
+    if not 1 <= t <= n:
         raise FormulaDomainError("need 1 <= t <= n")
     value = t * math.log2(n / t) - 10 * t - (2 ** 11) * t * t / n - 1
     return BoundReport("any_code_lower", {"n": n, "t": t},
@@ -99,7 +100,7 @@ def any_code_lower(n: int, t: int) -> BoundReport:
 def frac_upper(n: int, t: int, omega: float) -> BoundReport:
     """Redundancy ceiling for codes correcting a 1 - 42/omega fraction."""
     arg = 2 * n / (omega * t * t)
-    if omega < 6 or t < 1 or arg <= 0:
+    if not (omega >= 6 and t >= 1 and arg > 0):
         raise FormulaDomainError("need omega >= 6, t >= 1, positive log argument")
     value = omega * t * t * math.log2(arg)
     return BoundReport("frac_upper", {"n": n, "t": t, "omega": omega},
@@ -108,10 +109,10 @@ def frac_upper(n: int, t: int, omega: float) -> BoundReport:
 
 def frac_upper_K(n: int, t: int, K: int) -> BoundReport:
     """Constant-omega corollary of frac_upper."""
-    if K < 2:
+    if not K >= 2:
         raise FormulaDomainError("need K >= 2")
     arg = 2 * n / (K * t * t)
-    if t < 1 or arg <= 0:
+    if not (t >= 1 and arg > 0):
         raise FormulaDomainError("need t >= 1 and positive log argument")
     value = K * t * t * math.log2(arg)
     return BoundReport("frac_upper_K", {"n": n, "t": t, "K": K},
@@ -120,7 +121,7 @@ def frac_upper_K(n: int, t: int, K: int) -> BoundReport:
 
 def delta(P: int) -> float:
     """Inner-alphabet loss factor (P+1) / 2^(P-1)."""
-    if P < 2:
+    if not P >= 2:
         raise FormulaDomainError("need P >= 2")
     return (P + 1) / 2 ** (P - 1)
 
@@ -134,7 +135,7 @@ def far_upper(n: int, P: int) -> BoundReport:
     if not 2 <= P <= n:
         raise FormulaDomainError("need 2 <= P <= n")
     d = delta(P)
-    if d >= 1:
+    if not d < 1:
         raise FormulaDomainError(f"delta({P}) = {d} >= 1, formula undefined")
     value = (n / P - 1) * math.log2((P + 1) / (1 - d)) + math.log2(P) + 1
     return BoundReport("far_upper", {"n": n, "P": P},
@@ -143,7 +144,7 @@ def far_upper(n: int, P: int) -> BoundReport:
 
 def far_lower(n: int, P: int) -> BoundReport:
     """Redundancy floor for any code correcting all 3P-far patterns."""
-    if P < 2:
+    if not P >= 2:
         raise FormulaDomainError("need P >= 2")
     value = n / (2 ** 11 * (3 * P + 6)) - 2
     return BoundReport("far_lower", {"n": n, "P": P},
@@ -152,7 +153,7 @@ def far_lower(n: int, P: int) -> BoundReport:
 
 def far_lower_largeP(n: int, P: int) -> BoundReport:
     """Sharper floor when P grows faster than sqrt(n log n)."""
-    if P < 2:
+    if not P >= 2:
         raise FormulaDomainError("need P >= 2")
     value = (n / (6 * P) - 1) * math.log2(3 * P / 64)
     return BoundReport(
@@ -162,7 +163,7 @@ def far_lower_largeP(n: int, P: int) -> BoundReport:
 
 def burst_lower(n: int, b: int) -> BoundReport:
     """Redundancy floor for any code correcting bursts of spread <= b."""
-    if b < 1 or n < 2:
+    if not (b >= 1 and n >= 2):
         raise FormulaDomainError("need b >= 1 and n >= 2")
     value = math.log2(n) - (b + 5) - math.log2(b * (b + 4))
     return BoundReport("burst_lower", {"n": n, "b": b},

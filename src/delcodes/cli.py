@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 from typing import Optional
 
@@ -88,11 +87,6 @@ def _code(args):
     params = _required_args(verify.CODES[args.code], args,
                             f"--code {args.code}")
     return verify.make_code(args.code, **params), params
-
-
-def _budget() -> int:
-    value = os.environ.get("DELCODE_BUDGET")
-    return int(value) if value else verify.DEFAULT_BUDGET
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -212,12 +206,11 @@ def _cmd_fraction(args) -> int:
 def _cmd_verify(args) -> int:
     code, _ = _code(args)
     family = _parse_family(args.family, args.n)
-    budget = _budget()
     if args.mode == "combinatorial":
         codebook = list(code.codewords())
-        report = verify.verify_combinatorial(codebook, family, budget=budget)
+        report = verify.verify_combinatorial(codebook, family)
     elif args.mode == "roundtrip":
-        report = verify.verify_roundtrip(code, family, budget=budget)
+        report = verify.verify_roundtrip(code, family)
     else:
         raise UsageError("verify supports --mode combinatorial|roundtrip")
     payload = report.to_json_dict()

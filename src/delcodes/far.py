@@ -15,7 +15,6 @@ still pending.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +22,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DecodeFailure
 from .vt import (VtParams, correct_deletion, correct_erasure, flip_candidates,
-                 vt_class_sizes, vt_enumerate)
+                 vt_class_sizes, vt_enumerate, vt_syndrome)
 from .words import ERASURE, Word
 
 
@@ -80,7 +79,10 @@ class FarParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FarParams":
-        p = far_params(int(obj["n"]), int(obj["P"]))
+        try:
+            p = far_params(int(obj["n"]), int(obj["P"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed far parameters: {exc!r}") from exc
         for key in ("t", "s", "a1", "a2"):
             if key in obj and int(obj[key]) != getattr(p, key):
                 raise ValueError(f"inconsistent serialized field {key!r}")
@@ -146,13 +148,6 @@ def far_contains(p: FarParams, x: Word) -> bool:
     return x[head:] in p.final_set
 
 
-def checksum_difference(block: Sequence[int], a: int, modulus: int) -> int:
-    """(sum i*b_i - a) mod modulus; zero means the checksum matches."""
-    if ERASURE in block:
-        raise ValueError("checksum undefined with erasures present")
-    return (sum(itertools.compress(itertools.count(1), block)) - a) % modulus
-
-
 @dataclass
 class FarDecodeInfo:
     iterations: int = 0
@@ -193,7 +188,7 @@ def far_decode(p: FarParams, y: Word) -> Tuple[Word, FarDecodeInfo]:
             if ERASURE in blk:
                 blk = _fix_erasure(p, j, tuple(blk))
                 work[start:start + length] = blk
-            if len(blk) == length and checksum_difference(blk, a, modulus) == 0:
+            if len(blk) == length and vt_syndrome(blk, a, modulus) == 0:
                 j += 1
                 continue
             _correct_one(p, work, j, info)
@@ -294,7 +289,7 @@ def _correct_one(p: FarParams, work: bytearray, j: int,
     nxt = _block(p, work, j + 1)
     code = _block_code(p, j + 1)
     if len(nxt) == code.n:
-        next_diff = checksum_difference(nxt, code.a, code.modulus)
+        next_diff = vt_syndrome(nxt, code.a, code.modulus)
     else:
         next_diff = 1
     if next_diff == 0:

@@ -18,14 +18,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .errors import BudgetExceeded
+from .errors import check_budget
 from .words import ERASURE, Word, check_codeword
 
 KINDS = "DEF"
-
-DEFAULT_ENUM_CAP = 1_000_000
 
 
 def _comb(x: int, k: int) -> int:
@@ -78,7 +76,9 @@ class ErrorPattern:
             errors = tuple((e["pos"], e["kind"]) for e in obj["errors"])
             if any(type(pos) is not int for pos, _ in errors):
                 raise ValueError("error positions must be integers")
-            return cls(int(obj["n"]), errors)
+            if type(obj["n"]) is not int:
+                raise ValueError("pattern length n must be an integer")
+            return cls(obj["n"], errors)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed error pattern: {exc!r}") from exc
 
@@ -97,7 +97,7 @@ class PatternFamily:
     def __post_init__(self):
         if self.kind not in ("at_most", "p_far", "burst"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if any(k not in KINDS for k in self.kinds):
+        if not self.kinds or any(k not in KINDS for k in self.kinds):
             raise ValueError(f"bad kinds {self.kinds!r}")
         if self.kinds != "".join(sorted(set(self.kinds))):
             object.__setattr__(self, "kinds", "".join(sorted(set(self.kinds))))
@@ -121,13 +121,18 @@ class PatternFamily:
             raise ValueError("need 0 <= b < n")
         return cls("burst", n, b=b, kinds=kinds)
 
+    @property
+    def spacing(self) -> int:
+        """Minimum distance between marked positions: P for a P-far
+        family, else 1 (at most t errors is the 1-far family capped at t;
+        a burst's spread binds only supports of two or more positions)."""
+        return self.P if self.kind == "p_far" else 1
+
     def max_weight(self) -> int:
-        if self.kind == "at_most":
-            return self.t
-        if self.kind == "p_far":
-            cap = 1 + (self.n - 1) // self.P
-            return cap if self.t is None else min(cap, self.t)
-        return min(self.b + 1, self.n)
+        if self.kind == "burst":
+            return min(self.b + 1, self.n)
+        cap = 1 + (self.n - 1) // self.spacing
+        return cap if self.t is None else min(cap, self.t)
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "n": self.n, "kinds": self.kinds}
@@ -161,60 +166,56 @@ def apply_pattern(x: Word, g: ErrorPattern) -> Word:
     return tuple(out)
 
 
+def _burst_spreads(f: PatternFamily, k: int) -> List[Tuple[int, int]]:
+    """(spread d, number of size-k burst supports of spread d), k >= 2."""
+    return [(d, (f.n - d) * _comb(d - 1, k - 2)) for d in range(k - 1, f.b + 1)]
+
+
+def _spaced(f: PatternFamily, k: int) -> bool:
+    """Whether size-k supports of f are exactly those with gaps >= spacing."""
+    return f.kind != "burst" or k < 2
+
+
 def _support_count(f: PatternFamily, k: int) -> int:
     """Number of valid supports of size k for the family."""
-    n = f.n
-    if k == 0:
-        return 1
-    if f.kind == "at_most":
-        return _comb(n, k)
-    if f.kind == "p_far":
-        return _comb(n - (k - 1) * (f.P - 1), k)
-    # burst
-    if k == 1:
-        return n
-    return sum((n - d) * _comb(d - 1, k - 2) for d in range(k - 1, f.b + 1))
+    if _spaced(f, k):
+        return _comb(f.n - (k - 1) * (f.spacing - 1), k)
+    return sum(count for _, count in _burst_spreads(f, k))
+
+
+def _weight_counts(f: PatternFamily) -> List[int]:
+    """Number of patterns of each weight 0..max_weight."""
+    base = len(f.kinds)
+    return [_support_count(f, k) * base ** k for k in range(f.max_weight() + 1)]
 
 
 def family_size(f: PatternFamily) -> int:
     """Exact number of patterns in the family."""
-    base = len(f.kinds)
-    return sum(_support_count(f, k) * base ** k for k in range(f.max_weight() + 1))
+    return sum(_weight_counts(f))
 
 
 def _iter_supports(f: PatternFamily, k: int) -> Iterator[Tuple[int, ...]]:
     """Yield size-k supports in lexicographic order."""
     n = f.n
-    if k == 0:
-        yield ()
+    if _spaced(f, k):
+        gap = f.spacing - 1
+        for combo in itertools.combinations(range(1, n - (k - 1) * gap + 1), k):
+            yield tuple(p + i * gap for i, p in enumerate(combo))
         return
-    if f.kind == "at_most":
-        yield from itertools.combinations(range(1, n + 1), k)
-    elif f.kind == "p_far":
-        shrink = (k - 1) * (f.P - 1)
-        for combo in itertools.combinations(range(1, n - shrink + 1), k):
-            yield tuple(p + i * (f.P - 1) for i, p in enumerate(combo))
-    else:  # burst
-        if k == 1:
-            for p in range(1, n + 1):
-                yield (p,)
-            return
-        for first in range(1, n - k + 2):
-            last_max = min(first + f.b, n)
-            for rest in itertools.combinations(range(first + 1, last_max + 1), k - 1):
-                yield (first,) + rest
+    for first in range(1, n - k + 2):
+        last_max = min(first + f.b, n)
+        for rest in itertools.combinations(range(first + 1, last_max + 1), k - 1):
+            yield (first,) + rest
 
 
-def enumerate_family(f: PatternFamily,
-                     max_patterns: int = DEFAULT_ENUM_CAP) -> Iterator[ErrorPattern]:
+def enumerate_family(f: PatternFamily) -> Iterator[ErrorPattern]:
     """Yield every member of the family exactly once.
 
     Order: weight ascending, then support lexicographic, then kinds
-    lexicographic with D < E < F.  Refuses families larger than the cap.
+    lexicographic with D < E < F.  Refuses families over the budget.
     """
     size = family_size(f)
-    if size > max_patterns:
-        raise BudgetExceeded(f"family has {size} patterns, cap is {max_patterns}")
+    check_budget(size, f"the {size} patterns of the family")
     kinds = f.kinds
     for k in range(f.max_weight() + 1):
         for support in _iter_supports(f, k):
@@ -229,37 +230,30 @@ def is_member(g: ErrorPattern, f: PatternFamily) -> bool:
     if any(kind not in f.kinds for _, kind in g.errors):
         return False
     support = g.support
-    if f.kind == "at_most":
-        return len(support) <= f.t
-    if f.kind == "p_far":
-        if f.t is not None and len(support) > f.t:
-            return False
-        return all(b - a >= f.P for a, b in zip(support, support[1:]))
-    if len(support) <= 1:
-        return True
-    return support[-1] - support[0] <= f.b
+    if f.t is not None and len(support) > f.t:
+        return False
+    if not _spaced(f, len(support)):
+        return support[-1] - support[0] <= f.b
+    return all(b - a >= f.spacing for a, b in zip(support, support[1:]))
+
+
+def _pick(counts: List[int], rng: random.Random) -> int:
+    """Index drawn with probability proportional to counts."""
+    pick = rng.randrange(sum(counts))
+    for i, c in enumerate(counts):
+        if pick < c:
+            return i
+        pick -= c
 
 
 def _sample_support(f: PatternFamily, k: int, rng: random.Random) -> Tuple[int, ...]:
     n = f.n
-    if k == 0:
-        return ()
-    if f.kind == "at_most":
-        return tuple(sorted(rng.sample(range(1, n + 1), k)))
-    if f.kind == "p_far":
-        shrink = (k - 1) * (f.P - 1)
-        combo = sorted(rng.sample(range(1, n - shrink + 1), k))
-        return tuple(p + i * (f.P - 1) for i, p in enumerate(combo))
-    # burst
-    if k == 1:
-        return (rng.randrange(1, n + 1),)
-    weights = [(d, (n - d) * _comb(d - 1, k - 2)) for d in range(k - 1, f.b + 1)]
-    total = sum(w for _, w in weights)
-    pick = rng.randrange(total)
-    for d, w in weights:
-        if pick < w:
-            break
-        pick -= w
+    if _spaced(f, k):
+        gap = f.spacing - 1
+        combo = sorted(rng.sample(range(1, n - (k - 1) * gap + 1), k))
+        return tuple(p + i * gap for i, p in enumerate(combo))
+    spreads = _burst_spreads(f, k)
+    d = spreads[_pick([count for _, count in spreads], rng)][0]
     first = rng.randrange(1, n - d + 1)
     interior = sorted(rng.sample(range(first + 1, first + d), k - 2))
     return (first, *interior, first + d)
@@ -268,16 +262,11 @@ def _sample_support(f: PatternFamily, k: int, rng: random.Random) -> Tuple[int, 
 def sample_pattern(f: PatternFamily, seed: int) -> ErrorPattern:
     """Deterministically sample a member of the family (uniform)."""
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
-    base = len(f.kinds)
-    counts = [_support_count(f, k) * base ** k for k in range(f.max_weight() + 1)]
-    total = sum(counts)
-    if total == 0:
+    counts = _weight_counts(f)
+    if sum(counts) == 0:
         raise ValueError("family is empty")
-    pick = rng.randrange(total)
-    for k, c in enumerate(counts):
-        if pick < c:
-            break
-        pick -= c
+    k = _pick(counts, rng)
     support = _sample_support(f, k, rng)
+    base = len(f.kinds)
     assignment = tuple(f.kinds[rng.randrange(base)] for _ in range(k))
     return ErrorPattern(f.n, tuple(zip(support, assignment)))

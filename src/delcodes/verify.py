@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import far, rep, vt
-from .errors import BudgetExceeded, DecodeFailure
+from .errors import DecodeFailure, check_budget
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
 from .words import Word, parse_word, word_to_str
-
-DEFAULT_BUDGET = 10_000_000
 
 _MASK64 = (1 << 64) - 1
 
@@ -218,14 +216,13 @@ def _collision_witness(x1: Word, g1: ErrorPattern,
     }
 
 
-def verify_combinatorial(codebook: Sequence[Word], family: PatternFamily,
-                         budget: int = DEFAULT_BUDGET) -> VerifyReport:
+def verify_combinatorial(codebook: Sequence[Word],
+                         family: PatternFamily) -> VerifyReport:
     """Check that corrupted-output sets are disjoint across codewords."""
     fam_size = family_size(family)
-    if len(codebook) * fam_size > budget:
-        raise BudgetExceeded(
-            f"{len(codebook)} x {fam_size} evaluations exceed budget {budget}")
-    patterns = list(enumerate_family(family, max_patterns=budget))
+    check_budget(len(codebook) * fam_size,
+                 f"{len(codebook)} x {fam_size} evaluations")
+    patterns = list(enumerate_family(family))
     seen: Dict[Word, Tuple[int, ErrorPattern]] = {}
     report = VerifyReport(
         mode="combinatorial", codebook_size=len(codebook),
@@ -264,14 +261,12 @@ def _roundtrip_case(report: VerifyReport, code, x: Word,
     return witness
 
 
-def verify_roundtrip(code, family: PatternFamily,
-                     budget: int = DEFAULT_BUDGET) -> VerifyReport:
+def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
     """Decode every (codeword, pattern) corruption and compare exactly."""
     fam_size = family_size(family)
-    total = code.codeword_count * fam_size
-    if total > budget:
-        raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
-    patterns = list(enumerate_family(family, max_patterns=budget))
+    check_budget(code.codeword_count * fam_size,
+                 f"{code.codeword_count} x {fam_size} evaluations")
+    patterns = list(enumerate_family(family))
     report = VerifyReport(
         mode="roundtrip", codebook_size=code.codeword_count,
         family_size=fam_size, result="pass", cases=0,

@@ -7,14 +7,12 @@ flip can be corrected from the checksum discrepancy alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import compress, count, product
+from typing import Iterator, List, Sequence, Tuple
 
-from .errors import BudgetExceeded, DecodeFailure
+from .errors import DecodeFailure, check_budget
 from .words import ERASURE, Word, check_codeword
-
-DEFAULT_ENUM_CAP = 24  # vt_enumerate walks 2^n words
 
 
 @dataclass(frozen=True)
@@ -36,39 +34,50 @@ class VtParams:
 def vt_checksum(x: Word) -> int:
     """Unreduced weighted checksum sum(i * x_i), 1-based."""
     check_codeword(x)
-    return sum(i * bit for i, bit in enumerate(x, start=1))
+    return sum(compress(count(1), x))
+
+
+def vt_syndrome(word: Sequence[int], a: int, modulus: int) -> int:
+    """(sum i*x_i - a) mod modulus; zero means the checksum matches.
+
+    Any symbol but 0 and the erasure counts as 1: check outside words first.
+    """
+    if ERASURE in word:
+        raise ValueError("checksum undefined with erasures present")
+    return (sum(compress(count(1), word)) - a) % modulus
 
 
 def vt_contains(p: VtParams, x: Word) -> bool:
     if len(x) != p.n:
         raise ValueError(f"word length {len(x)} != n = {p.n}")
-    return vt_checksum(x) % p.modulus == p.a
+    check_codeword(x)
+    return vt_syndrome(x, p.a, p.modulus) == 0
 
 
-def vt_enumerate(p: VtParams, cap: int = DEFAULT_ENUM_CAP) -> List[Word]:
+def _all_words(n: int) -> Iterator[Word]:
+    """The 2^n words of length n in lexicographic order, within the budget
+    (n is clamped at 64 so an absurd n is refused without building 2^n)."""
+    check_budget(2 ** min(n, 64), f"the 2^{n} words of length {n}")
+    return product((0, 1), repeat=n)
+
+
+def vt_enumerate(p: VtParams) -> List[Word]:
     """All codewords of VT_a(n) in lexicographic order."""
-    if p.n > cap:
-        raise BudgetExceeded(f"n = {p.n} exceeds enumeration cap {cap}")
-    out = []
-    for bits in itertools.product((0, 1), repeat=p.n):
-        if vt_checksum(bits) % p.modulus == p.a:
-            out.append(bits)
-    return out
+    return [bits for bits in _all_words(p.n)
+            if vt_syndrome(bits, p.a, p.modulus) == 0]
 
 
-def vt_class_sizes(n: int, cap: int = DEFAULT_ENUM_CAP) -> List[int]:
+def vt_class_sizes(n: int) -> List[int]:
     """Sizes of VT_a(n) for a = 0..n (one pass over all 2^n words)."""
-    if n > cap:
-        raise BudgetExceeded(f"n = {n} exceeds enumeration cap {cap}")
     sizes = [0] * (n + 1)
-    for bits in itertools.product((0, 1), repeat=n):
-        sizes[vt_checksum(bits) % (n + 1)] += 1
+    for bits in _all_words(n):
+        sizes[vt_syndrome(bits, 0, n + 1)] += 1
     return sizes
 
 
-def vt_best_residue(n: int, cap: int = DEFAULT_ENUM_CAP) -> Tuple[int, int]:
+def vt_best_residue(n: int) -> Tuple[int, int]:
     """Residue a maximizing |VT_a(n)| (smallest a on ties), with the size."""
-    sizes = vt_class_sizes(n, cap)
+    sizes = vt_class_sizes(n)
     best = max(sizes)
     return sizes.index(best), best
 
@@ -77,13 +86,13 @@ def correct_erasure(p: VtParams, y: Word) -> Word:
     """Fill in the single erased bit of y using the checksum discrepancy."""
     if len(y) != p.n:
         raise ValueError(f"word length {len(y)} != n = {p.n}")
-    erased = [i for i, s in enumerate(y, start=1) if s == ERASURE]
-    if len(erased) != 1:
-        raise ValueError(f"expected exactly one erasure, found {len(erased)}")
-    k = erased[0]
-    cs_er = sum(i * bit for i, bit in enumerate(y, start=1) if i != k)
-    bit = 0 if (cs_er - p.a) % p.modulus == 0 else 1
-    x = y[:k - 1] + (bit,) + y[k:]
+    erased = y.count(ERASURE)
+    if erased != 1:
+        raise ValueError(f"expected exactly one erasure, found {erased}")
+    k = y.index(ERASURE) + 1
+    x = y[:k - 1] + (0,) + y[k:]
+    if vt_syndrome(x, p.a, p.modulus) != 0:
+        x = y[:k - 1] + (1,) + y[k:]
     if not vt_contains(p, x):
         raise DecodeFailure("erasure correction left a non-codeword",
                             {"position": k})
@@ -103,7 +112,7 @@ def flip_candidates(p: VtParams, y: Word) -> List[Word]:
     if len(y) != p.n:
         raise ValueError(f"word length {len(y)} != n = {p.n}")
     check_codeword(y)
-    r = (vt_checksum(y) - p.a) % p.modulus
+    r = vt_syndrome(y, p.a, p.modulus)
     if r == 0:
         raise DecodeFailure("word is already a codeword, no flip to correct")
     out: List[Word] = []
@@ -133,8 +142,7 @@ def correct_deletion(p: VtParams, y: Word) -> Word:
         raise ValueError(f"word length {len(y)} != n-1 = {p.n - 1}")
     check_codeword(y)
     w = sum(y)
-    cs = sum(i * bit for i, bit in enumerate(y, start=1))
-    disc = (p.a - cs) % p.modulus
+    disc = -vt_syndrome(y, p.a, p.modulus) % p.modulus
     m = len(y)
     if disc <= w:
         # deleted bit was 0: insert left of the rightmost point where the

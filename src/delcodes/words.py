@@ -34,9 +34,9 @@ def is_erasure_free(word: Word) -> bool:
 
 def check_codeword(word: Word) -> None:
     """Raise if the word is not a valid erasure-free bit sequence."""
-    for s in word:
-        if s not in (0, 1):
-            raise ValueError("codeword must be erasure-free bits, got symbol %r" % (s,))
+    if word.count(0) + word.count(1) != len(word):
+        bad = next(s for s in word if s not in (0, 1))
+        raise ValueError("codeword must be erasure-free bits, got symbol %r" % (bad,))
 
 
 def weight(word: Word) -> int:

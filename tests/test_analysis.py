@@ -121,3 +121,23 @@ def test_bound_registry_and_reports():
     obj = report.to_json_dict()
     assert obj["name"] == "delta" and obj["value"] == 0.375
     assert "applicability" in obj
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analysis.frac_upper(100, 1, NAN),
+    lambda: analysis.frac_upper(100, NAN, 10),
+    lambda: analysis.frac_upper_K(NAN, 1, 4),
+    lambda: analysis.rep_bounds(9, NAN),
+    lambda: analysis.any_code_lower(NAN, 1),
+    lambda: analysis.delta(NAN),
+    lambda: analysis.far_upper(NAN, 5),
+    lambda: analysis.far_lower(1000, NAN),
+    lambda: analysis.burst_lower(NAN, 2),
+    lambda: analysis.far_fraction(10000, 2, NAN),
+])
+def test_domain_guards_reject_nan(call):
+    with pytest.raises(ValueError):
+        call()

@@ -98,6 +98,7 @@ def test_corrupt_with_pattern(capsys):
     "{}", "[]", '{"n": 4}', '{"n": 4, "errors": [{"pos": 1}]}',
     '{"n": 4, "errors": [{"pos": "1", "kind": "D"}]}',
     '{"n": 4, "errors": [{"pos": 1, "kind": "DE"}]}',
+    '{"n": 4.7, "errors": []}',
 ])
 def test_corrupt_rejects_malformed_pattern(capsys, pattern):
     code, out, err = run(capsys, "corrupt", "--word", "0110",
@@ -131,6 +132,14 @@ def test_bounds(capsys):
     code, _, err = run(capsys, "bounds", "--name", "far_upper", "--n", "12",
                        "--P", "3")
     assert code == 1 and "delta" in err
+
+
+@pytest.mark.parametrize("omega", ["nan", "inf"])
+def test_bounds_reject_non_finite_input(capsys, omega):
+    code, out, err = run(capsys, "bounds", "--name", "frac_upper", "--n",
+                         "100", "--t", "1", "--omega", omega,
+                         "--format", "json")
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 BOUND_FLAGS = {"n": "1000", "t": "2", "P": "10", "b": "2", "omega": "10",
@@ -167,6 +176,17 @@ def test_verify_pass_and_fail_exit_codes(capsys):
                             "--family", "atmost:1@F")
     assert code == 2 and obj["result"] == "fail"
     assert "counterexample" in obj
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--mode", "combinatorial", "--code", "vt", "--n", "4",
+     "--a", "0", "--family", "atmost:1@"),
+    ("simulate", "--code", "far", "--n", "60", "--P", "6",
+     "--family", "pfar:9@", "--trials", "5", "--seed", "1"),
+])
+def test_family_without_error_kinds_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "bad kinds" in err
 
 
 def test_verify_roundtrip_far(capsys):

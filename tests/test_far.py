@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from delcodes import far, verify
 from delcodes.errors import DecodeFailure
-from delcodes.far import (FarParams, checksum_difference, far_codeword,
-                          far_contains, far_decode, far_encode, far_params)
+from delcodes.far import (FarParams, far_codeword, far_contains, far_decode,
+                          far_encode, far_params)
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, sample_pattern)
-from delcodes.words import ERASURE, parse_word
+from delcodes.vt import vt_syndrome
+from delcodes.words import parse_word
 
 
 def test_params_12_3():
@@ -43,6 +44,12 @@ def test_params_json_roundtrip():
         FarParams.from_json_dict(bad)
 
 
+@pytest.mark.parametrize("obj", [{}, {"n": 12}, [], {"n": None, "P": 3}])
+def test_params_json_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        FarParams.from_json_dict(obj)
+
+
 def test_encode_golden():
     p = far_params(12, 3)
     assert far_encode(p, (0, 0, 1, 1)) == parse_word("011011100100")
@@ -66,13 +73,6 @@ def test_codewords_distinct_and_members():
     assert len(words) == 16
     assert all(far_contains(p, w) for w in words)
     assert not far_contains(p, parse_word("000000000000"))
-
-
-def test_checksum_difference():
-    assert checksum_difference(parse_word("011"), 1, 4) == 0
-    assert checksum_difference(parse_word("111"), 1, 4) == 1
-    with pytest.raises(ValueError):
-        checksum_difference((0, ERASURE, 1), 1, 4)
 
 
 def test_decode_identity():
@@ -189,9 +189,9 @@ def test_decode_checksum_work_is_linear(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return checksum_difference(*args)
+        return vt_syndrome(*args)
 
-    monkeypatch.setattr(far, "checksum_difference", counted)
+    monkeypatch.setattr(far, "vt_syndrome", counted)
     _, info = far_decode(p, apply_pattern(x, g))
     assert k > 400 and info.iterations == k + 1
     assert len(calls) <= p.t + 3 * k

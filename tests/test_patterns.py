@@ -55,6 +55,23 @@ def test_pattern_json_roundtrip():
     assert ErrorPattern.from_json_dict(obj) == g
 
 
+def test_pattern_json_requires_integer_length():
+    with pytest.raises(ValueError, match="integer"):
+        ErrorPattern.from_json_dict({"n": 4.7, "errors": []})
+    with pytest.raises(ValueError, match="integer"):
+        ErrorPattern.from_json_dict({"n": "4", "errors": []})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PatternFamily.at_most(4, 1, kinds=""),
+    lambda: PatternFamily.p_far(9, 3, kinds=""),
+    lambda: PatternFamily.burst(4, 1, kinds=""),
+])
+def test_family_needs_an_error_kind(make):
+    with pytest.raises(ValueError, match="bad kinds"):
+        make()
+
+
 def _brute_count(n, kinds, predicate, max_k):
     total = 0
     for k in range(max_k + 1):
@@ -110,7 +127,7 @@ def test_enumeration_order_and_uniqueness():
 def test_enumeration_cap():
     fam = PatternFamily.at_most(30, 10)
     with pytest.raises(BudgetExceeded):
-        list(enumerate_family(fam, max_patterns=1000))
+        list(enumerate_family(fam))
 
 
 def test_sample_is_deterministic_and_member():
@@ -140,3 +157,30 @@ def test_sample_distribution_is_roughly_uniform():
         counts[sample_pattern(fam, seed)] += 1
     assert min(counts.values()) > 40
     assert max(counts.values()) < 200
+
+
+def _spec(g):
+    return " ".join(f"{pos}{kind}" for pos, kind in g.errors)
+
+
+@pytest.mark.parametrize("family, draws, size, first, weight_two, last", [
+    (PatternFamily.at_most(12, 3),
+     ["1F 5E 7E", "2D 5E 10E", "1D 3F 7D", "3D 5F 10E"],
+     6571, ["", "1D"], ["1D 2D", "1D 2E", "1D 2F"], "10F 11F 12F"),
+    (PatternFamily.p_far(20, 5, kinds="DF"),
+     ["1F 9F 15F", "2D 9F 18F", "1D 7D 15F", "3D 9F 18F"],
+     3401, ["", "1D"], ["1D 6D", "1D 6F", "1F 6D"], "5F 10F 15F 20F"),
+    (PatternFamily.burst(12, 3, kinds="EF"),
+     ["1F 2F 3F 4F", "2F 4E", "7E 8E 9F", "5F 6E 7F 8F"],
+     513, ["", "1E"], ["1E 2E", "1E 2F", "1F 2E"], "9F 10F 11F 12F"),
+])
+def test_sampling_and_enumeration_golden(family, draws, size, first,
+                                         weight_two, last):
+    # Pinned draws and order: a change to the counting code must keep
+    # every seeded sample and the enumeration order.
+    assert [_spec(sample_pattern(family, s)) for s in (0, 1, 7, 2024)] == draws
+    pats = list(enumerate_family(family))
+    assert len(pats) == family_size(family) == size
+    assert [_spec(g) for g in pats[:2]] == first
+    assert [_spec(g) for g in pats if g.weight == 2][:3] == weight_two
+    assert _spec(pats[-1]) == last

@@ -56,11 +56,12 @@ def test_combinatorial_fail_on_flips_with_witness():
     assert apply_pattern(x1, g1) == apply_pattern(x2, g2) == parse_word(w["received"])
 
 
-def test_combinatorial_budget():
+def test_combinatorial_budget(monkeypatch):
     codebook = vt_enumerate(VtParams(4, 0))
     fam = PatternFamily.at_most(4, 2)
+    monkeypatch.setenv("DELCODE_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        verify_combinatorial(codebook, fam, budget=10)
+        verify_combinatorial(codebook, fam)
 
 
 def test_roundtrip_pass():

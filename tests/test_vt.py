@@ -6,7 +6,7 @@ from delcodes.errors import BudgetExceeded, DecodeFailure
 from delcodes.vt import (VtParams, correct_deletion, correct_erasure,
                          correct_flip, correct_single, vt_best_residue,
                          vt_checksum, vt_class_sizes, vt_contains,
-                         vt_enumerate)
+                         vt_enumerate, vt_syndrome)
 from delcodes.words import ERASURE, parse_word
 
 
@@ -14,6 +14,13 @@ def test_checksum_examples():
     assert vt_checksum(parse_word("0110")) == 5
     assert vt_checksum(parse_word("0000")) == 0
     assert vt_checksum(parse_word("1111")) == 10
+
+
+def test_vt_syndrome():
+    assert vt_syndrome(parse_word("011"), 1, 4) == 0
+    assert vt_syndrome(parse_word("111"), 1, 4) == 1
+    with pytest.raises(ValueError):
+        vt_syndrome((0, ERASURE, 1), 1, 4)
 
 
 def test_vt04_golden():
@@ -35,7 +42,7 @@ def test_best_residue():
 
 def test_enumerate_cap():
     with pytest.raises(BudgetExceeded):
-        vt_enumerate(VtParams(30, 0), cap=24)
+        vt_enumerate(VtParams(30, 0))
 
 
 def test_params_validation():
