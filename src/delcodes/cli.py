@@ -11,6 +11,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from . import analysis, verify, vt
@@ -89,12 +90,28 @@ def _code(args):
     return verify.make_code(args.code, **params), params
 
 
+@contextmanager
+def _exact_integers():
+    """Lift Python's limit on converting long integers to text (3.11+),
+    which exact counts and codebook sizes run past, for the duration."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(args, payload: dict, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    with _exact_integers():
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
 
 
 def _cmd_vt_enum(args) -> int:
@@ -172,7 +189,7 @@ def _cmd_count(args) -> int:
             raise UsageError("--t is required")
         value = analysis.count_patterns(args.n, args.t)
         config = {"command": "count", "n": args.n, "t": args.t}
-    _emit(args, {"config": config, "count": value}, [str(value)])
+    _emit(args, {"config": config, "count": value}, [value])
     return EXIT_OK
 
 

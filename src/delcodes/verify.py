@@ -34,7 +34,7 @@ def mix64(seed: int, i: int) -> int:
 
 class VtCodeAdapter:
     """VT_a(n); the codebook is enumerated on first use, so decoding a
-    single word costs no 2^n walk."""
+    single word costs no enumeration."""
 
     def __init__(self, n: int, a: int):
         self.params = vt.VtParams(n, a)

@@ -3,13 +3,19 @@
 VT_a(n) is the set of length-n binary words whose weighted checksum
 sum(i * x_i) is congruent to a mod n+1.  A single deletion, erasure or
 flip can be corrected from the checksum discrepancy alone.
+
+Class sizes and codebooks come from one counting table over (suffix
+start, checksum residue), built with O(n^2) additions, instead of a walk
+over all 2^n words: its first row is |VT_a(n)| for every a, and
+enumeration descends only into prefixes that some codeword completes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, product
-from typing import Iterator, List, Sequence, Tuple
+from itertools import compress, count
+from operator import add
+from typing import List, Sequence, Tuple
 
 from .errors import DecodeFailure, check_budget
 from .words import ERASURE, Word, check_codeword
@@ -54,25 +60,59 @@ def vt_contains(p: VtParams, x: Word) -> bool:
     return vt_syndrome(x, p.a, p.modulus) == 0
 
 
-def _all_words(n: int) -> Iterator[Word]:
-    """The 2^n words of length n in lexicographic order, within the budget
-    (n is clamped at 64 so an absurd n is refused without building 2^n)."""
-    check_budget(2 ** min(n, 64), f"the 2^{n} words of length {n}")
-    return product((0, 1), repeat=n)
+def _suffix_counts(n: int) -> List[List[int]]:
+    """counts[i][r]: bit strings over positions i+1..n whose weighted sum
+    sum(k * x_k) is r mod n+1; row n is the empty string alone.
+
+    Each row is the next one plus its copy shifted by the weight i+1, so
+    the (n+1)^2 entries take O(n^2) additions.
+    """
+    m = n + 1
+    row = [1] + [0] * n
+    counts = [row]
+    for k in range(n, 0, -1):  # row k-1 adds position k
+        row = list(map(add, row, row[m - k:] + row[:m - k]))
+        counts.append(row)
+    counts.reverse()
+    return counts
 
 
 def vt_enumerate(p: VtParams) -> List[Word]:
-    """All codewords of VT_a(n) in lexicographic order."""
-    return [bits for bits in _all_words(p.n)
-            if vt_syndrome(bits, p.a, p.modulus) == 0]
+    """All codewords of VT_a(n) in lexicographic order.
+
+    Prefixes grow one position at a time, 0 before 1, and a prefix is
+    kept only while the counting table says some suffix completes it, so
+    it takes O(n) steps per codeword returned.  The budget still counts the
+    2^n words, since about 2^n/(n+1) of them are returned (n is clamped
+    at 64 so an absurd n is refused without building 2^n).
+    """
+    check_budget(2 ** min(p.n, 64), f"the 2^{p.n} words of length {p.n}")
+    counts = _suffix_counts(p.n)
+    m = p.modulus
+    level: List[Tuple[Word, int]] = [((), p.a)]  # (prefix, residue still needed)
+    for k in range(1, p.n + 1):
+        rest = counts[k]
+        grown = []
+        for prefix, need in level:
+            if rest[need]:
+                grown.append((prefix + (0,), need))
+            need_one = (need - k) % m
+            if rest[need_one]:
+                grown.append((prefix + (1,), need_one))
+        level = grown
+    return [word for word, _ in level]
 
 
 def vt_class_sizes(n: int) -> List[int]:
-    """Sizes of VT_a(n) for a = 0..n (one pass over all 2^n words)."""
-    sizes = [0] * (n + 1)
-    for bits in _all_words(n):
-        sizes[vt_syndrome(bits, 0, n + 1)] += 1
-    return sizes
+    """Sizes of VT_a(n) for a = 0..n: the counting table's first row.
+
+    The budget counts the (n+1)^2 table entries, so n up to 4095 fits the
+    default.
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    check_budget((n + 1) ** 2, f"the (n+1)^2 counting-table entries for n = {n}")
+    return _suffix_counts(n)[0]
 
 
 def vt_best_residue(n: int) -> Tuple[int, int]:

@@ -28,10 +28,6 @@ def word_to_str(word: Word) -> str:
     return "".join(_SYM_TO_CHAR[s] for s in word)
 
 
-def is_erasure_free(word: Word) -> bool:
-    return ERASURE not in word
-
-
 def check_codeword(word: Word) -> None:
     """Raise if the word is not a valid erasure-free bit sequence."""
     if word.count(0) + word.count(1) != len(word):

@@ -1,10 +1,12 @@
 import inspect
 import json
+import sys
 
 import pytest
 
 from delcodes import analysis
-from delcodes.cli import main
+from delcodes.cli import _exact_integers, main
+from delcodes.far import far_params
 
 
 def run(capsys, *argv):
@@ -124,6 +126,30 @@ def test_count(capsys):
     assert code == 0 and out.strip() == "100"
     code, out, _ = run(capsys, "count", "--n", "5", "--t", "1", "--far", "1")
     assert code == 0 and out.strip() == "16"
+
+
+def test_count_prints_more_than_4300_digits(capsys):
+    # 4^8000 has 4817 digits, past Python's default int-to-str limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, text, _ = run(capsys, "count", "--n", "8000", "--t", "8000")
+    assert code == 0
+    code, out, _ = run(capsys, "count", "--n", "8000", "--t", "8000",
+                       "--format", "json")
+    assert code == 0
+    with _exact_integers():
+        assert text.strip() == str(4 ** 8000)
+        assert json.loads(out)["count"] == 4 ** 8000
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_simulate_reports_codebook_size_past_4300_digits(capsys):
+    code, out, _ = run(capsys, "simulate", "--code", "far", "--n", "30002",
+                       "--P", "14", "--family", "pfar:42:3", "--trials", "1",
+                       "--seed", "1", "--format", "json")
+    assert code == 0
+    with _exact_integers():
+        size = json.loads(out)["codebookSize"]
+    assert size == far_params(30002, 14).codeword_count
 
 
 def test_bounds(capsys):

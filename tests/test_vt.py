@@ -1,13 +1,59 @@
 import itertools
+import math
 
 import pytest
 
+from delcodes import vt
 from delcodes.errors import BudgetExceeded, DecodeFailure
+from delcodes.far import far_params
 from delcodes.vt import (VtParams, correct_deletion, correct_erasure,
                          correct_flip, correct_single, vt_best_residue,
                          vt_checksum, vt_class_sizes, vt_contains,
                          vt_enumerate, vt_syndrome)
 from delcodes.words import ERASURE, parse_word
+
+
+def walk_codebooks(n):
+    """Reference: VT_a(n) for a = 0..n from a walk over all 2^n words in
+    lexicographic order, the enumeration the counting table replaced."""
+    books = [[] for _ in range(n + 1)]
+    for bits in itertools.product((0, 1), repeat=n):
+        books[sum(i * b for i, b in enumerate(bits, 1)) % (n + 1)].append(bits)
+    return books
+
+
+def _factor(k):
+    primes, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return primes + ([k] if k > 1 else [])
+
+
+def _phi(k):
+    return math.prod(p - 1 for p in _factor(k)) * k // math.prod(_factor(k))
+
+
+def _mobius(k):
+    primes = _factor(k)
+    return (-1) ** len(primes) if math.prod(primes) == k else 0
+
+
+def stanley_yoder_size(n, a):
+    """|VT_a(n)| in closed form (Stanley & Yoder 1973, after Ginzburg 1967):
+    1/(2(n+1)) * sum over odd d | n+1 of mu(d/g) phi(d)/phi(d/g) 2^((n+1)/d),
+    with g = gcd(d, a)."""
+    m = n + 1
+    total = 0
+    for d in range(1, m + 1, 2):
+        if m % d == 0:
+            g = math.gcd(d, a)
+            total += _mobius(d // g) * _phi(d) // _phi(d // g) * 2 ** (m // d)
+    assert total % (2 * m) == 0
+    return total // (2 * m)
 
 
 def test_checksum_examples():
@@ -33,6 +79,64 @@ def test_class_sizes_partition_and_pigeonhole():
         sizes = vt_class_sizes(n)
         assert sum(sizes) == 2 ** n
         assert max(sizes) * (n + 1) >= 2 ** n
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumerate_matches_walk(n):
+    books = walk_codebooks(n)
+    for a in range(n + 1):
+        assert vt_enumerate(VtParams(n, a)) == books[a]
+
+
+def test_class_sizes_match_walk():
+    for n in range(1, 17):
+        assert vt_class_sizes(n) == [len(b) for b in walk_codebooks(n)]
+
+
+def test_class_sizes_closed_form():
+    for n in range(1, 151):
+        assert vt_class_sizes(n) == [stanley_yoder_size(n, a)
+                                     for a in range(n + 1)]
+
+
+@pytest.mark.parametrize("P", range(3, 13))
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_far_alphabets_match_walk(P, s):
+    # Residues maximize the class size less the constant words, smallest
+    # residue on ties; the inner alphabet drops the constant words.
+    def best(m, books):
+        sizes = [len([w for w in b if 0 < sum(w) < m]) for b in books]
+        return sizes.index(max(sizes))
+
+    p = far_params(2 * P + s, P)
+    inner, final = walk_codebooks(P), walk_codebooks(P + s)
+    assert (p.a1, p.a2) == (best(P, inner), best(P + s, final))
+    assert list(p.inner_alphabet) == [w for w in inner[p.a1]
+                                      if 0 < sum(w) < P]
+    assert list(p.final_alphabet) == final[p.a2]
+
+
+def test_enumeration_work_scales_with_codewords(monkeypatch):
+    # The walk took the syndrome of every one of the 2^16 = 65,536 words,
+    # once to size the classes and once to enumerate VT_0(16).
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vt_syndrome(*args)
+
+    monkeypatch.setattr(vt, "vt_syndrome", counted)
+    codebook = vt_enumerate(VtParams(16, 0))
+    sizes = vt_class_sizes(16)
+    assert len(codebook) == sizes[0] == 3856
+    assert len(calls) <= len(codebook)
+
+
+def test_class_sizes_budget_counts_table_entries():
+    sizes = vt_class_sizes(30)  # 961 entries; the walk refused 2^30 words
+    assert sum(sizes) == 2 ** 30
+    with pytest.raises(BudgetExceeded):
+        vt_class_sizes(10 ** 5)
 
 
 def test_best_residue():
