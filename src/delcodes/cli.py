@@ -93,7 +93,8 @@ def _code(args):
 @contextmanager
 def _exact_integers():
     """Lift Python's limit on converting long integers to text (3.11+),
-    which exact counts and codebook sizes run past, for the duration."""
+    which exact counts, codebook sizes and the budget messages naming them
+    run past, for the duration."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -106,12 +107,11 @@ def _exact_integers():
 
 
 def _emit(args, payload: dict, text_lines) -> None:
-    with _exact_integers():
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            for line in text_lines:
-                print(line)
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in text_lines:
+            print(line)
 
 
 def _cmd_vt_enum(args) -> int:
@@ -332,7 +332,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _exact_integers():
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,8 +21,9 @@ from functools import cached_property
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DecodeFailure
-from .vt import (VtParams, correct_deletion, correct_erasure, flip_candidates,
-                 vt_class_sizes, vt_enumerate, vt_syndrome)
+from .vt import (VtParams, check_enumeration_budget, correct_deletion,
+                 correct_erasure, flip_candidates, vt_class_sizes,
+                 vt_enumerate, vt_syndrome)
 from .words import ERASURE, Word
 
 
@@ -96,6 +97,9 @@ def far_params(n: int, P: int) -> FarParams:
     if n < 2 * P:
         raise ValueError("need n >= 2P (at least two blocks)")
     t, s = divmod(n, P)
+    # The final block's enumeration is the largest walk: refuse it before
+    # building any counting table.
+    check_enumeration_budget(P + s)
     zero, one = _constant_words(P)
     a1 = _best_residue_without_constants(P)
     inner = tuple(w for w in vt_enumerate(VtParams(P, a1)) if w not in (zero, one))

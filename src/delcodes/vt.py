@@ -12,10 +12,11 @@ enumeration descends only into prefixes that some codeword completes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import add
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import DecodeFailure, check_budget
 from .words import ERASURE, Word, check_codeword
@@ -60,21 +61,29 @@ def vt_contains(p: VtParams, x: Word) -> bool:
     return vt_syndrome(x, p.a, p.modulus) == 0
 
 
-def _suffix_counts(n: int) -> List[List[int]]:
-    """counts[i][r]: bit strings over positions i+1..n whose weighted sum
+def _suffix_rows(n: int) -> Iterator[List[int]]:
+    """Rows n, n-1, ..., 0 of the counting table: row i holds, for each r,
+    the number of bit strings over positions i+1..n whose weighted sum
     sum(k * x_k) is r mod n+1; row n is the empty string alone.
 
-    Each row is the next one plus its copy shifted by the weight i+1, so
-    the (n+1)^2 entries take O(n^2) additions.
+    Each row is the one before plus its copy rotated by the weight, so the
+    (n+1)^2 entries take O(n^2) additions of integers below 2^n.
     """
     m = n + 1
     row = [1] + [0] * n
-    counts = [row]
+    yield row
     for k in range(n, 0, -1):  # row k-1 adds position k
         row = list(map(add, row, row[m - k:] + row[:m - k]))
-        counts.append(row)
-    counts.reverse()
-    return counts
+        yield row
+
+
+def check_enumeration_budget(n: int) -> None:
+    """Refuse to enumerate a VT class of length n over the budget.
+
+    About 2^n/(n+1) words are returned, so the budget counts the 2^n words
+    (n is clamped at 64 so an absurd n is refused without building 2^n).
+    """
+    check_budget(2 ** min(n, 64), f"the 2^{n} words of length {n}")
 
 
 def vt_enumerate(p: VtParams) -> List[Word]:
@@ -82,12 +91,10 @@ def vt_enumerate(p: VtParams) -> List[Word]:
 
     Prefixes grow one position at a time, 0 before 1, and a prefix is
     kept only while the counting table says some suffix completes it, so
-    it takes O(n) steps per codeword returned.  The budget still counts the
-    2^n words, since about 2^n/(n+1) of them are returned (n is clamped
-    at 64 so an absurd n is refused without building 2^n).
+    it takes O(n) steps per codeword returned.
     """
-    check_budget(2 ** min(p.n, 64), f"the 2^{p.n} words of length {p.n}")
-    counts = _suffix_counts(p.n)
+    check_enumeration_budget(p.n)
+    counts = list(_suffix_rows(p.n))[::-1]
     m = p.modulus
     level: List[Tuple[Word, int]] = [((), p.a)]  # (prefix, residue still needed)
     for k in range(1, p.n + 1):
@@ -106,13 +113,16 @@ def vt_enumerate(p: VtParams) -> List[Word]:
 def vt_class_sizes(n: int) -> List[int]:
     """Sizes of VT_a(n) for a = 0..n: the counting table's first row.
 
-    The budget counts the (n+1)^2 table entries, so n up to 4095 fits the
-    default.
+    Only the latest row is kept, so memory is O(n) integers of at most n
+    bits.  The budget counts the (n+1)^2 additions of n-bit integers as
+    (n+1)^2 * n bit operations, so n up to 255 fits the default.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    check_budget((n + 1) ** 2, f"the (n+1)^2 counting-table entries for n = {n}")
-    return _suffix_counts(n)[0]
+    check_budget((n + 1) ** 2 * n,
+                 f"the (n+1)^2 * n bit operations of the counting table "
+                 f"for n = {n}")
+    return deque(_suffix_rows(n), maxlen=1).pop()
 
 
 def vt_best_residue(n: int) -> Tuple[int, int]:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from delcodes import analysis
+from delcodes import analysis, vt
 from delcodes.cli import _exact_integers, main
 from delcodes.far import far_params
 
@@ -150,6 +150,25 @@ def test_simulate_reports_codebook_size_past_4300_digits(capsys):
     with _exact_integers():
         size = json.loads(out)["codebookSize"]
     assert size == far_params(30002, 14).codeword_count
+
+
+def test_verify_budget_names_sizes_past_4300_digits(capsys):
+    # The budget message names the 6,500-digit codebook size.
+    code, _, err = run(capsys, "verify", "--mode", "roundtrip", "--code",
+                       "far", "--n", "30002", "--P", "14", "--family",
+                       "pfar:42:3")
+    assert code == 3 and "budget" in err
+
+
+def test_far_code_over_budget_builds_no_table(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"counting table built for n = {n}")
+
+    monkeypatch.setattr(vt, "_suffix_rows", refuse)
+    for argv in (("encode", "--info", "0,0"), ("decode", "--word", "0")):
+        code, _, err = run(capsys, *argv, "--code", "far", "--n", "8000",
+                           "--P", "2000")
+        assert code == 3 and "the 2^2000 words of length 2000" in err
 
 
 def test_bounds(capsys):

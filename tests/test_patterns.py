@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,19 @@ def test_p_far_size_matches_brute_force(n, P):
     expect = _brute_count(n, "DEF", pred, n)
     assert family_size(fam) == expect
     assert len(list(enumerate_family(fam))) == expect
+
+
+def test_spaced_sizes_match_closed_form():
+    # Size-k supports with gaps >= P number C(n - (k-1)(P-1), k); the
+    # family sizes build them from one another instead of calling comb.
+    for n in range(1, 61):
+        for P in range(1, n + 2):
+            for t in range(0, n + 1, 7):
+                fam = (PatternFamily.at_most(n, t) if P == 1
+                       else PatternFamily.p_far(n, P, t=t))
+                assert family_size(fam) == sum(
+                    math.comb(n - (k - 1) * (P - 1), k) * 3 ** k
+                    for k in range(fam.max_weight() + 1))
 
 
 @pytest.mark.parametrize("n,b", [(6, 2), (9, 1), (8, 3)])

@@ -118,23 +118,39 @@ def test_far_alphabets_match_walk(P, s):
 
 def test_enumeration_work_scales_with_codewords(monkeypatch):
     # The walk took the syndrome of every one of the 2^16 = 65,536 words,
-    # once to size the classes and once to enumerate VT_0(16).
-    calls = []
+    # once to size the classes and once to enumerate VT_0(16).  The table
+    # walk makes no syndrome call; its work is the prefixes it keeps, one
+    # per non-zero table lookup, at most n per codeword returned.
+    calls, kept = [], []
 
     def counted(*args):
         calls.append(args)
         return vt_syndrome(*args)
 
+    class CountedRow(list):
+        def __getitem__(self, key):
+            value = super().__getitem__(key)
+            if isinstance(key, int) and value:
+                kept.append(key)
+            return value
+
+    rows = vt._suffix_rows
     monkeypatch.setattr(vt, "vt_syndrome", counted)
+    monkeypatch.setattr(vt, "_suffix_rows",
+                        lambda n: map(CountedRow, rows(n)))
     codebook = vt_enumerate(VtParams(16, 0))
     sizes = vt_class_sizes(16)
     assert len(codebook) == sizes[0] == 3856
     assert len(calls) <= len(codebook)
+    assert len(codebook) <= len(kept) <= 16 * len(codebook)
 
 
-def test_class_sizes_budget_counts_table_entries():
-    sizes = vt_class_sizes(30)  # 961 entries; the walk refused 2^30 words
+def test_class_sizes_budget_counts_table_work():
+    sizes = vt_class_sizes(30)  # 31^2 * 30 bit operations; the walk refused
     assert sum(sizes) == 2 ** 30
+    assert sum(vt_class_sizes(255)) == 2 ** 255  # 2^24 bit operations
+    with pytest.raises(BudgetExceeded):
+        vt_class_sizes(256)
     with pytest.raises(BudgetExceeded):
         vt_class_sizes(10 ** 5)
 
