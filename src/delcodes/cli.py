@@ -11,11 +11,11 @@ import argparse
 import inspect
 import json
 import sys
-from contextlib import contextmanager
 from typing import Optional
 
 from . import analysis, verify, vt
-from .errors import BudgetExceeded, DecodeFailure, FormulaDomainError
+from .errors import (BudgetExceeded, DecodeFailure, FormulaDomainError,
+                     exact_integers)
 from .patterns import ErrorPattern, PatternFamily, apply_pattern, sample_pattern
 from .words import parse_word, word_to_str
 
@@ -88,22 +88,6 @@ def _code(args):
     params = _required_args(verify.CODES[args.code], args,
                             f"--code {args.code}")
     return verify.make_code(args.code, **params), params
-
-
-@contextmanager
-def _exact_integers():
-    """Lift Python's limit on converting long integers to text (3.11+),
-    which exact counts, codebook sizes and the budget messages naming them
-    run past, for the duration."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -332,7 +316,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with _exact_integers():
+        with exact_integers():
             return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

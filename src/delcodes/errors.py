@@ -1,6 +1,9 @@
 """Exception types and the enumeration budget shared across the library."""
 
 import os
+import sys
+from contextlib import contextmanager
+from typing import Callable
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -17,13 +20,33 @@ class BudgetExceeded(Exception):
     """An enumeration or verification exceeded the budget."""
 
 
-def check_budget(items: int, what: str) -> None:
+@contextmanager
+def exact_integers():
+    """Lift Python's limit on converting long integers to text (3.11+),
+    which exact counts, codebook sizes and the budget messages naming them
+    run past, for the duration."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def check_budget(items: int, what: Callable[[], str]) -> None:
     """Refuse a walk over more items than DELCODE_BUDGET, or 2^24 when it
-    is unset; `what` names the items in the message."""
+    is unset.  `what()` names the items in the message; it runs only on
+    refusal, with the digit limit lifted, because the sizes it names can
+    have more than 4300 digits."""
     value = os.environ.get("DELCODE_BUDGET")
     budget = int(value) if value else DEFAULT_BUDGET
     if items > budget:
-        raise BudgetExceeded(f"{what} exceed the budget of {budget}")
+        with exact_integers():
+            message = f"{what()} exceed the budget of {budget}"
+        raise BudgetExceeded(message)
 
 
 class FormulaDomainError(ValueError):

@@ -221,7 +221,7 @@ def verify_combinatorial(codebook: Sequence[Word],
     """Check that corrupted-output sets are disjoint across codewords."""
     fam_size = family_size(family)
     check_budget(len(codebook) * fam_size,
-                 f"{len(codebook)} x {fam_size} evaluations")
+                 lambda: f"{len(codebook)} x {fam_size} evaluations")
     patterns = list(enumerate_family(family))
     seen: Dict[Word, Tuple[int, ErrorPattern]] = {}
     report = VerifyReport(
@@ -265,7 +265,7 @@ def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
     """Decode every (codeword, pattern) corruption and compare exactly."""
     fam_size = family_size(family)
     check_budget(code.codeword_count * fam_size,
-                 f"{code.codeword_count} x {fam_size} evaluations")
+                 lambda: f"{code.codeword_count} x {fam_size} evaluations")
     patterns = list(enumerate_family(family))
     report = VerifyReport(
         mode="roundtrip", codebook_size=code.codeword_count,

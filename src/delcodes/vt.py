@@ -83,7 +83,7 @@ def check_enumeration_budget(n: int) -> None:
     About 2^n/(n+1) words are returned, so the budget counts the 2^n words
     (n is clamped at 64 so an absurd n is refused without building 2^n).
     """
-    check_budget(2 ** min(n, 64), f"the 2^{n} words of length {n}")
+    check_budget(2 ** min(n, 64), lambda: f"the 2^{n} words of length {n}")
 
 
 def vt_enumerate(p: VtParams) -> List[Word]:
@@ -120,8 +120,8 @@ def vt_class_sizes(n: int) -> List[int]:
     if n < 0:
         raise ValueError("need n >= 0")
     check_budget((n + 1) ** 2 * n,
-                 f"the (n+1)^2 * n bit operations of the counting table "
-                 f"for n = {n}")
+                 lambda: f"the (n+1)^2 * n bit operations of the counting "
+                         f"table for n = {n}")
     return deque(_suffix_rows(n), maxlen=1).pop()
 
 

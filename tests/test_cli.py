@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from delcodes import analysis, vt
-from delcodes.cli import _exact_integers, main
+from delcodes.cli import main
+from delcodes.errors import exact_integers
 from delcodes.far import far_params
 
 
@@ -136,7 +137,7 @@ def test_count_prints_more_than_4300_digits(capsys):
     code, out, _ = run(capsys, "count", "--n", "8000", "--t", "8000",
                        "--format", "json")
     assert code == 0
-    with _exact_integers():
+    with exact_integers():
         assert text.strip() == str(4 ** 8000)
         assert json.loads(out)["count"] == 4 ** 8000
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
@@ -147,7 +148,7 @@ def test_simulate_reports_codebook_size_past_4300_digits(capsys):
                        "--P", "14", "--family", "pfar:42:3", "--trials", "1",
                        "--seed", "1", "--format", "json")
     assert code == 0
-    with _exact_integers():
+    with exact_integers():
         size = json.loads(out)["codebookSize"]
     assert size == far_params(30002, 14).codeword_count
 

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import random
 
 import pytest
@@ -8,11 +10,11 @@ from hypothesis import strategies as st
 from delcodes import far, verify
 from delcodes.errors import DecodeFailure
 from delcodes.far import (FarParams, far_codeword, far_contains, far_decode,
-                          far_encode, far_params)
+                          far_encode, far_params, window_sums)
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, sample_pattern)
-from delcodes.vt import vt_syndrome
-from delcodes.words import parse_word
+from delcodes.vt import correct_deletion, flip_candidates, vt_syndrome
+from delcodes.words import ERASURE, parse_word
 
 
 def test_params_12_3():
@@ -195,3 +197,249 @@ def test_decode_checksum_work_is_linear(monkeypatch):
     _, info = far_decode(p, apply_pattern(x, g))
     assert k > 400 and info.iterations == k + 1
     assert len(calls) <= p.t + 3 * k
+
+
+def test_window_sums_match_naive():
+    # One-byte digits up to P = 22; P(P+1)/2 > 255 from P = 23 on.
+    rng = random.Random(6)
+    for P in range(1, 41):
+        for n in {0, 1, P - 1, P, P + 1, 3 * P + 2, 97}:
+            z = bytes(rng.randrange(2) for _ in range(n))
+            naive = [sum((i + 1) * z[q + i] for i in range(P))
+                     for q in range(n - P + 1)]
+            assert list(window_sums(z, P)) == naive, (P, n)
+            assert list(window_sums(bytearray(z), P)) == naive, (P, n)
+
+
+def test_two_byte_digit_windows_scan_and_check():
+    # P = 23 is the first block length whose window sums need two-byte
+    # digits.  far_params would enumerate 2^23 words, so the parameters
+    # are assembled directly: decoding and membership read only n, P, t,
+    # s and the residues.
+    P, t = 23, 4
+    a = far._best_residue_without_constants(P)
+    p = FarParams(t * P, P, t, 0, a, a, (), ())
+    rng = random.Random(P)
+
+    def letter():
+        # Mostly ones, so that most window sums exceed 255.
+        while True:
+            w = tuple(int(rng.random() < 0.85) for _ in range(P))
+            if vt_syndrome(w, a, P + 1):
+                w = (flip_candidates(p.inner_code, w) or [w])[0]
+            if vt_syndrome(w, a, P + 1) == 0 and 0 < sum(w) < P:
+                return w
+
+    def member(x):
+        blocks = [x[q:q + P] for q in range(0, len(x), P)]
+        return all(vt_syndrome(b, a, P + 1) == 0 and 0 < sum(b) < P
+                   for b in blocks)
+
+    for _ in range(20):
+        x = sum((letter() for _ in range(t)), ())
+        assert far_contains(p, x)
+        for k in rng.sample(range(p.n), 10):
+            y = x[:k] + (1 - x[k],) + x[k + 1:]
+            assert far_contains(p, y) == member(y)
+        for errors in ({5: "D", 80: "E"}, {30: "E", 70: "D"}, {50: "D"}):
+            g = ErrorPattern.from_dict(p.n, errors)
+            assert far_decode(p, apply_pattern(x, g))[0] == x
+
+
+def reference_far_contains(p, x):
+    """Membership by alphabet lookup, block by block."""
+    x = tuple(x)
+    if len(x) != p.n:
+        return False
+    inner, final = set(p.inner_alphabet), set(p.final_alphabet)
+    head = (p.t - 1) * p.P
+    return (all(x[q:q + p.P] in inner for q in range(0, head, p.P))
+            and x[head:] in final)
+
+
+def reference_far_decode(p, y):
+    """The per-block scan far_decode replaced: the reference only.
+
+    It takes the checksum of every block it reaches, picks flips by
+    alphabet lookup and checks the estimate block by block; the
+    correction helpers it shares with far_decode are unchanged.
+    """
+    info = far.FarDecodeInfo(iterations=1)
+    max_iterations = math.ceil(p.n / (3 * p.P)) + 1
+    P, t = p.P, p.t
+    inner = (P, p.a1, P + 1)
+    final = (P + p.s, p.a2, P + p.s + 1)
+    alphabets = (set(p.inner_alphabet), set(p.final_alphabet))
+
+    def pick_flip(code, blk, alphabet):
+        candidates = [c for c in flip_candidates(code, blk) if c in alphabet]
+        if not candidates:
+            raise DecodeFailure("no single flip reaches an alphabet word",
+                                {"block_length": len(blk)})
+        if len(candidates) > 1:
+            info.ambiguous_flips += 1
+        return candidates[0]
+
+    def correct_one(work, j):
+        if j > 1:
+            prev = far._block(p, work, j - 1)
+            fixed = far._try_deletion_in_block(p, prev)
+            if fixed is not None and fixed != prev:
+                work[(j - 2) * P:(j - 2) * P + P - 1] = fixed
+                return
+        start = (j - 1) * P
+        blk = far._block(p, work, j)
+        if j == t:
+            if len(blk) == P + p.s:
+                work[start:] = pick_flip(p.final_code, blk, alphabets[1])
+            elif len(blk) == P + p.s - 1:
+                work[start:] = correct_deletion(p.final_code, blk)
+            else:
+                raise DecodeFailure("final block length outside the error "
+                                    "model", {"block": j, "length": len(blk)})
+            return
+        if len(blk) < P:
+            raise DecodeFailure("received word ends inside an inner block",
+                                {"block": j, "length": len(work)})
+        nxt = far._block(p, work, j + 1)
+        code = far._block_code(p, j + 1)
+        next_diff = (vt_syndrome(nxt, code.a, code.modulus)
+                     if len(nxt) == code.n else 1)
+        if next_diff == 0:
+            work[start:start + P] = pick_flip(p.inner_code, blk, alphabets[0])
+        else:
+            work[start:start + P - 1] = correct_deletion(p.inner_code, blk[:-1])
+
+    j = 1
+    try:
+        work = bytearray(y)
+        while j <= t:
+            start = (j - 1) * P
+            if j < t:
+                length, a, modulus = inner
+                blk = work[start:start + P]
+            else:
+                length, a, modulus = final
+                blk = work[start:]
+            if ERASURE in blk:
+                blk = far._fix_erasure(p, j, tuple(blk))
+                work[start:start + length] = blk
+            if len(blk) == length and vt_syndrome(blk, a, modulus) == 0:
+                j += 1
+                continue
+            correct_one(work, j)
+            if info.iterations > max_iterations:
+                raise DecodeFailure("iteration cap exceeded",
+                                    {"cap": max_iterations, "length": len(work)})
+            info.iterations += 1
+        estimate = tuple(work)
+        if not reference_far_contains(p, estimate):
+            raise DecodeFailure("estimate is not a codeword",
+                                {"estimate_length": len(estimate)})
+    except ValueError as exc:
+        raise DecodeFailure(str(exc)) from exc
+    return estimate, info
+
+
+def _outcome(decode, p, y):
+    try:
+        estimate, info = decode(p, y)
+    except DecodeFailure as exc:
+        return str(exc), exc.diagnostic
+    return estimate, info.iterations, info.ambiguous_flips
+
+
+def _assert_same_as_reference(p, x, g):
+    y = apply_pattern(x, g)
+    assert (_outcome(far_decode, p, y)
+            == _outcome(reference_far_decode, p, y)), (x, g)
+
+
+@pytest.mark.parametrize("n, P, words", [(27, 3, 3), (28, 3, 2), (20, 5, 80)])
+def test_decode_matches_per_block_scan(n, P, words):
+    # Every pattern of pFar(3P), kinds DEF, on a seeded sample of the
+    # codewords: about 15,000 inputs per code, where all codewords of the
+    # three codes would take about 9 million.
+    p = far_params(n, P)
+    patterns = list(enumerate_family(PatternFamily.p_far(n, 3 * P)))
+    for i in random.Random(n).sample(range(p.codeword_count), words):
+        x = far_codeword(p, i)
+        for g in patterns:
+            _assert_same_as_reference(p, x, g)
+
+
+def test_decode_matches_per_block_scan_on_short_words():
+    # Words shorter than two blocks: windows that run past the end are
+    # suspect, however their partial sums fall.
+    p = far_params(20, 5)
+    for n in range(9):
+        for y in itertools.product((0, 1, ERASURE), repeat=n):
+            assert (_outcome(far_decode, p, y)
+                    == _outcome(reference_far_decode, p, y)), y
+
+
+@functools.lru_cache(maxsize=None)
+def _far_3024_14() -> FarParams:
+    return far_params(3024, 14)
+
+
+@given(index=st.integers(min_value=0), seed=st.integers(0, 2 ** 63 - 1))
+@settings(max_examples=60, deadline=None)
+def test_decode_matches_per_block_scan_at_paper_scale(index, seed):
+    p = _far_3024_14()
+    family = PatternFamily.p_far(p.n, 3 * p.P, t=3)
+    _assert_same_as_reference(p, far_codeword(p, index % p.codeword_count),
+                              sample_pattern(family, seed))
+
+
+def test_decode_takes_window_sums_twice(monkeypatch):
+    # Once for the scan, once for the membership check of the estimate,
+    # however many corrections the word needs.
+    p = far_params(12000, 6)
+    x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
+    g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P, kinds="F"), 0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return window_sums(*args)
+
+    monkeypatch.setattr(far, "window_sums", counted)
+    _, info = far_decode(p, apply_pattern(x, g))
+    assert g.weight > 400 and info.iterations == g.weight + 1
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("position", [0, 5, 11])
+@pytest.mark.parametrize("symbol", [3, 5, 255, 256, -1, "1", 1.5])
+def test_decode_names_a_foreign_symbol(position, symbol):
+    p = far_params(12, 3)
+    y = list(parse_word("011011100100"))
+    y[position] = symbol
+    with pytest.raises(DecodeFailure) as exc:
+        far_decode(p, tuple(y))
+    assert str(exc.value) == f"symbol {symbol!r} is not 0, 1 or e"
+
+
+def test_contains_takes_tuples_and_bytes():
+    p = far_params(12, 3)
+    x = parse_word("011011100100")
+    for word in (x, bytes(x), bytearray(x)):
+        assert far_contains(p, word)
+    for bad in (x[:-1], x + (0,), x[:4] + (5,) + x[5:],
+                x[:4] + (ERASURE,) + x[5:], parse_word("000011100100")):
+        for word in (bad, bytes(bad), bytearray(bad)):
+            assert not far_contains(p, word)
+    assert not hasattr(p, "inner_set") and not hasattr(p, "final_set")
+
+
+@pytest.mark.parametrize("n, P", [(20, 5), (23, 5), (26, 4)])
+def test_contains_matches_alphabet_lookup(n, P):
+    # Every codeword and every word one flip away from one.
+    p = far_params(n, P)
+    for i in range(p.codeword_count):
+        x = far_codeword(p, i)
+        for k in range(n):
+            y = x[:k] + (1 - x[k],) + x[k + 1:]
+            assert far_contains(p, y) == reference_far_contains(p, y), y
+        assert far_contains(p, x)

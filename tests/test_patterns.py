@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delcodes.errors import BudgetExceeded
+from delcodes.errors import BudgetExceeded, exact_integers
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, family_size, is_member,
                                sample_pattern)
@@ -142,6 +142,15 @@ def test_enumeration_cap():
     fam = PatternFamily.at_most(30, 10)
     with pytest.raises(BudgetExceeded):
         list(enumerate_family(fam))
+
+
+def test_enumeration_budget_names_sizes_past_4300_digits():
+    # 4^20000 patterns: the refusal names all 12,042 digits of the count.
+    fam = PatternFamily.at_most(20000, 20000)
+    with pytest.raises(BudgetExceeded) as exc:
+        next(enumerate_family(fam))
+    with exact_integers():
+        assert f"the {4 ** 20000} patterns" in str(exc.value)
 
 
 def test_sample_is_deterministic_and_member():

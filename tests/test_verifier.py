@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from delcodes.errors import BudgetExceeded
+from delcodes.errors import BudgetExceeded, exact_integers
 from delcodes.patterns import ErrorPattern, PatternFamily, apply_pattern
 from delcodes.verify import (make_code, mix64, simulate, verify_combinatorial,
                              verify_roundtrip)
@@ -62,6 +62,16 @@ def test_combinatorial_budget(monkeypatch):
     monkeypatch.setenv("DELCODE_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
         verify_combinatorial(codebook, fam)
+
+
+def test_roundtrip_budget_names_sizes_past_4300_digits():
+    # Outside the CLI the digit limit is in force: the refusal must still
+    # be a BudgetExceeded naming the 6,500-digit codebook size.
+    code = make_code("far", n=30002, P=14)
+    with pytest.raises(BudgetExceeded) as exc:
+        verify_roundtrip(code, PatternFamily.p_far(30002, 42, t=3))
+    with exact_integers():
+        assert str(exc.value).startswith(f"{code.codeword_count} x ")
 
 
 def test_roundtrip_pass():
