@@ -14,6 +14,7 @@ for single-kind audits (e.g. deletions only).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -136,10 +137,11 @@ class PatternFamily:
         return cap if self.t is None else min(cap, self.t)
 
     @cached_property
-    def weight_counts(self) -> Tuple[int, ...]:
-        """Number of patterns of each weight 0..max_weight, counted once
-        per family: sample_pattern draws from them on every call."""
-        return _weight_counts(self)
+    def cumulative_weights(self) -> Tuple[int, ...]:
+        """Number of patterns of weight at most k, for k = 0..max_weight,
+        counted once per family: the last is the family size, and
+        sample_pattern bisects them on every call."""
+        return tuple(itertools.accumulate(_weight_counts(self)))
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "n": self.n, "kinds": self.kinds}
@@ -153,23 +155,24 @@ class PatternFamily:
 def apply_pattern(x: Word, g: ErrorPattern) -> Word:
     """Corrupt the word x by the pattern g.
 
-    Flips invert the bit, erasures emit the erasure symbol, deletions emit
-    nothing; unmarked positions are copied.
+    The clean run before each marked position, and the rest after the
+    last, is copied as one slice: the Python work is per error, not per
+    symbol.  A flip emits the inverted bit, an erasure the erasure symbol
+    and a deletion nothing.
     """
     check_codeword(x)
     if len(x) != g.n:
         raise ValueError(f"word length {len(x)} != pattern length {g.n}")
-    marked = dict(g.errors)
     out = []
-    for i, bit in enumerate(x, start=1):
-        kind = marked.get(i)
-        if kind is None:
-            out.append(bit)
-        elif kind == "F":
-            out.append(1 - bit)
+    start = 0
+    for pos, kind in g.errors:
+        out += x[start:pos - 1]
+        if kind == "F":
+            out.append(1 - x[pos - 1])
         elif kind == "E":
             out.append(ERASURE)
-        # 'D': nothing emitted
+        start = pos
+    out += x[start:]
     return tuple(out)
 
 
@@ -213,7 +216,7 @@ def _weight_counts(f: PatternFamily) -> Tuple[int, ...]:
 
 def family_size(f: PatternFamily) -> int:
     """Exact number of patterns in the family."""
-    return sum(f.weight_counts)
+    return f.cumulative_weights[-1]
 
 
 def _iter_supports(f: PatternFamily, k: int) -> Iterator[Tuple[int, ...]]:
@@ -259,13 +262,10 @@ def is_member(g: ErrorPattern, f: PatternFamily) -> bool:
     return all(b - a >= f.spacing for a, b in zip(support, support[1:]))
 
 
-def _pick(counts: Sequence[int], rng: random.Random) -> int:
-    """Index drawn with probability proportional to counts."""
-    pick = rng.randrange(sum(counts))
-    for i, c in enumerate(counts):
-        if pick < c:
-            return i
-        pick -= c
+def _pick(cumulative: Sequence[int], rng: random.Random) -> int:
+    """Index drawn with probability proportional to the counts whose
+    running totals are given: the first total above a draw below the last."""
+    return bisect.bisect_right(cumulative, rng.randrange(cumulative[-1]))
 
 
 def _sample_support(f: PatternFamily, k: int, rng: random.Random) -> Tuple[int, ...]:
@@ -275,7 +275,8 @@ def _sample_support(f: PatternFamily, k: int, rng: random.Random) -> Tuple[int, 
         combo = sorted(rng.sample(range(1, n - (k - 1) * gap + 1), k))
         return tuple(p + i * gap for i, p in enumerate(combo))
     spreads = _burst_spreads(f, k)
-    d = spreads[_pick([count for _, count in spreads], rng)][0]
+    totals = list(itertools.accumulate(count for _, count in spreads))
+    d = spreads[_pick(totals, rng)][0]
     first = rng.randrange(1, n - d + 1)
     interior = sorted(rng.sample(range(first + 1, first + d), k - 2))
     return (first, *interior, first + d)
@@ -284,10 +285,9 @@ def _sample_support(f: PatternFamily, k: int, rng: random.Random) -> Tuple[int, 
 def sample_pattern(f: PatternFamily, seed: int) -> ErrorPattern:
     """Deterministically sample a member of the family (uniform)."""
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
-    counts = f.weight_counts
-    if sum(counts) == 0:
+    if family_size(f) == 0:
         raise ValueError("family is empty")
-    k = _pick(counts, rng)
+    k = _pick(f.cumulative_weights, rng)
     support = _sample_support(f, k, rng)
     base = len(f.kinds)
     assignment = tuple(f.kinds[rng.randrange(base)] for _ in range(k))

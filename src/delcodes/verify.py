@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import far, rep, vt
 from .errors import DecodeFailure, check_budget
@@ -174,14 +174,14 @@ class VerifyReport:
     def passed(self) -> bool:
         return self.result == "pass"
 
-    def add_failure(self, witness: dict) -> None:
-        """Count a failure, keeping the first ten witnesses."""
+    def add_failure(self, witness: Callable[[], dict]) -> None:
+        """Count a failure; `witness()` builds its witness only while
+        fewer than ten are kept, so later failures cost no JSON."""
         self.result = "fail"
         self.failures += 1
-        if self.counterexample is None:
-            self.counterexample = witness
         if len(self.counterexamples) < 10:
-            self.counterexamples.append(witness)
+            self.counterexamples.append(witness())
+            self.counterexample = self.counterexamples[0]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -235,15 +235,16 @@ def verify_combinatorial(codebook: Sequence[Word],
             if prior is None:
                 seen[received] = (ci, g)
             elif prior[0] != ci:
-                report.add_failure(_collision_witness(
+                report.add_failure(lambda: _collision_witness(
                     codebook[prior[0]], prior[1], x, g, received))
     return report
 
 
-def _roundtrip_case(report: VerifyReport, code, x: Word,
-                    g: ErrorPattern) -> Optional[dict]:
-    """Decode x corrupted by g into the report; returns the witness of a
-    wrong estimate or a decode failure, else None."""
+def _roundtrip_case(report: VerifyReport, code, x: Word, g: ErrorPattern,
+                    trial: Optional[int] = None) -> None:
+    """Decode x corrupted by g into the report; a wrong estimate or a
+    decode failure counts as a failure (simulate's witnesses name the
+    trial)."""
     estimate, error = None, None
     try:
         estimate, flagged = code.decode(apply_pattern(x, g))
@@ -251,14 +252,18 @@ def _roundtrip_case(report: VerifyReport, code, x: Word,
     except DecodeFailure as exc:
         error = str(exc)
     if estimate == x:
-        return None
-    witness = {"x": word_to_str(x), "g": g.to_json_dict(), "estimate": None}
-    if estimate is not None:
-        witness["estimate"] = word_to_str(estimate)
-    if error is not None:
-        witness["error"] = error
+        return
+
+    def witness() -> dict:
+        out = {"x": word_to_str(x), "g": g.to_json_dict(), "estimate": None}
+        if estimate is not None:
+            out["estimate"] = word_to_str(estimate)
+        if error is not None:
+            out["error"] = error
+        if trial is not None:
+            out["trial"] = trial
+        return out
     report.add_failure(witness)
-    return witness
 
 
 def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
@@ -296,7 +301,5 @@ def simulate(code, family: PatternFamily, trials: int,
         rng = random.Random(mix64(seed, i))
         x = code.codeword(rng.randrange(code.codeword_count))
         g = sample_pattern(family, rng.getrandbits(63))
-        witness = _roundtrip_case(report, code, x, g)
-        if witness is not None:
-            witness["trial"] = i
+        _roundtrip_case(report, code, x, g, trial=i)
     return report

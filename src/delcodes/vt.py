@@ -141,11 +141,12 @@ def correct_erasure(p: VtParams, y: Word) -> Word:
         raise ValueError(f"expected exactly one erasure, found {erased}")
     k = y.index(ERASURE) + 1
     x = y[:k - 1] + (0,) + y[k:]
+    check_codeword(x)
     if vt_syndrome(x, p.a, p.modulus) != 0:
         x = y[:k - 1] + (1,) + y[k:]
-    if not vt_contains(p, x):
-        raise DecodeFailure("erasure correction left a non-codeword",
-                            {"position": k})
+        if vt_syndrome(x, p.a, p.modulus) != 0:
+            raise DecodeFailure("erasure correction left a non-codeword",
+                                {"position": k})
     return x
 
 
@@ -186,53 +187,47 @@ def correct_flip(p: VtParams, y: Word) -> Tuple[Word, bool]:
     return candidates[0], len(candidates) > 1
 
 
+def _nth(y: Word, symbol: int, k: int) -> int:
+    """Index of the k-th occurrence of symbol in y (k >= 1), -1 for k = 0."""
+    i = -1
+    for _ in range(k):
+        i = y.index(symbol, i + 1)
+    return i
+
+
 def correct_deletion(p: VtParams, y: Word) -> Word:
-    """Reinsert the single deleted bit of y (length n-1)."""
+    """Reinsert the single deleted bit of y (length n-1).
+
+    With w ones in y and checksum discrepancy d = (a - CS(y)) mod n+1,
+    a deleted 0 goes just left of the d-th one from the right (the
+    (w-d+1)-th from the left; at the end when d = 0) if d <= w, and a
+    deleted 1 otherwise goes just right of the (d-w-1)-th zero.  Index
+    scans find both points, one tuple.index call per occurrence passed
+    instead of one Python step per symbol.
+    """
     if len(y) != p.n - 1:
         raise ValueError(f"word length {len(y)} != n-1 = {p.n - 1}")
     check_codeword(y)
-    w = sum(y)
+    w = y.count(1)
     disc = -vt_syndrome(y, p.a, p.modulus) % p.modulus
-    m = len(y)
     if disc <= w:
-        # deleted bit was 0: insert left of the rightmost point where the
-        # suffix weight equals the discrepancy
-        f = None
-        suffix = 0
-        for j in range(m + 1, 0, -1):  # suffix sum over y_j..y_m
-            if suffix == disc:
-                f = j
-                break
-            if j >= 2:
-                suffix += y[j - 2]
-        if f is None:
-            raise DecodeFailure("no insertion point for a deleted 0",
-                                {"discrepancy": disc, "weight": w})
-        x = y[:f - 1] + (0,) + y[f - 1:]
+        bit, i = 0, (_nth(y, 1, w - disc + 1) if disc else len(y))
     else:
-        # deleted bit was 1: the prefix must contain disc - w - 1 zeros
-        target = disc - w - 1
-        f = None
-        zeros = 0
-        for j in range(1, m + 2):
-            if zeros == target:
-                f = j
-                break
-            if j <= m:
-                zeros += 1 - y[j - 1]
-        if f is None:
-            raise DecodeFailure("no insertion point for a deleted 1",
-                                {"discrepancy": disc, "weight": w})
-        x = y[:f - 1] + (1,) + y[f - 1:]
-    if not vt_contains(p, x):
+        bit, i = 1, _nth(y, 0, disc - w - 1) + 1
+    x = y[:i] + (bit,) + y[i:]
+    if vt_syndrome(x, p.a, p.modulus) != 0:
         raise DecodeFailure("deletion correction left a non-codeword",
-                            {"position": f})
+                            {"position": i + 1})
     return x
 
 
 def correct_single(p: VtParams, y: Word) -> Tuple[Word, bool]:
-    """Correct at most one deletable error; returns (word, ambiguous)."""
-    erasures = sum(1 for s in y if s == ERASURE)
+    """Correct at most one deletable error; returns (word, ambiguous).
+
+    Each word is validated once: by the corrector it is passed to, or
+    here when its checksum already matches.
+    """
+    erasures = y.count(ERASURE)
     if erasures > 1:
         raise DecodeFailure(f"{erasures} erasures, at most one supported")
     if erasures == 1:
@@ -242,7 +237,8 @@ def correct_single(p: VtParams, y: Word) -> Tuple[Word, bool]:
     if len(y) == p.n - 1:
         return correct_deletion(p, y), False
     if len(y) == p.n:
-        if vt_contains(p, y):
-            return y, False
-        return correct_flip(p, y)
+        if vt_syndrome(y, p.a, p.modulus) != 0:
+            return correct_flip(p, y)
+        check_codeword(y)
+        return y, False
     raise DecodeFailure(f"received length {len(y)} outside {{n-1, n}}")

@@ -35,6 +35,55 @@ def test_apply_pattern_length_mismatch():
         apply_pattern(parse_word("101"), ErrorPattern(5, ()))
 
 
+def test_apply_pattern_rejects_an_erasure_in_the_word():
+    with pytest.raises(ValueError, match="erasure-free"):
+        apply_pattern(parse_word("1e1"), ErrorPattern(3, ((1, "F"),)))
+
+
+def reference_apply_pattern(x, g):
+    """Reference: the symbol-by-symbol loop the slice copies replaced."""
+    marked = dict(g.errors)
+    out = []
+    for i, bit in enumerate(x, start=1):
+        kind = marked.get(i)
+        if kind is None:
+            out.append(bit)
+        elif kind == "F":
+            out.append(1 - bit)
+        elif kind == "E":
+            out.append(ERASURE)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_apply_pattern_matches_symbol_loop_exhaustively(n):
+    # Every word and every marking (first and last position, adjacent
+    # marks, each kind) at small n.
+    for x in itertools.product((0, 1), repeat=n):
+        for marks in itertools.product("-DEF", repeat=n):
+            g = ErrorPattern(n, tuple((i, k) for i, k in enumerate(marks, 1)
+                                      if k != "-"))
+            assert apply_pattern(x, g) == reference_apply_pattern(x, g)
+
+
+@st.composite
+def words_and_patterns(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    x = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    marks = draw(st.lists(st.sampled_from("----DEF"), min_size=n, max_size=n))
+    errors = tuple((i, k) for i, k in enumerate(marks, 1) if k != "-")
+    return x, ErrorPattern(n, errors)
+
+
+@given(words_and_patterns())
+@settings(max_examples=200, deadline=None)
+def test_apply_pattern_matches_symbol_loop(case):
+    x, g = case
+    out = apply_pattern(x, g)
+    assert type(out) is tuple
+    assert out == reference_apply_pattern(x, g)
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         ErrorPattern(4, ((0, "F"),))  # position below range

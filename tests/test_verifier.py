@@ -1,11 +1,14 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
+from delcodes import patterns, verify, vt
 from delcodes.errors import BudgetExceeded, exact_integers
 from delcodes.patterns import ErrorPattern, PatternFamily, apply_pattern
-from delcodes.verify import (make_code, mix64, simulate, verify_combinatorial,
-                             verify_roundtrip)
+from delcodes.verify import (VerifyReport, make_code, mix64, simulate,
+                             verify_combinatorial, verify_roundtrip)
 from delcodes.vt import VtParams, vt_enumerate
 from delcodes.words import parse_word
 
@@ -138,3 +141,70 @@ def test_simulate_failure_witness_revalidates():
         estimate = None
     assert estimate != x
     assert 0 <= w["trial"] < 500
+
+
+def _digest(report):
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_report_digests_golden():
+    # Pinned reports: a faster per-case path must not change a byte of them.
+    code = make_code("vt", n=10, a=0)
+    fam = PatternFamily.at_most(10, 1, kinds="DEF")
+    assert _digest(verify_roundtrip(code, fam)) == (
+        "d20e2c69d3700de8f216a276d4ae981576fadb6c95f226a056c8cefcb7f0a6be")
+    assert _digest(verify_combinatorial(list(code.codewords()), fam)) == (
+        "6301fd6b7eca2887cd06cbf67ae9a406330edd234aaf4a62a01094da649c8363")
+    report = simulate(make_code("far", n=60, P=6), PatternFamily.p_far(60, 18),
+                      500, 2024)
+    assert _digest(report) == (
+        "769b5b9701cb22ddbb64e2af5971658cc202517e36598143fdb8abaad83475ce")
+
+
+def test_report_builds_at_most_ten_witnesses():
+    report = VerifyReport(mode="roundtrip", codebook_size=1, result="pass")
+    built = []
+    for i in range(25):
+        report.add_failure(lambda i=i: built.append(i) or {"case": i})
+    assert report.failures == 25 and built == list(range(10))
+    assert report.counterexample == {"case": 0}
+    assert report.counterexamples == [{"case": i} for i in range(10)]
+
+
+def test_audit_builds_at_most_ten_collision_witnesses(monkeypatch):
+    built = []
+    original = verify._collision_witness
+    monkeypatch.setattr(verify, "_collision_witness",
+                        lambda *args: built.append(args) or original(*args))
+    code = make_code("vt", n=10, a=0)
+    report = verify_combinatorial(list(code.codewords()),
+                                  PatternFamily.at_most(10, 1, kinds="DEF"))
+    assert report.failures == 260 and len(built) == 10
+
+
+def _bind_counter(monkeypatch, module, name, calls):
+    """Count calls of module.name at every name a delcodes module binds it to."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and key.split(".")[0] == "delcodes":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+
+
+def test_roundtrip_reaches_the_traced_layers(monkeypatch):
+    # The benchmark's trace expects these layers to be called by the
+    # round trip; an inlining that bypasses one must fail here first.
+    calls = dict.fromkeys(["apply_pattern", "correct_deletion",
+                           "correct_erasure", "flip_candidates"], 0)
+    _bind_counter(monkeypatch, patterns, "apply_pattern", calls)
+    for name in ("correct_deletion", "correct_erasure", "flip_candidates"):
+        _bind_counter(monkeypatch, vt, name, calls)
+    verify_roundtrip(make_code("vt", n=8, a=0),
+                     PatternFamily.at_most(8, 1, kinds="DEF"))
+    assert all(calls.values()), calls

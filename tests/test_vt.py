@@ -242,3 +242,75 @@ def test_correct_single_dispatch():
         correct_single(p, parse_word("01"))
     with pytest.raises(DecodeFailure):
         correct_single(p, parse_word("ee10"))
+
+
+def reference_correct_deletion(p, y):
+    """Reference: the per-symbol suffix and prefix loops that located the
+    insertion point before the index scans, kept for the comparison."""
+    if len(y) != p.n - 1:
+        raise ValueError(f"word length {len(y)} != n-1 = {p.n - 1}")
+    w = sum(y)
+    disc = -vt_syndrome(y, p.a, p.modulus) % p.modulus
+    m = len(y)
+    if disc <= w:
+        f = None
+        suffix = 0
+        for j in range(m + 1, 0, -1):  # suffix sum over y_j..y_m
+            if suffix == disc:
+                f = j
+                break
+            if j >= 2:
+                suffix += y[j - 2]
+        if f is None:
+            raise DecodeFailure("no insertion point for a deleted 0")
+        x = y[:f - 1] + (0,) + y[f - 1:]
+    else:
+        target = disc - w - 1
+        f = None
+        zeros = 0
+        for j in range(1, m + 2):
+            if zeros == target:
+                f = j
+                break
+            if j <= m:
+                zeros += 1 - y[j - 1]
+        if f is None:
+            raise DecodeFailure("no insertion point for a deleted 1")
+        x = y[:f - 1] + (1,) + y[f - 1:]
+    if not vt_contains(p, x):
+        raise DecodeFailure("deletion correction left a non-codeword")
+    return x
+
+
+def _outcome(corrector, p, y):
+    try:
+        return corrector(p, y)
+    except DecodeFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_deletion_matches_symbol_loops(n):
+    # Every word of length n-1, not only true deletions, for every residue.
+    for a in range(n + 1):
+        p = VtParams(n, a)
+        for y in itertools.product((0, 1), repeat=n - 1):
+            assert (_outcome(correct_deletion, p, y)
+                    == _outcome(reference_correct_deletion, p, y))
+
+
+@pytest.mark.parametrize("y", [(0, ERASURE, 1, 3), (3, ERASURE, 0, 0)])
+def test_erasure_rejects_a_foreign_symbol(y):
+    with pytest.raises(ValueError, match="symbol 3"):
+        correct_erasure(VtParams(4, 0), y)
+
+
+@pytest.mark.parametrize("y", [
+    (0, ERASURE, 1, 3),  # erasure branch
+    (0, 3, 1),           # deletion branch
+    (0, 3, 1, 0),        # full length, checksum matches when 3 reads as 1
+    (3, 0, 0, 0),        # full length, checksum mismatches: flip branch
+])
+def test_correct_single_rejects_a_foreign_symbol(y):
+    with pytest.raises(ValueError, match="symbol 3"):
+        correct_single(VtParams(4, 0), y)
