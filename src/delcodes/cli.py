@@ -208,6 +208,7 @@ def _cmd_verify(args) -> int:
     code, _ = _code(args)
     family = _parse_family(args.family, args.n)
     if args.mode == "combinatorial":
+        verify.check_verify_budget(code.codeword_count, family)
         codebook = list(code.codewords())
         report = verify.verify_combinatorial(codebook, family)
     elif args.mode == "roundtrip":

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -38,10 +37,6 @@ from .vt import (VtParams, check_enumeration_budget, correct_deletion,
 from .words import ERASURE, Word
 
 Symbols = Union[Word, bytes, bytearray]
-
-
-def _constant_words(m: int) -> Tuple[Word, Word]:
-    return tuple([0] * m), tuple([1] * m)
 
 
 def _best_residue_without_constants(m: int) -> int:
@@ -76,11 +71,15 @@ class FarParams:
         return VtParams(self.P + self.s, self.a2)
 
     @cached_property
-    def _inner_sum_tables(self) -> Tuple[bytes, bytes]:
-        """Translate tables over one-byte inner window sums: `_inner_sum_ok`
-        for a scanned window, then for an alphabet member."""
-        return tuple(bytes(_inner_sum_ok(self, v, member) for v in range(256))
-                     for member in (False, True))
+    def _sum_tables(self) -> Tuple[bytes, bytes]:
+        """Tables indexed by an inner window sum v, at least 256 long:
+        1 where v passes the checksum (v is a1 mod P+1), then 1 where it
+        also is no constant word's sum, 0 or P(P+1)/2."""
+        top = self.P * (self.P + 1) // 2
+        passes = bytes(v % (self.P + 1) == self.a1 for v in range(max(256, top + 1)))
+        member = bytearray(passes)
+        member[0] = member[top] = 0
+        return passes, bytes(member)
 
     @property
     def codeword_count(self) -> int:
@@ -93,11 +92,14 @@ class FarParams:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FarParams":
         try:
-            p = far_params(int(obj["n"]), int(obj["P"]))
+            for key in ("n", "P", "t", "s", "a1", "a2"):
+                if (key in ("n", "P") or key in obj) and type(obj[key]) is not int:
+                    raise ValueError(f"far parameter {key!r} must be an integer")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed far parameters: {exc!r}") from exc
+        p = far_params(obj["n"], obj["P"])
         for key in ("t", "s", "a1", "a2"):
-            if key in obj and int(obj[key]) != getattr(p, key):
+            if key in obj and obj[key] != getattr(p, key):
                 raise ValueError(f"inconsistent serialized field {key!r}")
         return p
 
@@ -112,9 +114,8 @@ def far_params(n: int, P: int) -> FarParams:
     # The final block's enumeration is the largest walk: refuse it before
     # building any counting table.
     check_enumeration_budget(P + s)
-    zero, one = _constant_words(P)
     a1 = _best_residue_without_constants(P)
-    inner = tuple(w for w in vt_enumerate(VtParams(P, a1)) if w not in (zero, one))
+    inner = tuple(w for w in vt_enumerate(VtParams(P, a1)) if 0 < sum(w) < P)
     if not inner:
         raise ValueError(f"inner alphabet empty for P = {P}")
     a2 = _best_residue_without_constants(P + s)
@@ -188,39 +189,40 @@ def window_sums(z: Union[bytes, bytearray], P: int) -> Sequence[int]:
     return digits if width == 1 else struct.unpack(f"<{windows}{fmt}", digits)
 
 
-def _inner_sum_ok(p: FarParams, v: int, member: bool) -> bool:
-    """Whether an inner window with weighted sum v passes the checksum
-    (v is a1 mod P+1) and, for a member, is no constant word: the
-    all-zero and all-one words have sums 0 and P(P+1)/2."""
-    return v % (p.P + 1) == p.a1 and not (member and v in (0, p.P * (p.P + 1) // 2))
-
-
-def _passing(p: FarParams, sums: Sequence[int], member: bool) -> bytes:
-    """1 where an inner window sum passes `_inner_sum_ok`, else 0."""
+def _passing(sums: Sequence[int], table: bytes) -> bytes:
+    """table[v] for each window sum v: one of `FarParams._sum_tables`."""
     if isinstance(sums, bytes):
-        return sums.translate(p._inner_sum_tables[member])
-    return bytes(_inner_sum_ok(p, v, member) for v in sums)
+        return sums.translate(table)
+    return bytes(map(table.__getitem__, sums))
+
+
+_ERASED = bytes([ERASURE])
+_SYMBOLS = b"\0\1" + _ERASED
+
+
+def _symbol_bytes(x: Symbols, allowed: bytes) -> Optional[bytearray]:
+    """x as a bytearray, or None when a symbol is not one of `allowed`."""
+    try:
+        z = bytearray(x)
+    except (TypeError, ValueError):  # a symbol that is no byte
+        return None
+    return None if z.translate(None, allowed) else z
 
 
 def far_contains(p: FarParams, x: Symbols) -> bool:
     """Whether x (a tuple, bytes or bytearray) is a codeword.  A word of
     the wrong length or with a symbol other than 0 and 1 is not one.
 
-    An inner block is an alphabet word iff its checksum is a1 mod P+1 and
-    neither 0 nor P(P+1)/2, the checksums of the constant words; the final
-    alphabet is all of VT_a2(P+s).
+    An inner block is an alphabet word iff its checksum passes and is no
+    constant word's (`FarParams._sum_tables`); the final alphabet is all
+    of VT_a2(P+s).
     """
-    if len(x) != p.n:
-        return False
-    try:
-        z = x if isinstance(x, (bytes, bytearray)) else bytearray(x)
-    except (TypeError, ValueError):  # a symbol that is no byte
-        return False
-    if z.translate(None, b"\0\1"):
+    z = _symbol_bytes(x, b"\0\1") if len(x) == p.n else None
+    if z is None:
         return False
     head = (p.t - 1) * p.P
-    return (0 not in _passing(p, window_sums(z, p.P)[:head:p.P], True)
-            and vt_syndrome(z[head:], p.a2, p.P + p.s + 1) == 0)
+    return (0 not in _passing(window_sums(z, p.P)[:head:p.P], p._sum_tables[1])
+            and vt_syndrome(z[head:], p.a2, p.final_code.modulus) == 0)
 
 
 @dataclass
@@ -229,17 +231,10 @@ class FarDecodeInfo:
     ambiguous_flips: int = 0
 
 
-_ERASED = bytes([ERASURE])
-_SYMBOLS = b"\0\1" + _ERASED
-
-
 def _received(y: Symbols) -> bytearray:
     """y as a mutable byte string; a symbol other than 0, 1 and e fails."""
-    try:
-        work = bytearray(y)
-    except (TypeError, ValueError):  # a symbol that is no byte
-        work = None
-    if work is None or work.translate(None, _SYMBOLS):
+    work = _symbol_bytes(y, _SYMBOLS)
+    if work is None:
         bad = next(s for s in y
                    if not (isinstance(s, int) and s in (0, 1, ERASURE)))
         raise DecodeFailure(f"symbol {bad!r} is not 0, 1 or e")
@@ -278,61 +273,55 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     so far.  There the scan skips every block that is an inner codeword
     as received and goes straight to the next suspect one: a window of y
     failing its checksum, holding an erasure or running past the end of
-    y, or the final block.  A suspect whose window fails its checksum
-    goes to correction without a second checksum.  The scan takes the
-    window sums of y once and tests them through one strided view per
-    residue mod P of the offset, built when first needed, and finds the
-    next erasure by bisection.
+    y, or the final block.  A suspect that fails its checksum goes to
+    correction without a second checksum.  The scan takes the window sums
+    of y once and reads them through one view per residue mod P of the
+    offset, built when first needed: a flag per window of that residue,
+    0 where the window fails its checksum or holds an erasure.
     """
     info = FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
     P, t = p.P, p.t
-    inner = (P, p.a1, P + 1)  # block length, residue, modulus
-    final = (P + p.s, p.a2, P + p.s + 1)
     work = _received(y)
     received = len(work)
     erasures = _erasures(work)
-    z = work.replace(_ERASED, b"\0") if erasures else work
-    sums = window_sums(z, P)
-    views: Dict[int, bytes] = {}
+    sums = window_sums(work.replace(_ERASED, b"\0"), P)  # erasures read as 0
+    views: Dict[int, bytearray] = {}
     rewritten = 0  # work[rewritten:] is y shifted by len(work) - received
     j = 1
     try:
         while j <= t:
             start = (j - 1) * P
-            failing = False  # block j is known to fail its checksum
+            failing = False  # block j fails its checksum or holds an erasure
             if j < t and start >= rewritten:
                 q = start - len(work) + received
                 i, residue = divmod(q, P)
                 view = views.get(residue)
-                if view is None:
-                    view = views[residue] = _passing(p, sums[residue::P], False)
+                if view is None:  # flags of the windows at residue + k*P
+                    view = views[residue] = bytearray(
+                        _passing(sums[residue::P], p._sum_tables[0]))
+                    for e in erasures:
+                        k = (e - residue) // P
+                        if 0 <= k < len(view):
+                            view[k] = 0
                 suspect = view.find(0, i)
                 failing = suspect >= 0
                 if not failing:  # every window from q on that fits is clean
-                    suspect = len(view) if len(view) > i else i
-                if erasures:
-                    k = bisect_left(erasures, q)
-                    if k < len(erasures):
-                        suspect = min(suspect, i + (erasures[k] - q) // P)
+                    suspect = max(len(view), i)
                 j += suspect - i
                 if j >= t:  # the final block has its own length and residue
                     j, failing = t, False
                 start = (j - 1) * P
-            if j < t:
-                length, a, modulus = inner
-                blk = work[start:start + P]
-            else:
-                length, a, modulus = final
-                blk = work[start:]
+            code = _block_code(p, j)
+            blk = work[start:start + P] if j < t else work[start:]
             if ERASURE in blk:
                 # A filled-in block is a codeword of its VT class.
-                work[start:start + length] = _fix_erasure(p, j, tuple(blk))
+                work[start:start + code.n] = _fix_erasure(p, j, tuple(blk))
                 rewritten = max(rewritten, j * P)
                 j += 1
                 continue
-            if (not failing and len(blk) == length
-                    and vt_syndrome(blk, a, modulus) == 0):
+            if (not failing and len(blk) == code.n
+                    and vt_syndrome(blk, code.a, code.modulus) == 0):
                 j += 1
                 continue
             before = len(work)
@@ -426,11 +415,11 @@ def _correct_one(p: FarParams, work: bytearray, j: int,
     start = (j - 1) * p.P
     blk = _block(p, work, j)
     if j == p.t:
-        final_len = p.P + p.s
-        if len(blk) == final_len:
-            work[start:] = _pick_flip(p.final_code, blk, False, info)
-        elif len(blk) == final_len - 1:
-            work[start:] = correct_deletion(p.final_code, blk)
+        code = p.final_code
+        if len(blk) == code.n:
+            work[start:] = _pick_flip(code, blk, False, info)
+        elif len(blk) == code.n - 1:
+            work[start:] = correct_deletion(code, blk)
         else:
             raise DecodeFailure("final block length outside the error model",
                                 {"block": j, "length": len(blk)})
@@ -441,13 +430,8 @@ def _correct_one(p: FarParams, work: bytearray, j: int,
     # Error sits in block j; the next block's checksum tells a flip
     # (clean neighbour) from a deletion (neighbour shifted left, or cut
     # short because more deletions are pending).
-    nxt = _block(p, work, j + 1)
-    code = _block_code(p, j + 1)
-    if len(nxt) == code.n:
-        next_diff = vt_syndrome(nxt, code.a, code.modulus)
-    else:
-        next_diff = 1
-    if next_diff == 0:
+    nxt, code = _block(p, work, j + 1), _block_code(p, j + 1)
+    if len(nxt) == code.n and vt_syndrome(nxt, code.a, code.modulus) == 0:
         work[start:start + p.P] = _pick_flip(p.inner_code, blk, True, info)
     else:
         work[start:start + p.P - 1] = correct_deletion(p.inner_code, blk[:-1])

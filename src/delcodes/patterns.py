@@ -61,10 +61,6 @@ class ErrorPattern:
     def weight(self) -> int:
         return len(self.errors)
 
-    @property
-    def deletion_count(self) -> int:
-        return sum(1 for _, k in self.errors if k == "D")
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

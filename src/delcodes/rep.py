@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import DecodeFailure
-from .words import Word, check_codeword
+from .words import ERASURE, Word, check_codeword
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,12 @@ def rep_decode(p: RepParams, z: Word) -> Tuple[Word, bool]:
     debris past position m*(2t+1); since deletions only shift symbols left,
     the information content always lies in the first m*(2t+1) symbols, so
     any excess is dropped.  A word that splits into fewer than m blocks is
-    outside the <= t error contract and raises DecodeFailure.
+    outside the <= t error contract and raises DecodeFailure, as does a
+    symbol other than 0, 1 and e.
     """
+    for s in z:
+        if not (isinstance(s, int) and s in (0, 1, ERASURE)):
+            raise DecodeFailure(f"symbol {s!r} is not 0, 1 or e")
     trailing = 0
     for s in reversed(z):
         if s != 0:

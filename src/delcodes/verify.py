@@ -216,12 +216,19 @@ def _collision_witness(x1: Word, g1: ErrorPattern,
     }
 
 
+def check_verify_budget(codeword_count: int, family: PatternFamily) -> int:
+    """Refuse to verify codeword_count words under every pattern of the
+    family beyond the budget; returns the family size."""
+    fam_size = family_size(family)
+    check_budget(codeword_count * fam_size,
+                 lambda: f"{codeword_count} x {fam_size} evaluations")
+    return fam_size
+
+
 def verify_combinatorial(codebook: Sequence[Word],
                          family: PatternFamily) -> VerifyReport:
     """Check that corrupted-output sets are disjoint across codewords."""
-    fam_size = family_size(family)
-    check_budget(len(codebook) * fam_size,
-                 lambda: f"{len(codebook)} x {fam_size} evaluations")
+    fam_size = check_verify_budget(len(codebook), family)
     patterns = list(enumerate_family(family))
     seen: Dict[Word, Tuple[int, ErrorPattern]] = {}
     report = VerifyReport(
@@ -268,9 +275,7 @@ def _roundtrip_case(report: VerifyReport, code, x: Word, g: ErrorPattern,
 
 def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
     """Decode every (codeword, pattern) corruption and compare exactly."""
-    fam_size = family_size(family)
-    check_budget(code.codeword_count * fam_size,
-                 lambda: f"{code.codeword_count} x {fam_size} evaluations")
+    fam_size = check_verify_budget(code.codeword_count, family)
     patterns = list(enumerate_family(family))
     report = VerifyReport(
         mode="roundtrip", codebook_size=code.codeword_count,

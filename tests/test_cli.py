@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from delcodes import analysis, vt
+from delcodes import analysis, verify, vt
 from delcodes.cli import main
 from delcodes.errors import exact_integers
 from delcodes.far import far_params
@@ -248,6 +248,21 @@ def test_verify_budget_exit_code(capsys, monkeypatch):
                        "--code", "vt", "--n", "4", "--a", "0",
                        "--family", "atmost:1")
     assert code == 3 and "budget" in err
+
+
+def test_combinatorial_verify_refuses_before_listing_codewords(capsys,
+                                                                monkeypatch):
+    # far(60,6) has 3,486,784,401 codewords: listing them would not end.
+    def refuse(self):
+        raise AssertionError("codebook listed before the budget check")
+
+    monkeypatch.setattr(verify.FarCodeAdapter, "codewords", refuse)
+    code, out, err = run(capsys, "verify", "--mode", "combinatorial",
+                         "--code", "far", "--n", "60", "--P", "6",
+                         "--family", "pfar:18")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: 3486784401 x ")
+    assert err.endswith(" evaluations exceed the budget of 16777216\n")
 
 
 def test_simulate_is_repeatable(capsys):

@@ -46,7 +46,11 @@ def test_params_json_roundtrip():
         FarParams.from_json_dict(bad)
 
 
-@pytest.mark.parametrize("obj", [{}, {"n": 12}, [], {"n": None, "P": 3}])
+@pytest.mark.parametrize("obj", [
+    {}, {"n": 12}, [], {"n": None, "P": 3}, {"n": 12.9, "P": 3},
+    {"n": 12, "P": 3.7}, {"n": "12", "P": "3"}, {"n": 12, "P": 3, "t": 4.0},
+    {"n": 12, "P": 3, "s": "0"}, {"n": 12, "P": 3, "a1": True},
+    {"n": 12, "P": 3, "a2": 1.0}, {"n": True, "P": 3}])
 def test_params_json_rejects_malformed_input(obj):
     with pytest.raises(ValueError):
         FarParams.from_json_dict(obj)
@@ -376,6 +380,23 @@ def test_decode_matches_per_block_scan_on_short_words():
         for y in itertools.product((0, 1, ERASURE), repeat=n):
             assert (_outcome(far_decode, p, y)
                     == _outcome(reference_far_decode, p, y)), y
+
+
+@functools.lru_cache(maxsize=None)
+def _far_600_6() -> FarParams:
+    return far_params(600, 6)
+
+
+@given(index=st.integers(min_value=0), seed=st.integers(0, 2 ** 63 - 1))
+@settings(max_examples=60, deadline=None)
+def test_decode_matches_per_block_scan_with_many_erasures(index, seed):
+    # pFar(18) without a cap puts about 26 errors on far(600,6), about 8
+    # of them erasures, so every residue view the scan builds marks
+    # several erasures.
+    p = _far_600_6()
+    family = PatternFamily.p_far(p.n, 3 * p.P)
+    _assert_same_as_reference(p, far_codeword(p, index % p.codeword_count),
+                              sample_pattern(family, seed))
 
 
 @functools.lru_cache(maxsize=None)

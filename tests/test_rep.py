@@ -63,6 +63,17 @@ def test_out_of_model_length_fails():
         rep_decode(p, parse_word("11100"))
 
 
+@pytest.mark.parametrize("word, symbol", [((5,) * 9, 5),
+                                          ((1, 1, 1, 7, 7, 7, 0, 0, 0), 7),
+                                          ((1, 1, 1, 0, 0, 0, 0, 0, 1.0), 1.0),
+                                          ((2, 2, 2, 0, 0, 0, 1, 1, "1"), "1")])
+def test_decode_names_a_foreign_symbol(word, symbol):
+    # Erasures (2) count as neither value; any other symbol fails.
+    with pytest.raises(DecodeFailure) as exc:
+        rep_decode(RepParams(9, 1), word)
+    assert str(exc.value) == f"symbol {symbol!r} is not 0, 1 or e"
+
+
 def test_pad_debris_is_dropped():
     # A flipped pad bit keeps the word long while a deletion elsewhere in
     # the pad shortens it: the excess past m*(2t+1) must be ignored.

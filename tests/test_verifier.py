@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from delcodes import patterns, verify, vt
+from delcodes import far, patterns, verify, vt
 from delcodes.errors import BudgetExceeded, exact_integers
 from delcodes.patterns import ErrorPattern, PatternFamily, apply_pattern
 from delcodes.verify import (VerifyReport, make_code, mix64, simulate,
@@ -207,4 +207,12 @@ def test_roundtrip_reaches_the_traced_layers(monkeypatch):
         _bind_counter(monkeypatch, vt, name, calls)
     verify_roundtrip(make_code("vt", n=8, a=0),
                      PatternFamily.at_most(8, 1, kinds="DEF"))
+    assert all(calls.values()), calls
+    # The far workloads of the benchmark add these layers.
+    calls.update(dict.fromkeys(calls, 0), far_contains=0, vt_enumerate=0)
+    _bind_counter(monkeypatch, far, "far_contains", calls)
+    _bind_counter(monkeypatch, vt, "vt_enumerate", calls)
+    code = make_code("far", n=12, P=3)
+    assert calls["vt_enumerate"]
+    verify_roundtrip(code, PatternFamily.p_far(12, 9, kinds="DEF"))
     assert all(calls.values()), calls
