@@ -53,22 +53,22 @@ def _read_word(arg: str):
 
 def _parse_family(spec: str, n: int) -> PatternFamily:
     """Family spec: atmost:T | pfar:P[:T] | burst:B, optional @KINDS."""
+    families = {"atmost": (PatternFamily.at_most, "atmost:T"),
+                "pfar": (PatternFamily.p_far, "pfar:P[:T]"),
+                "burst": (PatternFamily.burst, "burst:B")}
     kinds = "DEF"
     if "@" in spec:
         spec, kinds = spec.split("@", 1)
-    parts = spec.split(":")
-    name = parts[0].lower()
+    name, *fields = spec.split(":")
+    if name.lower() not in families:
+        raise UsageError(f"unknown family kind {name.lower()!r}")
+    make, form = families[name.lower()]
     try:
-        if name == "atmost":
-            return PatternFamily.at_most(n, int(parts[1]), kinds=kinds)
-        if name == "pfar":
-            t = int(parts[2]) if len(parts) > 2 else None
-            return PatternFamily.p_far(n, int(parts[1]), t=t, kinds=kinds)
-        if name == "burst":
-            return PatternFamily.burst(n, int(parts[1]), kinds=kinds)
-    except (IndexError, ValueError) as exc:
+        if not 1 <= len(fields) <= form.count(":"):
+            raise ValueError(f"the form is {form}")
+        return make(n, *map(int, fields), kinds=kinds)
+    except ValueError as exc:
         raise UsageError(f"bad family spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown family kind {name!r}")
 
 
 def _required_args(fn, args, what: str) -> dict:

@@ -28,15 +28,14 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DecodeFailure
 from .vt import (VtParams, check_enumeration_budget, correct_deletion,
                  correct_erasure, flip_candidates, vt_class_sizes,
                  vt_enumerate, vt_syndrome)
-from .words import ERASURE, Word
-
-Symbols = Union[Word, bytes, bytearray]
+from .words import ERASURE, Symbols, Word, received_bytes, symbol_bytes
 
 
 def _best_residue_without_constants(m: int) -> int:
@@ -137,21 +136,18 @@ def far_encode(p: FarParams, indices: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def far_index_to_indices(p: FarParams, index: int) -> Tuple[int, ...]:
-    """Mixed-radix bijection from a flat index to a block-index tuple."""
+def far_codeword(p: FarParams, index: int) -> Word:
+    """Codeword number `index`: its block indices are the mixed-radix
+    digits of the index, the final block's the least significant."""
     if not 0 <= index < p.codeword_count:
         raise ValueError("index out of range")
-    final_idx = index % len(p.final_alphabet)
-    index //= len(p.final_alphabet)
-    inner: List[int] = []
+    index, i = divmod(index, len(p.final_alphabet))
+    blocks = [p.final_alphabet[i]]
     for _ in range(p.t - 1):
-        inner.append(index % len(p.inner_alphabet))
-        index //= len(p.inner_alphabet)
-    return tuple(reversed(inner)) + (final_idx,)
-
-
-def far_codeword(p: FarParams, index: int) -> Word:
-    return far_encode(p, far_index_to_indices(p, index))
+        index, i = divmod(index, len(p.inner_alphabet))
+        blocks.append(p.inner_alphabet[i])
+    # Through a list: a tuple built from an iterator grows by reallocation.
+    return tuple(list(chain.from_iterable(reversed(blocks))))
 
 
 @lru_cache(maxsize=None)
@@ -197,16 +193,6 @@ def _passing(sums: Sequence[int], table: bytes) -> bytes:
 
 
 _ERASED = bytes([ERASURE])
-_SYMBOLS = b"\0\1" + _ERASED
-
-
-def _symbol_bytes(x: Symbols, allowed: bytes) -> Optional[bytearray]:
-    """x as a bytearray, or None when a symbol is not one of `allowed`."""
-    try:
-        z = bytearray(x)
-    except (TypeError, ValueError):  # a symbol that is no byte
-        return None
-    return None if z.translate(None, allowed) else z
 
 
 def far_contains(p: FarParams, x: Symbols) -> bool:
@@ -217,7 +203,7 @@ def far_contains(p: FarParams, x: Symbols) -> bool:
     constant word's (`FarParams._sum_tables`); the final alphabet is all
     of VT_a2(P+s).
     """
-    z = _symbol_bytes(x, b"\0\1") if len(x) == p.n else None
+    z = symbol_bytes(x, b"\0\1") if len(x) == p.n else None
     if z is None:
         return False
     head = (p.t - 1) * p.P
@@ -229,16 +215,6 @@ def far_contains(p: FarParams, x: Symbols) -> bool:
 class FarDecodeInfo:
     iterations: int = 0
     ambiguous_flips: int = 0
-
-
-def _received(y: Symbols) -> bytearray:
-    """y as a mutable byte string; a symbol other than 0, 1 and e fails."""
-    work = _symbol_bytes(y, _SYMBOLS)
-    if work is None:
-        bad = next(s for s in y
-                   if not (isinstance(s, int) and s in (0, 1, ERASURE)))
-        raise DecodeFailure(f"symbol {bad!r} is not 0, 1 or e")
-    return work
 
 
 def _erasures(y: bytearray) -> List[int]:
@@ -282,7 +258,7 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     info = FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
     P, t = p.P, p.t
-    work = _received(y)
+    work = received_bytes(y)
     received = len(work)
     erasures = _erasures(work)
     sums = window_sums(work.replace(_ERASED, b"\0"), P)  # erasures read as 0

@@ -99,24 +99,25 @@ class PatternFamily:
             raise ValueError(f"bad kinds {self.kinds!r}")
         if self.kinds != "".join(sorted(set(self.kinds))):
             object.__setattr__(self, "kinds", "".join(sorted(set(self.kinds))))
+        if self.kind == "p_far" and not (self.P is not None and self.P >= 1):
+            raise ValueError("need P >= 1")
+        if self.kind == "burst" and not (self.b is not None and 0 <= self.b < self.n):
+            raise ValueError("need 0 <= b < n")
+        if (self.t is not None or self.kind == "at_most") and not (
+                self.t is not None and 0 <= self.t <= self.n):
+            raise ValueError("need 0 <= t <= n")
 
     @classmethod
     def at_most(cls, n: int, t: int, kinds: str = KINDS) -> "PatternFamily":
-        if not 0 <= t <= n:
-            raise ValueError("need 0 <= t <= n")
         return cls("at_most", n, t=t, kinds=kinds)
 
     @classmethod
     def p_far(cls, n: int, P: int, t: Optional[int] = None,
               kinds: str = KINDS) -> "PatternFamily":
-        if P < 2:
-            raise ValueError("need P >= 2")
         return cls("p_far", n, P=P, t=t, kinds=kinds)
 
     @classmethod
     def burst(cls, n: int, b: int, kinds: str = KINDS) -> "PatternFamily":
-        if not 0 <= b < n:
-            raise ValueError("need 0 <= b < n")
         return cls("burst", n, b=b, kinds=kinds)
 
     @property
@@ -281,8 +282,6 @@ def _sample_support(f: PatternFamily, k: int, rng: random.Random) -> Tuple[int, 
 def sample_pattern(f: PatternFamily, seed: int) -> ErrorPattern:
     """Deterministically sample a member of the family (uniform)."""
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
-    if family_size(f) == 0:
-        raise ValueError("family is empty")
     k = _pick(f.cumulative_weights, rng)
     support = _sample_support(f, k, rng)
     base = len(f.kinds)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import DecodeFailure
-from .words import ERASURE, Word, check_codeword
+from .words import Symbols, Word, check_codeword, received_bytes
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,7 @@ def rep_encode(p: RepParams, info: Word) -> Word:
     return tuple(out)
 
 
-def _majority(block: Word) -> Tuple[int, bool]:
-    """Majority among non-erasure symbols; ties decode 0 and are flagged."""
-    ones = sum(1 for s in block if s == 1)
-    zeros = sum(1 for s in block if s == 0)
-    if ones > zeros:
-        return 1, False
-    return 0, ones == zeros
-
-
-def rep_decode(p: RepParams, z: Word) -> Tuple[Word, bool]:
+def rep_decode(p: RepParams, z: Symbols) -> Tuple[Word, bool]:
     """Decode a (possibly corrupted) codeword; returns (info, tie_flagged).
 
     Preprocessing removes up to ``pad`` trailing zeros.  A flipped pad bit
@@ -83,27 +74,19 @@ def rep_decode(p: RepParams, z: Word) -> Tuple[Word, bool]:
     the information content always lies in the first m*(2t+1) symbols, so
     any excess is dropped.  A word that splits into fewer than m blocks is
     outside the <= t error contract and raises DecodeFailure, as does a
-    symbol other than 0, 1 and e.
+    symbol other than 0, 1 and e.  Ties decode 0 and are flagged.
     """
-    for s in z:
-        if not (isinstance(s, int) and s in (0, 1, ERASURE)):
-            raise DecodeFailure(f"symbol {s!r} is not 0, 1 or e")
-    trailing = 0
-    for s in reversed(z):
-        if s != 0:
-            break
-        trailing += 1
-    y = z[:len(z) - min(trailing, p.pad)] if p.pad else z
-    y = y[:p.m * p.block]
-    blocks = [y[i:i + p.block] for i in range(0, len(y), p.block)]
-    if len(blocks) < p.m:
+    y = received_bytes(z)
+    kept = min(max(len(y.rstrip(b"\0")), len(y) - p.pad), p.m * p.block)
+    if kept <= (p.m - 1) * p.block:
         raise DecodeFailure(
-            f"got {len(blocks)} blocks, expected {p.m}",
-            {"received_length": len(z)})
+            f"got {-(-kept // p.block)} blocks, expected {p.m}",
+            {"received_length": len(y)})
+    del y[kept:]
     info = []
     tied = False
-    for block in blocks:
-        bit, tie = _majority(block)
-        info.append(bit)
-        tied = tied or tie
+    for i in range(0, kept, p.block):
+        ones, zeros = y.count(1, i, i + p.block), y.count(0, i, i + p.block)
+        info.append(int(ones > zeros))
+        tied = tied or ones == zeros
     return tuple(info), tied

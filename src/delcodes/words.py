@@ -1,16 +1,21 @@
 """Binary words with an erasure symbol.
 
-A word is an immutable tuple of symbols.  Symbols are the ints 0 and 1
-plus the erasure marker ERASURE.  Text form uses '0', '1' and 'e'.
+A word is an immutable tuple of symbols: the ints 0 and 1 and the
+erasure marker ERASURE.  Decoders also take a received word as bytes.
+Text form uses '0', '1' and 'e'.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple, Union
+
+from .errors import DecodeFailure
 
 Word = Tuple[int, ...]
+Symbols = Union[Word, bytes, bytearray]
 
 ERASURE = 2
+_SYMBOLS = bytes((0, 1, ERASURE))
 
 _CHAR_TO_SYM = {"0": 0, "1": 1, "e": ERASURE}
 _SYM_TO_CHAR = {0: "0", 1: "1", ERASURE: "e"}
@@ -39,3 +44,26 @@ def weight(word: Word) -> int:
     """Number of ones; erasures must be absent."""
     check_codeword(word)
     return sum(word)
+
+
+def symbol_bytes(x: Symbols, allowed: bytes) -> Optional[bytearray]:
+    """x as a bytearray, or None when a symbol is not one of `allowed`.
+    `iter` raises TypeError on an int, which `bytearray(k)` would read
+    as k zero bytes, and hands `bytearray` a str's characters."""
+    if isinstance(x, (int, str)):
+        x = iter(x)
+    try:
+        z = bytearray(x)
+    except (TypeError, ValueError):  # a symbol that is no byte
+        return None
+    return None if z.translate(None, allowed) else z
+
+
+def received_bytes(y: Symbols) -> bytearray:
+    """A received word as a mutable byte string; a symbol other than 0,
+    1 and e raises DecodeFailure naming the first one."""
+    z = symbol_bytes(y, _SYMBOLS)
+    if z is None:
+        bad = next(s for s in y if not (isinstance(s, int) and s in (0, 1, ERASURE)))
+        raise DecodeFailure(f"symbol {bad!r} is not 0, 1 or e")
+    return z

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -141,3 +142,22 @@ NAN = float("nan")
 def test_domain_guards_reject_nan(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_far_fraction_is_the_correctly_rounded_ratio():
+    for n in (100, 999, 10000, 123457):
+        for t in (1, 2, 3):
+            for omega in (6, 7, 24, 100):
+                p_n = n // (t * t * omega)
+                if p_n < 1:
+                    continue
+                exact = Fraction(analysis.count_far_patterns(n, 3 * p_n, t),
+                                 analysis.count_patterns(n, t))
+                assert analysis.far_fraction(n, t, omega)[0] == float(exact)
+
+
+def test_far_count_messages_are_the_family_rules():
+    for P, t, message in ((0, 1, "need P >= 1"), (3, -1, "need 0 <= t <= n"),
+                          (3, 5, "need 0 <= t <= n")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            analysis.count_far_patterns(4, P, t)

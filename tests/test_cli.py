@@ -287,3 +287,24 @@ def test_usage_errors(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("family, message", [
+    ("atmost:1:junk", "the form is atmost:T"),
+    ("pfar:9:1:2:3", "the form is pfar:P[:T]"),
+    ("burst:1:7", "the form is burst:B"),
+    ("atmost", "the form is atmost:T"),
+    ("pfar:9:-1", "need 0 <= t <= n"),
+    ("pfar:9:-2", "need 0 <= t <= n"),
+    ("pfar:9:13", "need 0 <= t <= n"),
+])
+@pytest.mark.parametrize("command", [
+    ("verify", "--mode", "roundtrip"),
+    ("simulate", "--trials", "50", "--seed", "1"),
+])
+def test_bad_family_spec_is_a_usage_error(capsys, family, message, command):
+    code, out, err = run(capsys, *command, "--code", "far", "--n", "12",
+                         "--P", "3", "--family", family)
+    assert code == 1 and out == ""
+    assert err == f"usage error: bad family spec {family!r}: {message}\n"
+

@@ -464,3 +464,34 @@ def test_contains_matches_alphabet_lookup(n, P):
             y = x[:k] + (1 - x[k],) + x[k + 1:]
             assert far_contains(p, y) == reference_far_contains(p, y), y
         assert far_contains(p, x)
+
+
+def _digits(p, index):
+    """Block indices of codeword `index`, most significant block first."""
+    radices = [len(p.inner_alphabet)] * (p.t - 1) + [len(p.final_alphabet)]
+    out = []
+    for radix in reversed(radices):
+        out.append(index % radix)
+        index //= radix
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("n, P", [(12, 3), (20, 5), (23, 5)])
+def test_codeword_is_the_encoding_of_its_digits(n, P):
+    p = far_params(n, P)
+    for i in range(p.codeword_count):
+        assert far_codeword(p, i) == far_encode(p, _digits(p, i)), i
+    for i in (-1, p.codeword_count):
+        with pytest.raises(ValueError, match="index out of range"):
+            far_codeword(p, i)
+
+
+def test_decode_refuses_an_int():
+    # bytearray(60) is sixty zero bytes; an int is no word.
+    with pytest.raises(TypeError):
+        far_decode(far_params(60, 6), 60)
+
+
+def test_decode_of_the_empty_str_fails_cleanly():
+    with pytest.raises(DecodeFailure):
+        far_decode(far_params(12, 3), "")

@@ -256,3 +256,61 @@ def test_sampling_and_enumeration_golden(family, draws, size, first,
     assert [_spec(g) for g in pats[:2]] == first
     assert [_spec(g) for g in pats if g.weight == 2][:3] == weight_two
     assert _spec(pats[-1]) == last
+
+
+def _legal_families(n, kinds):
+    """Every family of length n with a legal parameter: each t of the
+    at-most family, each b of a burst, each P in 1..5 with each t of a
+    P-far family and with none."""
+    for t in range(n + 1):
+        yield PatternFamily.at_most(n, t, kinds=kinds)
+    for b in range(n):
+        yield PatternFamily.burst(n, b, kinds=kinds)
+    for P in range(1, 6):
+        for t in (None, *range(n + 1)):
+            yield PatternFamily.p_far(n, P, t=t, kinds=kinds)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_families_count_enumerate_and_sample_alike(n):
+    # Two error kinds past n = 6: with three, n = 8 alone takes 4 s.
+    for fam in _legal_families(n, "DEF" if n <= 6 else "DF"):
+        patterns = list(enumerate_family(fam))
+        assert family_size(fam) == len(patterns) == len(set(patterns)), fam
+        assert all(is_member(g, fam) for g in patterns), fam
+        assert all(is_member(sample_pattern(fam, seed), fam)
+                   for seed in range(20)), fam
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("make", [
+    lambda n, t: PatternFamily.at_most(n, t),
+    lambda n, t: PatternFamily.p_far(n, 3, t=t),
+    lambda n, t: PatternFamily.p_far(n, 1, t=t),
+])
+def test_budget_outside_0_to_n_is_refused(n, make):
+    for t in (-1, n + 1):
+        with pytest.raises(ValueError, match=r"^need 0 <= t <= n$"):
+            make(n, t)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PatternFamily("burst", 5), "need 0 <= b < n"),
+    (lambda: PatternFamily("burst", 5, b=5), "need 0 <= b < n"),
+    (lambda: PatternFamily.burst(5, -1), "need 0 <= b < n"),
+    (lambda: PatternFamily("p_far", 5), "need P >= 1"),
+    (lambda: PatternFamily.p_far(5, 0), "need P >= 1"),
+    (lambda: PatternFamily("at_most", 5), "need 0 <= t <= n"),
+    (lambda: PatternFamily("p_far", 5, P=2, t=6), "need 0 <= t <= n"),
+])
+def test_directly_built_families_take_the_same_rules(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_one_far_family_is_the_at_most_family(n):
+    for t in range(n + 1):
+        assert family_size(PatternFamily.p_far(n, 1, t=t)) == \
+            family_size(PatternFamily.at_most(n, t))
+    assert family_size(PatternFamily.p_far(n, 1)) == 4 ** n

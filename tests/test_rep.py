@@ -1,10 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from delcodes.errors import DecodeFailure
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family)
 from delcodes.rep import RepParams, burst_params, rep_decode, rep_encode
-from delcodes.words import parse_word
+from delcodes.words import ERASURE, parse_word
 
 
 def test_params():
@@ -92,3 +95,77 @@ def test_burst_params_roundtrip():
         x = rep_encode(bp, info)
         for g in patterns:
             assert rep_decode(bp, apply_pattern(x, g))[0] == info, g
+
+
+def reference_rep_decode(p, z):
+    """The per-symbol decoder rep_decode replaced, kept as its reference."""
+    for s in z:
+        if not (isinstance(s, int) and s in (0, 1, ERASURE)):
+            raise DecodeFailure(f"symbol {s!r} is not 0, 1 or e")
+    trailing = 0
+    for s in reversed(z):
+        if s != 0:
+            break
+        trailing += 1
+    y = z[:len(z) - min(trailing, p.pad)] if p.pad else z
+    y = y[:p.m * p.block]
+    blocks = [y[i:i + p.block] for i in range(0, len(y), p.block)]
+    if len(blocks) < p.m:
+        raise DecodeFailure(
+            f"got {len(blocks)} blocks, expected {p.m}",
+            {"received_length": len(z)})
+    info = []
+    tied = False
+    for block in blocks:
+        ones = sum(1 for s in block if s == 1)
+        zeros = sum(1 for s in block if s == 0)
+        info.append(1 if ones > zeros else 0)
+        tied = tied or ones == zeros
+    return tuple(info), tied
+
+
+def _outcome(decode, p, word):
+    try:
+        return decode(p, word)
+    except DecodeFailure as exc:
+        return str(exc), exc.diagnostic
+
+
+def _words(length, limit, rng):
+    """Every word over {0, 1, e} of the length if there are at most
+    `limit`, else `limit` seeded draws."""
+    if 3 ** length <= limit:
+        return itertools.product((0, 1, ERASURE), repeat=length)
+    return (tuple(rng.choices((0, 1, ERASURE), k=length)) for _ in range(limit))
+
+
+@pytest.mark.parametrize("n, t", [(3, 1), (9, 1), (11, 1), (9, 2), (15, 2)])
+def test_decode_matches_per_symbol_reference(n, t):
+    # Exhaustive up to length 8; 3^8 seeded draws per longer length (all
+    # words of length up to n + 2 would be 1.9e8 at n = 15).
+    p = RepParams(n, t)
+    rng = random.Random(100 * n + t)
+    for length in range(n + 3):
+        for word in _words(length, 3 ** 8, rng):
+            assert (_outcome(rep_decode, p, word)
+                    == _outcome(reference_rep_decode, p, word)), word
+
+
+@pytest.mark.parametrize("n, t", [(9, 1), (11, 1), (15, 2)])
+@pytest.mark.parametrize("symbol", [3, 255, 256, -1, 1.0, "1", None, b"\0"])
+def test_foreign_symbol_matches_per_symbol_reference(n, t, symbol):
+    # The first foreign symbol is named, wherever it sits.
+    p = RepParams(n, t)
+    x = rep_encode(p, (1,) * p.m)
+    for pos in (0, n // 2, n - 1):
+        for word in (x[:pos] + (symbol,) + x[pos + 1:],
+                     x[:pos] + (symbol,) + x[pos + 1:-1] + (7,)):
+            expect = _outcome(reference_rep_decode, p, word)
+            assert _outcome(rep_decode, p, word) == expect
+            assert expect[0].startswith(f"symbol {symbol!r} ")
+
+
+def test_decode_refuses_an_int():
+    # bytearray(9) is nine zero bytes; an int is no word.
+    with pytest.raises(TypeError):
+        rep_decode(RepParams(9, 1), 9)
