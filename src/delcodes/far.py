@@ -5,8 +5,14 @@ removed, followed by a final block from VT_a2(P+s) where n = t*P + s.
 When the errors hitting a codeword are pairwise at least 3P apart, each
 inner block suffers at most one error and the blocks around it stay
 clean.  The decoder therefore makes one left-to-right scan of the block
-checksums over a mutable copy of the received word and corrects each
-error in place at the first block it upsets, resuming the scan there.
+checksums over a mutable copy of the received word, corrects each error
+in place at the first block it upsets and goes on at the next block.
+The error is always in that block, never in the block before it: VT_a(P)
+corrects one deletion, so the only codeword c' with c'[:-1] a deletion
+of a codeword c is c itself.  A deletion in block j-1 that leaves block
+j-1's checksum consistent therefore leaves block j-1 as sent: the
+deleted bit ends a run that goes on into block j, and the received word
+is the same word with the first bit of block j deleted.
 Since blocks are sliced only when the scan reaches them, words shortened
 by any number of far-apart deletions are accepted: a block pushed past
 the end of the word reads as a deletion still pending.
@@ -29,7 +35,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import DecodeFailure
 from .vt import (VtParams, check_enumeration_budget, correct_deletion,
@@ -232,17 +238,15 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
 
     One scan walks the blocks of a mutable copy of y from the left.  It
     fills in a block's erasure, which leaves a codeword of the block's VT
-    class, and checks the checksum of any other block.  At a
-    mismatch in block j it corrects exactly one error in place (a
-    deletion vs flip is told apart via the next block's checksum) and
-    goes on at block j+1, or checks block j again when the error was a
-    deletion in block j-1.  Blocks left of j need no second look: a
-    correction leaves them untouched, except that a deletion found in
-    block j-1 rewrites that block to a VT codeword.  A block is sliced
-    when the scan reaches it: an inner block shorter than P mismatches,
-    and a short block after the one being corrected means a deletion is
-    pending.  Terminates when the scan passes the final block;
-    iterations counts the corrections plus one.
+    class, and checks the checksum of any other block.  At a mismatch in
+    block j it corrects exactly one error in place, in block j itself
+    (the module docstring says why), telling a deletion from a flip by
+    the next block's checksum, and goes on at block j+1.  Blocks left of
+    j need no second look: a correction leaves them untouched.  A block
+    is sliced when the scan reaches it: an inner block shorter than P
+    mismatches, and a short block after the one being corrected means a
+    deletion is pending.  Terminates when the scan passes the final
+    block; iterations counts the corrections plus one.
 
     Corrections only insert symbols, so past the last block the scan
     rewrote, the working word is y shifted right by the symbols inserted
@@ -301,7 +305,7 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
                 j += 1
                 continue
             before = len(work)
-            resume = _correct_one(p, work, j, info)
+            _correct_one(p, work, j, info)
             # A correction at block j rewrites symbols up to block j's end
             # at most and shifts whatever was clean after them.
             rewritten = max(j * P, rewritten + len(work) - before)
@@ -309,7 +313,7 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
                 raise DecodeFailure("iteration cap exceeded",
                                     {"cap": max_iterations, "length": len(work)})
             info.iterations += 1
-            j = resume
+            j += 1
         if not far_contains(p, work):
             raise DecodeFailure("estimate is not a codeword",
                                 {"estimate_length": len(work)})
@@ -359,35 +363,14 @@ def _pick_flip(code: VtParams, blk: Word, inner: bool,
     return candidates[0]
 
 
-def _try_deletion_in_block(p: FarParams, blk: Word) -> Optional[Word]:
-    """Correct blk-minus-last-bit as a one-deletion word, or None."""
-    try:
-        return correct_deletion(p.inner_code, blk[:-1])
-    except DecodeFailure:
-        return None
-
-
 def _correct_one(p: FarParams, work: bytearray, j: int,
-                 info: FarDecodeInfo) -> int:
-    """Fix the single error behind the checksum mismatch at block j and
-    return the block the scan checks next.
+                 info: FarDecodeInfo) -> None:
+    """Fix the single error behind the checksum mismatch at block j in
+    place, leaving a codeword of block j's VT class there.
 
     A deletion fix writes the P-1 symbols it read back as P, so the
-    inserted symbol shifts the rest of the word right by one.  A fix in
-    block j leaves a codeword of its VT class there, so the scan goes on
-    at block j+1; a fix in block j-1 shifts block j, which is checked
-    again.
+    inserted symbol shifts the rest of the word right by one.
     """
-    if j > 1:
-        # A mismatch at j can stem from a deletion in block j-1 that left
-        # its own checksum consistent; a flip there would have mismatched
-        # earlier, so only the deletion reading needs testing.
-        prev = _block(p, work, j - 1)
-        fixed = _try_deletion_in_block(p, prev)
-        if fixed is not None and fixed != prev:
-            start = (j - 2) * p.P
-            work[start:start + p.P - 1] = fixed
-            return j
     start = (j - 1) * p.P
     blk = _block(p, work, j)
     if j == p.t:
@@ -399,7 +382,7 @@ def _correct_one(p: FarParams, work: bytearray, j: int,
         else:
             raise DecodeFailure("final block length outside the error model",
                                 {"block": j, "length": len(blk)})
-        return j + 1
+        return
     if len(blk) < p.P:
         raise DecodeFailure("received word ends inside an inner block",
                             {"block": j, "length": len(work)})
@@ -411,4 +394,3 @@ def _correct_one(p: FarParams, work: bytearray, j: int,
         work[start:start + p.P] = _pick_flip(p.inner_code, blk, True, info)
     else:
         work[start:start + p.P - 1] = correct_deletion(p.inner_code, blk[:-1])
-    return j + 1

@@ -95,6 +95,10 @@ class PatternFamily:
     def __post_init__(self):
         if self.kind not in ("at_most", "p_far", "burst"):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        for name, takers in (("t", ("at_most", "p_far")), ("P", ("p_far",)),
+                             ("b", ("burst",))):
+            if getattr(self, name) is not None and self.kind not in takers:
+                raise ValueError(f"{self.kind} families take no {name}")
         if not self.kinds or any(k not in KINDS for k in self.kinds):
             raise ValueError(f"bad kinds {self.kinds!r}")
         if self.kinds != "".join(sorted(set(self.kinds))):

@@ -1,7 +1,9 @@
+import contextlib
 import functools
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,53 @@ def test_decode_checksum_work_is_linear(monkeypatch):
     assert len(calls) <= p.t + 3 * k
 
 
+def test_decode_makes_one_deletion_correction_per_deletion(monkeypatch):
+    # Every correction is at the block the scan stopped at, so a
+    # deletion-only word takes one correct_deletion call per deletion and
+    # a flip-only word none.
+    p = far_params(12000, 6)
+    x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return correct_deletion(*args)
+
+    monkeypatch.setattr(far, "correct_deletion", counted)
+    for kinds in "DF":
+        g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P, kinds=kinds), 0)
+        calls.clear()
+        estimate, info = far_decode(p, apply_pattern(x, g))
+        assert g.weight > 400 and info.iterations == g.weight + 1, kinds
+        assert len(calls) == (g.weight if kinds == "D" else 0), kinds
+        assert estimate == x or kinds == "F"  # flips can be ambiguous
+
+
+def test_decode_of_a_deletion_in_a_run_across_blocks(monkeypatch):
+    # A deletion in the run that ends block j-1 and starts block j leaves
+    # block j-1 as sent: the scan corrects it at block j, with one call.
+    p = _far_600_6()
+    x = far_codeword(p, 12345)
+    P = p.P
+    j = next(j for j in range(2, p.t)
+             if x[(j - 1) * P - 1] == x[(j - 1) * P])
+    k = (j - 1) * P - 1  # 0-based, the first bit of the run in block j-1
+    while k > (j - 2) * P and x[k - 1] == x[k]:
+        k -= 1
+    y = x[:k] + x[k + 1:]
+    assert y[(j - 2) * P:(j - 1) * P] == x[(j - 2) * P:(j - 1) * P]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return correct_deletion(*args)
+
+    monkeypatch.setattr(far, "correct_deletion", counted)
+    estimate, info = far_decode(p, y)
+    assert estimate == x
+    assert (info.iterations, len(calls)) == (2, 1)
+
+
 def test_window_sums_match_naive():
     # One-byte digits up to P = 22; P(P+1)/2 > 255 from P = 23 on.
     rng = random.Random(6)
@@ -287,7 +336,10 @@ def reference_far_decode(p, y):
     def correct_one(work, j):
         if j > 1:
             prev = far._block(p, work, j - 1)
-            fixed = far._try_deletion_in_block(p, prev)
+            try:
+                fixed = correct_deletion(p.inner_code, prev[:-1])
+            except DecodeFailure:
+                fixed = None
             if fixed is not None and fixed != prev:
                 work[(j - 2) * P:(j - 2) * P + P - 1] = fixed
                 return
@@ -397,6 +449,36 @@ def test_decode_matches_per_block_scan_with_many_erasures(index, seed):
     family = PatternFamily.p_far(p.n, 3 * p.P)
     _assert_same_as_reference(p, far_codeword(p, index % p.codeword_count),
                               sample_pattern(family, seed))
+
+
+@given(index=st.integers(min_value=0), seed=st.integers(0, 2 ** 63 - 1))
+@settings(max_examples=60, deadline=None)
+def test_correction_reads_only_its_block_and_the_next(index, seed):
+    # The locality the window audit of far codes rests on: a correction
+    # at block j reads blocks j and j+1 alone, and nothing else reads a
+    # block through _block.
+    p = _far_600_6()
+    x = far_codeword(p, index % p.codeword_count)
+    g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P), seed)
+    block, correct_one = far._block, far._correct_one
+    at, reads = [], []
+
+    def traced_block(p, work, i):
+        reads.append((at[-1] if at else None, i))
+        return block(p, work, i)
+
+    def traced_correct_one(p, work, j, info):
+        at.append(j)
+        try:
+            return correct_one(p, work, j, info)
+        finally:
+            at.pop()
+
+    with mock.patch.object(far, "_block", traced_block), \
+            mock.patch.object(far, "_correct_one", traced_correct_one), \
+            contextlib.suppress(DecodeFailure):
+        far_decode(p, apply_pattern(x, g))
+    assert all(j is not None and i in (j, j + 1) for j, i in reads), reads
 
 
 @functools.lru_cache(maxsize=None)

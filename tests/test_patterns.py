@@ -302,6 +302,13 @@ def test_budget_outside_0_to_n_is_refused(n, make):
     (lambda: PatternFamily.p_far(5, 0), "need P >= 1"),
     (lambda: PatternFamily("at_most", 5), "need 0 <= t <= n"),
     (lambda: PatternFamily("p_far", 5, P=2, t=6), "need 0 <= t <= n"),
+    (lambda: PatternFamily("burst", 9, b=1, t=1), "burst families take no t"),
+    (lambda: PatternFamily("burst", 9, b=1, P=3), "burst families take no P"),
+    (lambda: PatternFamily("at_most", 9, t=1, P=3),
+     "at_most families take no P"),
+    (lambda: PatternFamily("at_most", 9, t=1, b=0),
+     "at_most families take no b"),
+    (lambda: PatternFamily("p_far", 9, P=3, b=0), "p_far families take no b"),
 ])
 def test_directly_built_families_take_the_same_rules(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -192,6 +192,17 @@ def test_deletion_exhaustive(n):
             assert correct_deletion(p, y) == bits
 
 
+def test_deletion_of_the_last_bit_restores_every_codeword():
+    # The far decoder rests on this: a codeword c is the only one whose
+    # deletions include c[:-1], so a block that passes its checksum is the
+    # block as sent even when a deletion in it pulled in the next bit.
+    for n in range(2, 15):
+        for a in range(n + 1):
+            p = VtParams(n, a)
+            for c in vt_enumerate(p):
+                assert correct_deletion(p, c[:-1]) == c, (n, a, c)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_flip_exhaustive(n):
     # A flip may be ambiguous; the decoder must flag ambiguity and return
