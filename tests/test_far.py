@@ -205,12 +205,8 @@ def test_decode_checksum_work_is_linear(monkeypatch):
     assert len(calls) <= p.t + 3 * k
 
 
-def test_decode_makes_one_deletion_correction_per_deletion(monkeypatch):
-    # Every correction is at the block the scan stopped at, so a
-    # deletion-only word takes one correct_deletion call per deletion and
-    # a flip-only word none.
-    p = far_params(12000, 6)
-    x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
+def _count_deletion_calls(monkeypatch):
+    """The argument tuples of far's correct_deletion calls, from now on."""
     calls = []
 
     def counted(*args):
@@ -218,6 +214,16 @@ def test_decode_makes_one_deletion_correction_per_deletion(monkeypatch):
         return correct_deletion(*args)
 
     monkeypatch.setattr(far, "correct_deletion", counted)
+    return calls
+
+
+def test_decode_makes_one_deletion_correction_per_deletion(monkeypatch):
+    # Every correction is at the block the scan stopped at, so a
+    # deletion-only word takes one correct_deletion call per deletion and
+    # a flip-only word none.
+    p = far_params(12000, 6)
+    x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
+    calls = _count_deletion_calls(monkeypatch)
     for kinds in "DF":
         g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P, kinds=kinds), 0)
         calls.clear()
@@ -240,13 +246,7 @@ def test_decode_of_a_deletion_in_a_run_across_blocks(monkeypatch):
         k -= 1
     y = x[:k] + x[k + 1:]
     assert y[(j - 2) * P:(j - 1) * P] == x[(j - 2) * P:(j - 1) * P]
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return correct_deletion(*args)
-
-    monkeypatch.setattr(far, "correct_deletion", counted)
+    calls = _count_deletion_calls(monkeypatch)
     estimate, info = far_decode(p, y)
     assert estimate == x
     assert (info.iterations, len(calls)) == (2, 1)
