@@ -4,8 +4,8 @@ and a seeded Monte Carlo simulator.
 The combinatorial check uses the defining property of a correcting code
 directly: no two distinct codewords, corrupted by any patterns in the
 family, may collide on the same received word.  Received words are
-compared as exact symbol sequences, so differing lengths or erasure
-positions make them distinct.
+keyed by their bytes (symbols 0, 1 and ERASURE = 2), so differing lengths
+or erasure positions make them distinct.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import far, rep, vt
 from .errors import DecodeFailure, check_budget
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
-from .words import Word, parse_word, word_to_str
+from .words import Word, parse_word, symbol_bytes, word_to_str
 
 _MASK64 = (1 << 64) - 1
 
@@ -225,25 +225,45 @@ def check_verify_budget(codeword_count: int, family: PatternFamily) -> int:
     return fam_size
 
 
+def _check_bits(x: Word) -> None:
+    """Refuse a codebook word with a symbol other than the ints 0 and 1,
+    naming it: the audit keys received words by their bytes, and
+    `check_codeword` passes 1.0."""
+    if symbol_bytes(x, b"\0\1") is None:
+        bad = next(s for s in x if not (isinstance(s, int) and s in (0, 1)))
+        raise ValueError("codeword must be erasure-free bits, got symbol %r" % (bad,))
+
+
+def _first_pattern(x: Word, patterns: Sequence[ErrorPattern],
+                   received: Word) -> ErrorPattern:
+    """The first pattern, in family order, that corrupts x into received."""
+    return next(h for h in patterns if apply_pattern(x, h) == received)
+
+
 def verify_combinatorial(codebook: Sequence[Word],
                          family: PatternFamily) -> VerifyReport:
-    """Check that corrupted-output sets are disjoint across codewords."""
+    """Check that corrupted-output sets are disjoint across codewords.
+
+    The index maps each received word's bytes to the index of the first
+    codeword that produced it, about 70 bytes a case.  The pattern that
+    produced it is found again only for a kept witness."""
     fam_size = check_verify_budget(len(codebook), family)
     patterns = list(enumerate_family(family))
-    seen: Dict[Word, Tuple[int, ErrorPattern]] = {}
+    seen: Dict[bytes, int] = {}
+    owner = seen.setdefault
     report = VerifyReport(
         mode="combinatorial", codebook_size=len(codebook),
         family_size=fam_size, result="pass",
         config={"family": family.describe()})
     for ci, x in enumerate(codebook):
+        _check_bits(x)
         for g in patterns:
             received = apply_pattern(x, g)
-            prior = seen.get(received)
-            if prior is None:
-                seen[received] = (ci, g)
-            elif prior[0] != ci:
+            prior = owner(bytes(received), ci)
+            if prior != ci:
+                x1 = codebook[prior]
                 report.add_failure(lambda: _collision_witness(
-                    codebook[prior[0]], prior[1], x, g, received))
+                    x1, _first_pattern(x1, patterns, received), x, g, received))
     return report
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,7 @@ from delcodes.patterns import ErrorPattern, PatternFamily, apply_pattern
 from delcodes.verify import (VerifyReport, make_code, mix64, simulate,
                              verify_combinatorial, verify_roundtrip)
 from delcodes.vt import VtParams, vt_enumerate
-from delcodes.words import parse_word
+from delcodes.words import parse_word, word_to_str
 
 
 def test_mix64_is_deterministic_and_spread():
@@ -216,3 +218,112 @@ def test_roundtrip_reaches_the_traced_layers(monkeypatch):
     assert calls["vt_enumerate"]
     verify_roundtrip(code, PatternFamily.p_far(12, 9, kinds="DEF"))
     assert all(calls.values()), calls
+
+
+def reference_verify_combinatorial(codebook, family):
+    """The audit as it stood with a tuple-keyed index holding (index,
+    pattern) for each received word: the oracle for the compact index."""
+    fam_size = verify.check_verify_budget(len(codebook), family)
+    pats = list(patterns.enumerate_family(family))
+    seen = {}
+    report = VerifyReport(
+        mode="combinatorial", codebook_size=len(codebook),
+        family_size=fam_size, result="pass",
+        config={"family": family.describe()})
+    for ci, x in enumerate(codebook):
+        for g in pats:
+            received = apply_pattern(x, g)
+            prior = seen.get(received)
+            if prior is None:
+                seen[received] = (ci, g)
+            elif prior[0] != ci:
+                report.add_failure(lambda: {
+                    "x1": word_to_str(codebook[prior[0]]),
+                    "g1": prior[1].to_json_dict(),
+                    "x2": word_to_str(x), "g2": g.to_json_dict(),
+                    "received": word_to_str(received)})
+    return report
+
+
+def _assert_same_audit(codebook, family):
+    expected = reference_verify_combinatorial(codebook, family).to_json_dict()
+    assert verify_combinatorial(codebook, family).to_json_dict() == expected
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_audit_matches_reference_on_vt_codes(n):
+    for a in range(n + 1):
+        codebook = vt_enumerate(VtParams(n, a))
+        for t in range(1, min(n, 2) + 1):
+            _assert_same_audit(codebook, PatternFamily.at_most(n, t, kinds="DEF"))
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_audit_matches_reference_on_far_codes(n):
+    codebook = list(make_code("far", n=n, P=3).codewords())
+    _assert_same_audit(codebook, PatternFamily.p_far(n, 9))
+
+
+@pytest.mark.parametrize("kind, n, arg, b", [
+    ("rep", 9, {"t": 1}, 2), ("rep", 8, {"t": 1}, 3), ("burst", 9, {"b": 1}, 1),
+    ("burst", 12, {"b": 2}, 2)])
+def test_audit_matches_reference_on_repetition_codes(kind, n, arg, b):
+    codebook = list(make_code(kind, n=n, **arg).codewords())
+    _assert_same_audit(codebook, PatternFamily.burst(n, b))
+
+
+def test_audit_matches_reference_with_a_duplicate_codeword():
+    codebook = vt_enumerate(VtParams(6, 0))
+    codebook.insert(3, codebook[1])
+    _assert_same_audit(codebook, PatternFamily.at_most(6, 1, kinds="DEF"))
+    # VT codes correct one deletion: the copies are the only collisions.
+    family = PatternFamily.at_most(6, 1, kinds="D")
+    _assert_same_audit(codebook, family)
+    report = verify_combinatorial(codebook, family)
+    assert report.failures == report.family_size
+    assert {(w["x1"], w["x2"]) for w in report.counterexamples} == \
+        {(word_to_str(codebook[1]),) * 2}
+
+
+@pytest.mark.parametrize("symbol", [1.0, 0.0, 2, "1", None])
+def test_audit_refuses_a_codeword_symbol_other_than_int_bits(symbol):
+    # Tuple equality audited (1.0, ...) as (1, ...); the audit names it.
+    codebook = vt_enumerate(VtParams(6, 0))
+    codebook[2] = codebook[2][:3] + (symbol,) + codebook[2][4:]
+    with pytest.raises(ValueError, match=f"got symbol {re.escape(repr(symbol))}$"):
+        verify_combinatorial(codebook, PatternFamily.at_most(6, 1))
+
+
+def test_audit_index_memory_per_case():
+    # The index keeps the bytes of each received word and the int index of
+    # its codeword, about 65 traced bytes a case here.  The bound sits
+    # well below the about 180 that tuple keys with (index, pattern)
+    # values take.
+    codebook = vt_enumerate(VtParams(14, 0))
+    family = PatternFamily.at_most(14, 1, kinds="DEF")
+    tracemalloc.start()
+    try:
+        report = verify_combinatorial(codebook, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cases = report.codebook_size * report.family_size
+    assert cases == 47128
+    assert peak / cases <= 110, peak / cases
+
+
+def test_audit_calls_apply_pattern_once_per_case(monkeypatch):
+    # The benchmark traces patterns.apply_pattern inside the audit: each
+    # case is one call, and a kept witness may search the family once.
+    calls = {"apply_pattern": 0}
+    _bind_counter(monkeypatch, patterns, "apply_pattern", calls)
+    for kinds, passed in (("D", True), ("DEF", False)):
+        calls["apply_pattern"] = 0
+        family = PatternFamily.at_most(10, 1, kinds=kinds)
+        report = verify_combinatorial(vt_enumerate(VtParams(10, 0)), family)
+        assert report.passed == passed
+        cases = report.codebook_size * report.family_size
+        witnesses = len(report.counterexamples)
+        assert witnesses == (0 if passed else 10)
+        assert cases <= calls["apply_pattern"] \
+            <= cases + witnesses * report.family_size
