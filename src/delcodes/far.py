@@ -4,15 +4,16 @@ Codewords are t-1 inner blocks from VT_a1(P) with the constant words
 removed, followed by a final block from VT_a2(P+s) where n = t*P + s.
 When the errors hitting a codeword are pairwise at least 3P apart, each
 inner block suffers at most one error and the blocks around it stay
-clean.  The decoder therefore makes one left-to-right scan of the block
-checksums over a mutable copy of the received word, corrects each error
-in place at the first block it upsets and goes on at the next block.
-The error is always in that block, never in the block before it: VT_a(P)
-corrects one deletion, so the only codeword c' with c'[:-1] a deletion
-of a codeword c is c itself.  A deletion in block j-1 that leaves block
-j-1's checksum consistent therefore leaves block j-1 as sent: the
-deleted bit ends a run that goes on into block j, and the received word
-is the same word with the first bit of block j deleted.
+clean.  The decoder therefore reads the received word once from the
+left and builds the estimate forward: it copies clean blocks, corrects
+each error at the first block it upsets, appends the fixed block and
+goes on at the next block, never reading a symbol behind its cursor
+again.  The error is always in that block, never in the block before
+it: VT_a(P) corrects one deletion, so the only codeword c' with c'[:-1]
+a deletion of a codeword c is c itself.  A deletion in block j-1 that
+leaves block j-1's checksum consistent therefore leaves block j-1 as
+sent: the deleted bit ends a run that goes on into block j, and the
+received word is the same word with the first bit of block j deleted.
 Since blocks are sliced only when the scan reaches them, words shortened
 by any number of far-apart deletions are accepted: a block pushed past
 the end of the word reads as a deletion still pending.
@@ -236,46 +237,45 @@ def _erasures(y: bytearray) -> List[int]:
 def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     """Sequentially correct a far-apart deletable error pattern.
 
-    One scan walks the blocks of a mutable copy of y from the left.  It
-    fills in a block's erasure, which leaves a codeword of the block's VT
-    class, and checks the checksum of any other block.  At a mismatch in
-    block j it corrects exactly one error in place, in block j itself
+    One scan reads y once from the left and writes the estimate once,
+    block by block.  A cursor r marks the first received symbol not yet
+    read; the estimate holds blocks 1 .. j-1 when block j starts at r.
+    The scan fills in a block's erasure, which leaves a codeword of the
+    block's VT class, and checks the checksum of any other block.  At a
+    mismatch in block j it corrects exactly one error, in block j itself
     (the module docstring says why), telling a deletion from a flip by
-    the next block's checksum, and goes on at block j+1.  Blocks left of
-    j need no second look: a correction leaves them untouched.  A block
-    is sliced when the scan reaches it: an inner block shorter than P
-    mismatches, and a short block after the one being corrected means a
-    deletion is pending.  Terminates when the scan passes the final
-    block; iterations counts the corrections plus one.
+    the next block's checksum; the fixed block stands for P received
+    symbols after a flip and P-1 after a deletion.  Nothing left of the
+    cursor is read again.  A block is sliced when the scan reaches it:
+    an inner block shorter than P mismatches, and a short block after
+    the one being corrected means a deletion is pending.  Terminates
+    when the scan passes the final block; iterations counts the
+    corrections plus one.
 
-    Corrections only insert symbols, so past the last block the scan
-    rewrote, the working word is y shifted right by the symbols inserted
-    so far.  There the scan skips every block that is an inner codeword
-    as received and goes straight to the next suspect one: a window of y
-    failing its checksum, holding an erasure or running past the end of
-    y, or the final block.  A suspect that fails its checksum goes to
-    correction without a second checksum.  The scan takes the window sums
-    of y once and reads them through one view per residue mod P of the
-    offset, built when first needed: a flag per window of that residue,
-    0 where the window fails its checksum or holds an erasure.
+    The scan copies every block that is an inner codeword as received
+    and goes straight to the next suspect one: a window of y failing its
+    checksum, holding an erasure or running past the end of y, or the
+    final block.  A suspect that fails its checksum goes to correction
+    without a second checksum.  The scan takes the window sums of y once
+    and reads them through one view per residue mod P of the cursor,
+    built when first needed: a flag per window of that residue, 0 where
+    the window fails its checksum or holds an erasure.
     """
     info = FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
     P, t = p.P, p.t
-    work = received_bytes(y)
-    received = len(work)
-    erasures = _erasures(work)
-    sums = window_sums(work.replace(_ERASED, b"\0"), P)  # erasures read as 0
+    y = received_bytes(y)
+    erasures = _erasures(y)
+    sums = window_sums(y.replace(_ERASED, b"\0"), P)  # erasures read as 0
     views: Dict[int, bytearray] = {}
-    rewritten = 0  # work[rewritten:] is y shifted by len(work) - received
+    out = bytearray()  # the estimate of the blocks before block j
+    r = 0  # block j starts at y[r]
     j = 1
     try:
         while j <= t:
-            start = (j - 1) * P
             failing = False  # block j fails its checksum or holds an erasure
-            if j < t and start >= rewritten:
-                q = start - len(work) + received
-                i, residue = divmod(q, P)
+            if j < t:
+                i, residue = divmod(r, P)
                 view = views.get(residue)
                 if view is None:  # flags of the windows at residue + k*P
                     view = views[residue] = bytearray(
@@ -286,51 +286,45 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
                             view[k] = 0
                 suspect = view.find(0, i)
                 failing = suspect >= 0
-                if not failing:  # every window from q on that fits is clean
+                if not failing:  # every window from r on that fits is clean
                     suspect = max(len(view), i)
-                j += suspect - i
-                if j >= t:  # the final block has its own length and residue
-                    j, failing = t, False
-                start = (j - 1) * P
+                if j + suspect - i >= t:
+                    # The final block has its own length and residue.
+                    suspect, failing = i + t - j, False
+                out += y[r:suspect * P + residue]  # the clean blocks
+                j, r = j + suspect - i, suspect * P + residue
             code = _block_code(p, j)
-            blk = work[start:start + P] if j < t else work[start:]
+            blk = y[r:r + P] if j < t else y[r:]
             if ERASURE in blk:
                 # A filled-in block is a codeword of its VT class.
-                work[start:start + code.n] = _fix_erasure(p, j, tuple(blk))
-                rewritten = max(rewritten, j * P)
-                j += 1
-                continue
-            if (not failing and len(blk) == code.n
+                out.extend(_fix_erasure(p, j, tuple(blk)))
+                r += len(blk)
+            elif (not failing and len(blk) == code.n
                     and vt_syndrome(blk, code.a, code.modulus) == 0):
-                j += 1
-                continue
-            before = len(work)
-            _correct_one(p, work, j, info)
-            # A correction at block j rewrites symbols up to block j's end
-            # at most and shifts whatever was clean after them.
-            rewritten = max(j * P, rewritten + len(work) - before)
-            if info.iterations > max_iterations:  # = corrections made
-                raise DecodeFailure("iteration cap exceeded",
-                                    {"cap": max_iterations, "length": len(work)})
-            info.iterations += 1
+                out += blk
+                r += len(blk)
+            else:
+                # The next block follows blk; none follows the final block.
+                nxt = y[r + len(blk):r + 2 * P if j + 1 < t else len(y)]
+                fixed, used = _correct_one(p, j, blk, nxt, info)
+                out.extend(fixed)
+                r += used
+                if info.iterations > max_iterations:  # = corrections made
+                    raise DecodeFailure("iteration cap exceeded",
+                                        {"cap": max_iterations,
+                                         "length": len(out) + len(y) - r})
+                info.iterations += 1
             j += 1
-        if not far_contains(p, work):
+        if not far_contains(p, out):
             raise DecodeFailure("estimate is not a codeword",
-                                {"estimate_length": len(work)})
+                                {"estimate_length": len(out)})
     except ValueError as exc:  # erasures or lengths outside the model
         raise DecodeFailure(str(exc)) from exc
-    return tuple(work), info
+    return tuple(out), info
 
 
 def _block_code(p: FarParams, j: int) -> VtParams:
     return p.inner_code if j < p.t else p.final_code
-
-
-def _block(p: FarParams, work: bytearray, j: int) -> Word:
-    """Block j of the working word: P symbols, or the rest for the final
-    block; fewer where the word ends early."""
-    start = (j - 1) * p.P
-    return tuple(work[start:start + p.P] if j < p.t else work[start:])
 
 
 def _fix_erasure(p: FarParams, j: int, blk: Word) -> Word:
@@ -363,34 +357,33 @@ def _pick_flip(code: VtParams, blk: Word, inner: bool,
     return candidates[0]
 
 
-def _correct_one(p: FarParams, work: bytearray, j: int,
-                 info: FarDecodeInfo) -> None:
-    """Fix the single error behind the checksum mismatch at block j in
-    place, leaving a codeword of block j's VT class there.
+def _correct_one(p: FarParams, j: int, blk: Symbols, nxt: Symbols,
+                 info: FarDecodeInfo) -> Tuple[Word, int]:
+    """Fix the single error behind the checksum mismatch at block j.
 
-    A deletion fix writes the P-1 symbols it read back as P, so the
-    inserted symbol shifts the rest of the word right by one.
+    blk is block j as received: P symbols, or the rest of the word for
+    the final block, fewer where the word ends early.  nxt is the next
+    block as received, the symbols that follow blk.  Returns a codeword
+    of block j's VT class and the number of received symbols it stands
+    for: P after a flip, P-1 after a deletion, len(blk) in the final
+    block.
     """
-    start = (j - 1) * p.P
-    blk = _block(p, work, j)
+    blk = tuple(blk)
     if j == p.t:
         code = p.final_code
         if len(blk) == code.n:
-            work[start:] = _pick_flip(code, blk, False, info)
-        elif len(blk) == code.n - 1:
-            work[start:] = correct_deletion(code, blk)
-        else:
-            raise DecodeFailure("final block length outside the error model",
-                                {"block": j, "length": len(blk)})
-        return
-    if len(blk) < p.P:
+            return _pick_flip(code, blk, False, info), len(blk)
+        if len(blk) == code.n - 1:
+            return correct_deletion(code, blk), len(blk)
+        raise DecodeFailure("final block length outside the error model",
+                            {"block": j, "length": len(blk)})
+    if len(blk) < p.P:  # the word ends inside block j
         raise DecodeFailure("received word ends inside an inner block",
-                            {"block": j, "length": len(work)})
+                            {"block": j, "length": (j - 1) * p.P + len(blk)})
     # Error sits in block j; the next block's checksum tells a flip
     # (clean neighbour) from a deletion (neighbour shifted left, or cut
     # short because more deletions are pending).
-    nxt, code = _block(p, work, j + 1), _block_code(p, j + 1)
+    code = _block_code(p, j + 1)
     if len(nxt) == code.n and vt_syndrome(nxt, code.a, code.modulus) == 0:
-        work[start:start + p.P] = _pick_flip(p.inner_code, blk, True, info)
-    else:
-        work[start:start + p.P - 1] = correct_deletion(p.inner_code, blk[:-1])
+        return _pick_flip(p.inner_code, blk, True, info), p.P
+    return correct_deletion(p.inner_code, blk[:-1]), p.P - 1

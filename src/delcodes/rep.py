@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import DecodeFailure
-from .words import Symbols, Word, check_codeword, received_bytes
+from .words import Symbols, Word, codeword_bytes, received_bytes
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,14 @@ def burst_params(n: int, b: int) -> RepParams:
 
 
 def rep_encode(p: RepParams, info: Word) -> Word:
-    check_codeword(info)
-    if len(info) != p.m:
-        raise ValueError(f"info length {len(info)} != m = {p.m}")
+    """Repeat each bit of info 2t+1 times and pad with zeros.  The
+    codeword holds the ints 0 and 1 only: info with any other symbol,
+    1.0 among them, is refused."""
+    bits = codeword_bytes(info)
+    if len(bits) != p.m:
+        raise ValueError(f"info length {len(bits)} != m = {p.m}")
     out: List[int] = []
-    for bit in info:
+    for bit in bits:
         out.extend([bit] * p.block)
     out.extend([0] * p.pad)
     return tuple(out)

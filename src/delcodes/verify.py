@@ -19,7 +19,7 @@ from . import far, rep, vt
 from .errors import DecodeFailure, check_budget
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
-from .words import Word, parse_word, symbol_bytes, word_to_str
+from .words import Word, codeword_bytes, parse_word, word_to_str
 
 _MASK64 = (1 << 64) - 1
 
@@ -225,15 +225,6 @@ def check_verify_budget(codeword_count: int, family: PatternFamily) -> int:
     return fam_size
 
 
-def _check_bits(x: Word) -> None:
-    """Refuse a codebook word with a symbol other than the ints 0 and 1,
-    naming it: the audit keys received words by their bytes, and
-    `check_codeword` passes 1.0."""
-    if symbol_bytes(x, b"\0\1") is None:
-        bad = next(s for s in x if not (isinstance(s, int) and s in (0, 1)))
-        raise ValueError("codeword must be erasure-free bits, got symbol %r" % (bad,))
-
-
 def _first_pattern(x: Word, patterns: Sequence[ErrorPattern],
                    received: Word) -> ErrorPattern:
     """The first pattern, in family order, that corrupts x into received."""
@@ -256,7 +247,7 @@ def verify_combinatorial(codebook: Sequence[Word],
         family_size=fam_size, result="pass",
         config={"family": family.describe()})
     for ci, x in enumerate(codebook):
-        _check_bits(x)
+        codeword_bytes(x)  # refuses 1.0 before the index keys it by bytes
         for g in patterns:
             received = apply_pattern(x, g)
             prior = owner(bytes(received), ci)

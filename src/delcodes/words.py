@@ -59,6 +59,17 @@ def symbol_bytes(x: Symbols, allowed: bytes) -> Optional[bytearray]:
     return None if z.translate(None, allowed) else z
 
 
+def codeword_bytes(x: Symbols) -> bytearray:
+    """An erasure-free word as a byte string of 0s and 1s; a symbol other
+    than the ints 0 and 1 raises ValueError naming the first one (unlike
+    `check_codeword`, which passes 1.0)."""
+    z = symbol_bytes(x, b"\0\1")
+    if z is None:
+        bad = next(s for s in x if not (isinstance(s, int) and s in (0, 1)))
+        raise ValueError("codeword must be erasure-free bits, got symbol %r" % (bad,))
+    return z
+
+
 def received_bytes(y: Symbols) -> bytearray:
     """A received word as a mutable byte string; a symbol other than 0,
     1 and e raises DecodeFailure naming the first one."""

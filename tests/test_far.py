@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import itertools
 import math
@@ -14,7 +13,7 @@ from delcodes.errors import DecodeFailure
 from delcodes.far import (FarParams, far_codeword, far_contains, far_decode,
                           far_encode, far_params, window_sums)
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
-                               enumerate_family, sample_pattern)
+                               enumerate_family, is_member, sample_pattern)
 from delcodes.vt import correct_deletion, flip_candidates, vt_syndrome
 from delcodes.words import ERASURE, parse_word
 
@@ -252,6 +251,45 @@ def test_decode_of_a_deletion_in_a_run_across_blocks(monkeypatch):
     assert (info.iterations, len(calls)) == (2, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _far_200k_12() -> FarParams:
+    return far_params(200_000, 12)
+
+
+def _dense_far_pattern(n, spacing, kinds, seed):
+    """A pattern of pFar(spacing) with gaps of spacing to spacing + 27:
+    about as dense as a uniform sample of the uncapped family, without
+    the half second its weight table takes at n = 2*10^5, P = 36."""
+    rng = random.Random(seed)
+    errors, pos = [], rng.randint(1, spacing)
+    while pos <= n:
+        errors.append((pos, rng.choice(kinds)))
+        pos += spacing + rng.randrange(28)
+    return ErrorPattern(n, tuple(errors))
+
+
+@pytest.mark.parametrize("kinds", ["D", "DE"])
+def test_decode_round_trip_with_thousands_of_deletions(kinds):
+    # far(2*10^5, 12) under uncapped pFar(36): about 4,000 errors, one
+    # every 49 symbols, so block j is read thousands of symbols left of
+    # where it was sent.  One correction per deletion; an erasure is
+    # filled in during the scan and does not count.
+    p = _far_200k_12()
+    family = PatternFamily.p_far(p.n, 3 * p.P, kinds=kinds)
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        x = far_encode(p, [rng.randrange(len(p.inner_alphabet))
+                           for _ in range(p.t - 1)]
+                       + [rng.randrange(len(p.final_alphabet))])
+        g = _dense_far_pattern(p.n, 3 * p.P, kinds, seed)
+        assert is_member(g, family) and g.weight > 3500
+        estimate, info = far_decode(p, apply_pattern(x, g))
+        assert estimate == x
+        deletions = sum(kind == "D" for _, kind in g.errors)
+        assert deletions > 1500
+        assert info.iterations == deletions + 1
+
+
 def test_window_sums_match_naive():
     # One-byte digits up to P = 22; P(P+1)/2 > 255 from P = 23 on.
     rng = random.Random(6)
@@ -310,12 +348,20 @@ def reference_far_contains(p, x):
             and x[head:] in final)
 
 
+def _reference_block(p, work, j):
+    """Block j of the working word: P symbols, or the rest for the final
+    block; fewer where the word ends early."""
+    start = (j - 1) * p.P
+    return tuple(work[start:start + p.P] if j < p.t else work[start:])
+
+
 def reference_far_decode(p, y):
     """The per-block scan far_decode replaced: the reference only.
 
-    It takes the checksum of every block it reaches, picks flips by
-    alphabet lookup and checks the estimate block by block; the
-    correction helpers it shares with far_decode are unchanged.
+    It takes the checksum of every block it reaches, corrects a mutable
+    copy of y in place, picks flips by alphabet lookup and checks the
+    estimate block by block; the correction helpers it shares with
+    far_decode are unchanged.
     """
     info = far.FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
@@ -335,7 +381,7 @@ def reference_far_decode(p, y):
 
     def correct_one(work, j):
         if j > 1:
-            prev = far._block(p, work, j - 1)
+            prev = _reference_block(p, work, j - 1)
             try:
                 fixed = correct_deletion(p.inner_code, prev[:-1])
             except DecodeFailure:
@@ -344,7 +390,7 @@ def reference_far_decode(p, y):
                 work[(j - 2) * P:(j - 2) * P + P - 1] = fixed
                 return
         start = (j - 1) * P
-        blk = far._block(p, work, j)
+        blk = _reference_block(p, work, j)
         if j == t:
             if len(blk) == P + p.s:
                 work[start:] = pick_flip(p.final_code, blk, alphabets[1])
@@ -357,7 +403,7 @@ def reference_far_decode(p, y):
         if len(blk) < P:
             raise DecodeFailure("received word ends inside an inner block",
                                 {"block": j, "length": len(work)})
-        nxt = far._block(p, work, j + 1)
+        nxt = _reference_block(p, work, j + 1)
         code = far._block_code(p, j + 1)
         next_diff = (vt_syndrome(nxt, code.a, code.modulus)
                      if len(nxt) == code.n else 1)
@@ -455,30 +501,46 @@ def test_decode_matches_per_block_scan_with_many_erasures(index, seed):
 @settings(max_examples=60, deadline=None)
 def test_correction_reads_only_its_block_and_the_next(index, seed):
     # The locality the window audit of far codes rests on: a correction
-    # at block j reads blocks j and j+1 alone, and nothing else reads a
-    # block through _block.
+    # at block j is a function of blocks j and j+1 as received, and
+    # those are the received symbols at the cursor that the corrections
+    # before it imply: every block left of j stands for P received
+    # symbols, less one per deletion corrected there.
     p = _far_600_6()
+    P, t = p.P, p.t
     x = far_codeword(p, index % p.codeword_count)
-    g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P), seed)
-    block, correct_one = far._block, far._correct_one
-    at, reads = [], []
+    g = sample_pattern(PatternFamily.p_far(p.n, 3 * P), seed)
+    y = bytes(apply_pattern(x, g))
+    correct_one = far._correct_one
+    calls = []
 
-    def traced_block(p, work, i):
-        reads.append((at[-1] if at else None, i))
-        return block(p, work, i)
+    def traced_correct_one(p, j, blk, nxt, info):
+        call = [j, bytes(blk), bytes(nxt), None]
+        calls.append(call)
+        fixed, call[3] = correct_one(p, j, blk, nxt, info)
+        return fixed, call[3]
 
-    def traced_correct_one(p, work, j, info):
-        at.append(j)
+    with mock.patch.object(far, "_correct_one", traced_correct_one):
         try:
-            return correct_one(p, work, j, info)
-        finally:
-            at.pop()
-
-    with mock.patch.object(far, "_block", traced_block), \
-            mock.patch.object(far, "_correct_one", traced_correct_one), \
-            contextlib.suppress(DecodeFailure):
-        far_decode(p, apply_pattern(x, g))
-    assert all(j is not None and i in (j, j + 1) for j, i in reads), reads
+            _, info = far_decode(p, y)
+        except DecodeFailure:
+            info = None
+    assert bool(calls) == any(kind in "DF" for _, kind in g.errors), g
+    assert info is None or len(calls) == info.iterations - 1
+    behind, last = 0, 0
+    for k, (j, blk, nxt, used) in enumerate(calls):
+        assert last < j <= t
+        r = (j - 1) * P - behind  # the cursor at block j
+        size = P if j < t else len(y) - r
+        after = 0 if j == t else P if j + 1 < t else P + p.s
+        assert len(blk) == min(size, len(y) - r), (j, blk)
+        assert len(nxt) == min(after, len(y) - r - len(blk)), (j, nxt)
+        assert blk + nxt == y[r:r + len(blk) + len(nxt)], j
+        if used is None:  # the correction raised DecodeFailure
+            assert k == len(calls) - 1 and info is None
+        else:
+            assert used in ((P, P - 1) if j < t else (len(blk),)), (j, used)
+            behind += P - used
+        last = j
 
 
 @functools.lru_cache(maxsize=None)

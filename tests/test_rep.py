@@ -35,6 +35,25 @@ def test_encode_rejects_bad_info():
         rep_encode(RepParams(9, 1), parse_word("1e1"))
 
 
+@pytest.mark.parametrize("symbol", [1.0, 0.0, 2, "1", ERASURE, None])
+@pytest.mark.parametrize("position", [0, 2])
+def test_encode_refuses_a_symbol_other_than_int_bits(symbol, position):
+    # 1.0 == 1, but a codeword holding it is one rep_decode refuses.
+    info = [1, 0, 1]
+    info[position] = symbol
+    with pytest.raises(ValueError) as exc:
+        rep_encode(RepParams(9, 1), tuple(info))
+    assert str(exc.value) == ("codeword must be erasure-free bits, "
+                              f"got symbol {symbol!r}")
+
+
+@pytest.mark.parametrize("bit", [1, True])
+def test_encode_holds_int_bits_only(bit):
+    x = rep_encode(RepParams(3, 1), (bit,))
+    assert x == (1, 1, 1) and all(type(s) is int for s in x)
+    assert rep_decode(RepParams(3, 1), x) == ((1,), False)
+
+
 def test_decode_identity():
     p = RepParams(11, 1)
     for info in (parse_word("000"), parse_word("101"), parse_word("111")):
