@@ -114,10 +114,11 @@ def frac_upper_K(n: int, t: int, K: int) -> BoundReport:
 
 
 def delta(P: int) -> float:
-    """Inner-alphabet loss factor (P+1) / 2^(P-1)."""
+    """Inner-alphabet loss factor (P+1) / 2^(P-1).  Scaled by ldexp, so
+    a huge P gives 0.0 at once instead of building the exact power."""
     if not P >= 2:
         raise FormulaDomainError("need P >= 2")
-    return (P + 1) / 2 ** (P - 1)
+    return math.ldexp(P + 1, 1 - P)
 
 
 def delta_report(P: int) -> BoundReport:

@@ -322,7 +322,8 @@ def main(argv: Optional[list] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FormulaDomainError, DecodeFailure, OSError) as exc:
+    except (ValueError, OverflowError, FormulaDomainError, DecodeFailure,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:

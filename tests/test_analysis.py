@@ -1,5 +1,10 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +83,27 @@ def test_delta():
     assert analysis.delta(2) == 1.5
     with pytest.raises(FormulaDomainError):
         analysis.delta(1)
+
+
+def test_delta_builds_no_exact_power():
+    # 2^(P-1) as an exact integer never finishes at this P, so the call
+    # runs in a child process with a deadline and a memory cap.
+    src = Path(analysis.__file__).resolve().parents[1]
+    code = "from delcodes.analysis import delta; print(repr(delta(10**35)))"
+    cap = 2 ** 30  # bytes of address space
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=5,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+    except subprocess.TimeoutExpired:
+        pytest.fail("delta(10**35) did not return within 5 s")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0.0"
+    for P in range(2, 2001):
+        assert analysis.delta(P) == (P + 1) / 2 ** (P - 1), P
 
 
 def test_far_upper_domain():

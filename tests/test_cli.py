@@ -205,6 +205,25 @@ def test_bounds_require_each_argument(capsys, name):
         assert code == 1 and f"--{arg} is required" in err
 
 
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--name", "any_code_lower", "--n", HUGE, "--t", "3"),
+    ("bounds", "--name", "frac_upper", "--n", HUGE, "--t", "3",
+     "--omega", "6"),
+    ("bounds", "--name", "frac_upper_K", "--n", HUGE, "--t", "3",
+     "--K", "3"),
+    ("bounds", "--name", "rep_bounds", "--n", HUGE, "--t", "3"),
+    ("bounds", "--name", "far_lower", "--n", HUGE, "--P", "5"),
+    ("bounds", "--name", "far_lower_largeP", "--n", "100", "--P", HUGE),
+    ("fraction", "--n", HUGE, "--t", "3", "--omega", "6"),
+], ids=lambda argv: argv[2] if argv[0] == "bounds" else argv[0])
+def test_inputs_too_large_for_a_float_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_fraction(capsys):
     code, obj, _ = run_json(capsys, "fraction", "--n", "10000", "--t", "2",
                             "--omega", "100")
