@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import check_budget
-from .words import ERASURE, Word, check_codeword
+from .words import ERASURE, Word, codeword_bytes
 
 KINDS = "DEF"
 
@@ -161,7 +161,7 @@ def apply_pattern(x: Word, g: ErrorPattern) -> Word:
     symbol.  A flip emits the inverted bit, an erasure the erasure symbol
     and a deletion nothing.
     """
-    check_codeword(x)
+    codeword_bytes(x)
     if len(x) != g.n:
         raise ValueError(f"word length {len(x)} != pattern length {g.n}")
     out = []

@@ -19,7 +19,7 @@ from . import far, rep, vt
 from .errors import DecodeFailure, check_budget
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
-from .words import Word, codeword_bytes, parse_word, word_to_str
+from .words import Word, parse_word, word_to_str
 
 _MASK64 = (1 << 64) - 1
 
@@ -149,9 +149,12 @@ CODES = {
 
 
 def make_code(kind: str, **params):
-    """Build the adapter of a code kind from its named parameters."""
+    """Build the adapter of a code kind from its named parameters; a length
+    n over the budget is refused before sizes such as 2^m are computed."""
     if kind not in CODES:
         raise ValueError(f"unknown code kind {kind!r}")
+    n = params.get("n", 0)
+    check_budget(n, lambda: f"the {n} symbols of a codeword")
     return CODES[kind](**params)
 
 
@@ -236,8 +239,9 @@ def verify_combinatorial(codebook: Sequence[Word],
     """Check that corrupted-output sets are disjoint across codewords.
 
     The index maps each received word's bytes to the index of the first
-    codeword that produced it, about 70 bytes a case.  The pattern that
-    produced it is found again only for a kept witness."""
+    codeword that produced it, about 70 bytes a case (exact, as
+    `apply_pattern` refuses 1.0).  The pattern that produced it is found
+    again only for a kept witness."""
     fam_size = check_verify_budget(len(codebook), family)
     patterns = list(enumerate_family(family))
     seen: Dict[bytes, int] = {}
@@ -247,7 +251,6 @@ def verify_combinatorial(codebook: Sequence[Word],
         family_size=fam_size, result="pass",
         config={"family": family.describe()})
     for ci, x in enumerate(codebook):
-        codeword_bytes(x)  # refuses 1.0 before the index keys it by bytes
         for g in patterns:
             received = apply_pattern(x, g)
             prior = owner(bytes(received), ci)

@@ -19,7 +19,7 @@ from operator import add
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import DecodeFailure, check_budget
-from .words import ERASURE, Word, check_codeword
+from .words import ERASURE, Word, codeword_bytes
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class VtParams:
 
 def vt_checksum(x: Word) -> int:
     """Unreduced weighted checksum sum(i * x_i), 1-based."""
-    check_codeword(x)
-    return sum(compress(count(1), x))
+    return sum(compress(count(1), codeword_bytes(x)))
 
 
 def vt_syndrome(word: Sequence[int], a: int, modulus: int) -> int:
@@ -57,8 +56,7 @@ def vt_syndrome(word: Sequence[int], a: int, modulus: int) -> int:
 def vt_contains(p: VtParams, x: Word) -> bool:
     if len(x) != p.n:
         raise ValueError(f"word length {len(x)} != n = {p.n}")
-    check_codeword(x)
-    return vt_syndrome(x, p.a, p.modulus) == 0
+    return vt_syndrome(codeword_bytes(x), p.a, p.modulus) == 0
 
 
 def _suffix_rows(n: int) -> Iterator[List[int]]:
@@ -141,8 +139,7 @@ def correct_erasure(p: VtParams, y: Word) -> Word:
         raise ValueError(f"expected exactly one erasure, found {erased}")
     k = y.index(ERASURE) + 1
     x = y[:k - 1] + (0,) + y[k:]
-    check_codeword(x)
-    if vt_syndrome(x, p.a, p.modulus) != 0:
+    if vt_syndrome(codeword_bytes(x), p.a, p.modulus) != 0:
         x = y[:k - 1] + (1,) + y[k:]
         if vt_syndrome(x, p.a, p.modulus) != 0:
             raise DecodeFailure("erasure correction left a non-codeword",
@@ -162,16 +159,14 @@ def flip_candidates(p: VtParams, y: Word) -> List[Word]:
     """
     if len(y) != p.n:
         raise ValueError(f"word length {len(y)} != n = {p.n}")
-    check_codeword(y)
-    r = vt_syndrome(y, p.a, p.modulus)
+    r = vt_syndrome(codeword_bytes(y), p.a, p.modulus)
     if r == 0:
         raise DecodeFailure("word is already a codeword, no flip to correct")
-    out: List[Word] = []
-    if 1 <= r <= p.n and y[r - 1] == 1:  # restore position r to 0
+    out: List[Word] = []  # 1 <= r <= n, so both positions exist
+    if y[r - 1] == 1:  # restore position r to 0
         out.append(y[:r - 1] + (0,) + y[r:])
-    pos_up = p.n + 1 - r
-    if 1 <= pos_up <= p.n and y[pos_up - 1] == 0:  # restore to 1
-        out.append(y[:pos_up - 1] + (1,) + y[pos_up:])
+    if y[p.n - r] == 0:  # restore position n+1-r to 1
+        out.append(y[:p.n - r] + (1,) + y[p.n + 1 - r:])
     return out
 
 
@@ -187,11 +182,11 @@ def correct_flip(p: VtParams, y: Word) -> Tuple[Word, bool]:
     return candidates[0], len(candidates) > 1
 
 
-def _nth(y: Word, symbol: int, k: int) -> int:
-    """Index of the k-th occurrence of symbol in y (k >= 1), -1 for k = 0."""
+def _nth(z: bytes, symbol: int, k: int) -> int:
+    """Index of the k-th occurrence of symbol in z (k >= 1), -1 for k = 0."""
     i = -1
     for _ in range(k):
-        i = y.index(symbol, i + 1)
+        i = z.index(symbol, i + 1)
     return i
 
 
@@ -202,23 +197,20 @@ def correct_deletion(p: VtParams, y: Word) -> Word:
     a deleted 0 goes just left of the d-th one from the right (the
     (w-d+1)-th from the left; at the end when d = 0) if d <= w, and a
     deleted 1 otherwise goes just right of the (d-w-1)-th zero.  Index
-    scans find both points, one tuple.index call per occurrence passed
-    instead of one Python step per symbol.
-    """
+    scans find both points, one bytes.index call per passed occurrence.
+    The result is always a codeword (Levenshtein 1966): the 0, with d ones
+    right of it, adds d to the checksum, and the 1, with L ones left of
+    it, adds (d-w-1) + L + 1 + (w-L) = d."""
     if len(y) != p.n - 1:
         raise ValueError(f"word length {len(y)} != n-1 = {p.n - 1}")
-    check_codeword(y)
-    w = y.count(1)
-    disc = -vt_syndrome(y, p.a, p.modulus) % p.modulus
+    z = codeword_bytes(y)
+    w = z.count(1)
+    disc = -vt_syndrome(z, p.a, p.modulus) % p.modulus
     if disc <= w:
-        bit, i = 0, (_nth(y, 1, w - disc + 1) if disc else len(y))
+        bit, i = 0, (_nth(z, 1, w - disc + 1) if disc else len(z))
     else:
-        bit, i = 1, _nth(y, 0, disc - w - 1) + 1
-    x = y[:i] + (bit,) + y[i:]
-    if vt_syndrome(x, p.a, p.modulus) != 0:
-        raise DecodeFailure("deletion correction left a non-codeword",
-                            {"position": i + 1})
-    return x
+        bit, i = 1, _nth(z, 0, disc - w - 1) + 1
+    return y[:i] + (bit,) + y[i:]
 
 
 def correct_single(p: VtParams, y: Word) -> Tuple[Word, bool]:
@@ -227,18 +219,19 @@ def correct_single(p: VtParams, y: Word) -> Tuple[Word, bool]:
     Each word is validated once: by the corrector it is passed to, or
     here when its checksum already matches.
     """
+    m = len(y)
     erasures = y.count(ERASURE)
     if erasures > 1:
         raise DecodeFailure(f"{erasures} erasures, at most one supported")
     if erasures == 1:
-        if len(y) != p.n:
+        if m != p.n:
             raise DecodeFailure("erasure present but length is not n")
         return correct_erasure(p, y), False
-    if len(y) == p.n - 1:
+    if m == p.n - 1:
         return correct_deletion(p, y), False
-    if len(y) == p.n:
+    if m == p.n:
         if vt_syndrome(y, p.a, p.modulus) != 0:
             return correct_flip(p, y)
-        check_codeword(y)
+        codeword_bytes(y)
         return y, False
-    raise DecodeFailure(f"received length {len(y)} outside {{n-1, n}}")
+    raise DecodeFailure(f"received length {m} outside {{n-1, n}}")

@@ -1,8 +1,8 @@
-"""Binary words with an erasure symbol.
+"""Binary words with an erasure symbol: tuples, or bytes for decoders.
 
-A word is an immutable tuple of symbols: the ints 0 and 1 and the
-erasure marker ERASURE.  Decoders also take a received word as bytes.
-Text form uses '0', '1' and 'e'.
+A codeword holds the ints 0 and 1 (True reads as 1, 1.0 does not), read
+by `codeword_bytes`; a received word may also hold the erasure ERASURE,
+read by `received_bytes`.  Text form uses '0', '1' and 'e'.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ Word = Tuple[int, ...]
 Symbols = Union[Word, bytes, bytearray]
 
 ERASURE = 2
+_BITS = bytes((0, 1))
 _SYMBOLS = bytes((0, 1, ERASURE))
 
 _CHAR_TO_SYM = {"0": 0, "1": 1, "e": ERASURE}
@@ -33,17 +34,9 @@ def word_to_str(word: Word) -> str:
     return "".join(_SYM_TO_CHAR[s] for s in word)
 
 
-def check_codeword(word: Word) -> None:
-    """Raise if the word is not a valid erasure-free bit sequence."""
-    if word.count(0) + word.count(1) != len(word):
-        bad = next(s for s in word if s not in (0, 1))
-        raise ValueError("codeword must be erasure-free bits, got symbol %r" % (bad,))
-
-
 def weight(word: Word) -> int:
     """Number of ones; erasures must be absent."""
-    check_codeword(word)
-    return sum(word)
+    return codeword_bytes(word).count(1)
 
 
 def symbol_bytes(x: Symbols, allowed: bytes) -> Optional[bytearray]:
@@ -59,15 +52,25 @@ def symbol_bytes(x: Symbols, allowed: bytes) -> Optional[bytearray]:
     return None if z.translate(None, allowed) else z
 
 
-def codeword_bytes(x: Symbols) -> bytearray:
-    """An erasure-free word as a byte string of 0s and 1s; a symbol other
-    than the ints 0 and 1 raises ValueError naming the first one (unlike
-    `check_codeword`, which passes 1.0)."""
-    z = symbol_bytes(x, b"\0\1")
-    if z is None:
-        bad = next(s for s in x if not (isinstance(s, int) and s in (0, 1)))
-        raise ValueError("codeword must be erasure-free bits, got symbol %r" % (bad,))
-    return z
+def _foreign(x: Symbols, allowed: bytes) -> object:
+    """The first symbol of x that the byte test of `allowed` refuses."""
+    return next(s for s in x if symbol_bytes((s,), allowed) is None)
+
+
+def codeword_bytes(x: Symbols) -> bytes:
+    """An erasure-free word as bytes of 0s and 1s; a symbol other than
+    the ints 0 and 1 raises ValueError naming the first one.  The test is
+    `symbol_bytes`', inline for speed; `tuple` costs nothing on a tuple
+    and, like its guard, refuses an int and splits a str."""
+    x = tuple(x)
+    try:
+        z = bytes(x)
+        if not z.translate(None, _BITS):
+            return z
+    except (TypeError, ValueError):  # a symbol that is no byte
+        pass
+    raise ValueError("codeword must be erasure-free bits, got symbol %r"
+                     % (_foreign(x, _BITS),))
 
 
 def received_bytes(y: Symbols) -> bytearray:
@@ -75,6 +78,5 @@ def received_bytes(y: Symbols) -> bytearray:
     1 and e raises DecodeFailure naming the first one."""
     z = symbol_bytes(y, _SYMBOLS)
     if z is None:
-        bad = next(s for s in y if not (isinstance(s, int) and s in (0, 1, ERASURE)))
-        raise DecodeFailure(f"symbol {bad!r} is not 0, 1 or e")
+        raise DecodeFailure(f"symbol {_foreign(y, _SYMBOLS)!r} is not 0, 1 or e")
     return z

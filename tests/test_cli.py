@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,34 @@ def test_verify_budget_names_sizes_past_4300_digits(capsys):
                        "far", "--n", "30002", "--P", "14", "--family",
                        "pfar:42:3")
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--code", "far", "--P", "3", "--family", "pfar:9",
+     "--trials", "1", "--seed", "1"),
+    ("simulate", "--code", "rep", "--t", "1", "--family", "atmost:1",
+     "--trials", "1", "--seed", "1"),
+    ("verify", "--mode", "roundtrip", "--code", "burst", "--b", "1",
+     "--family", "burst:1"),
+])
+def test_code_longer_than_the_budget_is_refused_at_once(argv):
+    # Sizes such as 2^m codewords never finish for n = 10^30, so the
+    # command runs in a child process with a deadline and a memory cap.
+    src = Path(verify.__file__).resolve().parents[1]
+    cap = 2 ** 30  # bytes of address space
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "delcodes.cli", *argv, "--n", str(10 ** 30)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{argv[0]} --code {argv[argv.index('--code') + 1]} "
+                    "at n = 10^30 did not exit within 10 s")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == (f"budget exceeded: the {10 ** 30} symbols of a "
+                             "codeword exceed the budget of 16777216\n")
 
 
 def test_far_code_over_budget_builds_no_table(capsys, monkeypatch):

@@ -9,7 +9,8 @@ from delcodes.errors import BudgetExceeded, exact_integers
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, family_size, is_member,
                                sample_pattern)
-from delcodes.words import ERASURE, parse_word, word_to_str
+from delcodes.words import (ERASURE, codeword_bytes, parse_word,
+                            symbol_bytes, word_to_str)
 
 
 def test_word_text_roundtrip():
@@ -35,9 +36,39 @@ def test_apply_pattern_length_mismatch():
         apply_pattern(parse_word("101"), ErrorPattern(5, ()))
 
 
-def test_apply_pattern_rejects_an_erasure_in_the_word():
-    with pytest.raises(ValueError, match="erasure-free"):
-        apply_pattern(parse_word("1e1"), ErrorPattern(3, ((1, "F"),)))
+@pytest.mark.parametrize("symbol", [ERASURE, 1.0, 0.0, 3, "1", None])
+def test_apply_pattern_rejects_a_codeword_symbol_other_than_int_bits(symbol):
+    # 1.0 == 1 and 0.0 == 0, but a word holding them is no codeword.
+    with pytest.raises(ValueError) as exc:
+        apply_pattern((1, symbol, 1), ErrorPattern(3, ((1, "F"),)))
+    assert str(exc.value) == ("codeword must be erasure-free bits, "
+                              f"got symbol {symbol!r}")
+
+
+# Symbols a word may hold by mistake, next to the ints 0 and 1.
+SYMBOLS = [0, 1, True, False, 0.0, 1.0, ERASURE, 3, 255, 256, -1, "0", "1",
+           None, b"\0"]
+
+
+def test_codeword_reader_refuses_what_the_byte_test_refuses():
+    # One rule: codeword_bytes, which tests inline for speed, raises exactly
+    # where symbol_bytes(x, b"\0\1") returns None, and names the first
+    # symbol that is not the int 0 or 1.
+    words = [w for s, t in itertools.product(SYMBOLS, repeat=2)
+             for w in ((s,), (0, s, 1, t), [t, 1, s])]
+    for word in words + ["01", "", b"\0\1", bytearray(b"\1\2")]:
+        z = symbol_bytes(word, b"\0\1")
+        if z is not None:
+            assert codeword_bytes(word) == z, word
+            continue
+        bad = next(s for s in word if not (isinstance(s, int) and s in (0, 1)))
+        with pytest.raises(ValueError) as exc:
+            codeword_bytes(word)
+        assert str(exc.value) == ("codeword must be erasure-free bits, "
+                                  f"got symbol {bad!r}"), word
+    for read in (codeword_bytes, lambda x: symbol_bytes(x, b"\0\1")):
+        with pytest.raises(TypeError):
+            read(9)  # an int is no word, not nine zero bytes
 
 
 def reference_apply_pattern(x, g):

@@ -6,11 +6,12 @@ import pytest
 from delcodes import vt
 from delcodes.errors import BudgetExceeded, DecodeFailure
 from delcodes.far import far_params
+from delcodes.patterns import ErrorPattern, apply_pattern
 from delcodes.vt import (VtParams, correct_deletion, correct_erasure,
-                         correct_flip, correct_single, vt_best_residue,
-                         vt_checksum, vt_class_sizes, vt_contains,
-                         vt_enumerate, vt_syndrome)
-from delcodes.words import ERASURE, parse_word
+                         correct_flip, correct_single, flip_candidates,
+                         vt_best_residue, vt_checksum, vt_class_sizes,
+                         vt_contains, vt_enumerate, vt_syndrome)
+from delcodes.words import ERASURE, parse_word, weight
 
 
 def walk_codebooks(n):
@@ -302,18 +303,31 @@ def _outcome(corrector, p, y):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_deletion_matches_symbol_loops(n):
-    # Every word of length n-1, not only true deletions, for every residue.
+    # Every word of length n-1, not only true deletions, for every residue:
+    # each is corrected to a codeword, which correct_deletion no longer
+    # checks for itself.
     for a in range(n + 1):
         p = VtParams(n, a)
         for y in itertools.product((0, 1), repeat=n - 1):
-            assert (_outcome(correct_deletion, p, y)
-                    == _outcome(reference_correct_deletion, p, y))
+            x = _outcome(correct_deletion, p, y)
+            assert x == _outcome(reference_correct_deletion, p, y)
+            assert isinstance(x, tuple) and len(x) == n, (a, y, x)
+            assert vt_syndrome(x, a, n + 1) == 0, (a, y)
 
 
-@pytest.mark.parametrize("y", [(0, ERASURE, 1, 3), (3, ERASURE, 0, 0)])
+def _refuses(corrector, y):
+    """corrector(VtParams(4, 0), y) raises naming y's one symbol other
+    than the ints 0, 1 and ERASURE."""
+    bad, = [s for s in y if type(s) is not int or s not in (0, 1, ERASURE)]
+    with pytest.raises(ValueError) as exc:
+        corrector(VtParams(4, 0), y)
+    assert str(exc.value) == f"codeword must be erasure-free bits, got symbol {bad!r}"
+
+
+@pytest.mark.parametrize("y", [(0, ERASURE, 1, 3), (3, ERASURE, 0, 0),
+                               (0, ERASURE, 1, 1.0), (0.0, ERASURE, 0, 0)])
 def test_erasure_rejects_a_foreign_symbol(y):
-    with pytest.raises(ValueError, match="symbol 3"):
-        correct_erasure(VtParams(4, 0), y)
+    _refuses(correct_erasure, y)
 
 
 @pytest.mark.parametrize("y", [
@@ -321,7 +335,37 @@ def test_erasure_rejects_a_foreign_symbol(y):
     (0, 3, 1),           # deletion branch
     (0, 3, 1, 0),        # full length, checksum matches when 3 reads as 1
     (3, 0, 0, 0),        # full length, checksum mismatches: flip branch
+    (0, ERASURE, 1, 1.0), (0.0, 1, 1),  # 1.0 == 1 and 0.0 == 0 ...
+    (0, 1.0, 1, 0), (0.0, 0, 0, 1),     # ... are refused in every branch
 ])
 def test_correct_single_rejects_a_foreign_symbol(y):
-    with pytest.raises(ValueError, match="symbol 3"):
-        correct_single(VtParams(4, 0), y)
+    _refuses(correct_single, y)
+
+
+P4 = VtParams(4, 0)
+# Each entry point that reads a codeword, with a word it takes whose first
+# symbol is a 1 (1001 is in VT_0(4)).
+READERS = {
+    "apply_pattern": (lambda w: apply_pattern(w, ErrorPattern(4, ((2, "F"),))),
+                      (1, 0, 0, 1)),
+    "vt_checksum": (vt_checksum, (1, 0, 0, 1)),
+    "vt_contains": (lambda w: vt_contains(P4, w), (1, 0, 0, 1)),
+    "correct_erasure": (lambda w: correct_erasure(P4, w), (1, ERASURE, 0, 1)),
+    "flip_candidates": (lambda w: flip_candidates(P4, w), (1, 0, 0, 0)),
+    "correct_deletion": (lambda w: correct_deletion(P4, w), (1, 0, 1)),
+    "correct_single": (lambda w: correct_single(P4, w), (1, 0, 0, 1)),
+    "weight": (weight, (1, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_every_codeword_reader_takes_int_bits_only(name):
+    read, word = READERS[name]
+    assert read((True,) + word[1:]) == read(word)  # True reads as 1
+    for symbol in (1.0, 0.0):
+        with pytest.raises(ValueError) as exc:
+            read((symbol,) + word[1:])
+        assert str(exc.value) == ("codeword must be erasure-free bits, "
+                                  f"got symbol {symbol!r}")
+    with pytest.raises(TypeError):
+        read(9)  # an int is no word
