@@ -14,10 +14,9 @@ import sys
 from typing import Optional
 
 from . import analysis, verify, vt
-from .errors import (BudgetExceeded, DecodeFailure, FormulaDomainError,
-                     exact_integers)
+from .errors import BudgetExceeded, DecodeFailure, exact_integers
 from .patterns import ErrorPattern, PatternFamily, apply_pattern, sample_pattern
-from .words import parse_word, word_to_str
+from .words import parse_codeword, parse_word, word_to_str
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,10 +44,6 @@ def _read_text(arg: str) -> str:
             f"inline words are capped at {MAX_INLINE_WORD} symbols; "
             "use @path for longer input")
     return arg
-
-
-def _read_word(arg: str):
-    return parse_word(_read_text(arg))
 
 
 def _parse_family(spec: str, n: int) -> PatternFamily:
@@ -125,7 +120,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    word = _read_word(args.word)
+    word = parse_word(_read_text(args.word))
     code, params = _code(args)
     estimate, diagnostics = code.decode_diagnostics(word)
     config = {"command": "decode", "code": args.code,
@@ -137,7 +132,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    word = _read_word(args.word)
+    word = parse_codeword(_read_text(args.word))
     if args.pattern:
         pattern = ErrorPattern.from_json_dict(json.loads(args.pattern))
         config = {"command": "corrupt", "pattern": pattern.to_json_dict()}
@@ -322,8 +317,7 @@ def main(argv: Optional[list] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError, FormulaDomainError, DecodeFailure,
-            OSError) as exc:
+    except (ValueError, OverflowError, DecodeFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:

@@ -87,7 +87,7 @@ class FarParams:
         member[0] = member[top] = 0
         return passes, bytes(member)
 
-    @property
+    @cached_property
     def codeword_count(self) -> int:
         return len(self.inner_alphabet) ** (self.t - 1) * len(self.final_alphabet)
 

@@ -283,9 +283,11 @@ def _sample_support(f: PatternFamily, k: int, rng: random.Random) -> Tuple[int, 
     return (first, *interior, first + d)
 
 
-def sample_pattern(f: PatternFamily, seed: int) -> ErrorPattern:
-    """Deterministically sample a member of the family (uniform)."""
-    rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+def sample_pattern(f: PatternFamily, seed: int | random.Random) -> ErrorPattern:
+    """Sample a member of the family uniformly with a generator, which the
+    draws advance, or with an int, whose low 64 bits seed a new one."""
+    rng = (seed if isinstance(seed, random.Random)
+           else random.Random(seed & 0xFFFFFFFFFFFFFFFF))
     k = _pick(f.cumulative_weights, rng)
     support = _sample_support(f, k, rng)
     base = len(f.kinds)

@@ -19,7 +19,7 @@ from . import far, rep, vt
 from .errors import DecodeFailure, check_budget
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
-from .words import Word, parse_word, word_to_str
+from .words import Word, parse_codeword, word_to_str
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,7 +82,7 @@ class RepCodeAdapter:
 
     def encode(self, info: str) -> Tuple[Word, dict]:
         """Encode an info word given as text; returns (codeword, its config)."""
-        word = parse_word(info)
+        word = parse_codeword(info)
         return rep.rep_encode(self.params, word), {"info": word_to_str(word)}
 
     def decode(self, received: Word) -> Tuple[Word, bool]:
@@ -304,21 +304,22 @@ def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
 
 def simulate(code, family: PatternFamily, trials: int,
              seed: int) -> VerifyReport:
-    """Monte Carlo round trips with per-trial derived seeds.
+    """Monte Carlo round trips with one generator per trial.
 
-    Trial i depends only on mix64(seed, i), so the report is byte-identical
-    for a given seed and trial count, and a run of k trials reports the
-    same witnesses as a longer run restricted to trials below k.
+    Trial i draws its codeword index, then its pattern, from one
+    random.Random(mix64(seed, i)), so the report is byte-identical for a
+    given seed and trial count, and a run of k trials reports the same
+    witnesses as a longer run restricted to trials below k.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
+    count = code.codeword_count
     report = VerifyReport(
-        mode="montecarlo", codebook_size=code.codeword_count,
+        mode="montecarlo", codebook_size=count,
         trial_count=trials, seed=seed, result="pass",
         config={"family": family.describe(), **code.describe()})
     for i in range(trials):
         rng = random.Random(mix64(seed, i))
-        x = code.codeword(rng.randrange(code.codeword_count))
-        g = sample_pattern(family, rng.getrandbits(63))
-        _roundtrip_case(report, code, x, g, trial=i)
+        x = code.codeword(rng.randrange(count))
+        _roundtrip_case(report, code, x, sample_pattern(family, rng), trial=i)
     return report

@@ -19,7 +19,7 @@ _BITS = bytes((0, 1))
 _SYMBOLS = bytes((0, 1, ERASURE))
 
 _CHAR_TO_SYM = {"0": 0, "1": 1, "e": ERASURE}
-_SYM_TO_CHAR = {0: "0", 1: "1", ERASURE: "e"}
+_TO_TEXT = bytes.maketrans(_SYMBOLS, b"01e")
 
 
 def parse_word(text: str) -> Word:
@@ -30,8 +30,20 @@ def parse_word(text: str) -> Word:
         raise ValueError(f"bad symbol {exc.args[0]!r} in word {text!r}") from None
 
 
-def word_to_str(word: Word) -> str:
-    return "".join(_SYM_TO_CHAR[s] for s in word)
+def parse_codeword(text: str) -> Word:
+    """Parse an erasure-free word from text; an 'e' is named as typed."""
+    word = parse_word(text)
+    if ERASURE in word:
+        raise ValueError("codeword must be erasure-free bits, got symbol 'e'")
+    return word
+
+
+def word_to_str(word: Symbols) -> str:
+    """Text form of a word; a symbol other than 0, 1, e raises ValueError."""
+    z = symbol_bytes(word, _SYMBOLS)
+    if z is None:
+        raise ValueError(f"symbol {_foreign(word, _SYMBOLS)!r} is not 0, 1 or e")
+    return z.translate(_TO_TEXT).decode()
 
 
 def weight(word: Word) -> int:

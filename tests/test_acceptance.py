@@ -217,17 +217,20 @@ def test_acceptance_11_simulation_determinism():
                        sort_keys=True) for _ in range(3)]
     ok = len(set(runs)) == 1
     # Trial i depends only on (seed, i): a shorter run reports exactly the
-    # longer run's witnesses with trial < k.  Each k keeps the prefix's
-    # failures under the ten listed witnesses, so all of them are compared.
+    # longer run's witnesses with trial < k.  Each k ends at the trial of
+    # the full run's witness 0, 4 or 8, so its prefix holds 1, 5 and 9
+    # failures, all of them under the ten listed witnesses and compared.
     full = json.loads(runs[0])
-    for k in (1, 17, 40):
+    ok = ok and len(full["counterexamples"]) == 10
+    ks = [full["counterexamples"][j]["trial"] + 1 for j in (0, 4, 8)]
+    for k, failures in zip(ks, (1, 5, 9)):
         short = simulate(code, fam, k, 2024)
         early = [w for w in full["counterexamples"] if w["trial"] < k]
-        ok = ok and early != [] and len(early) < 10
+        ok = ok and len(early) == failures
         ok = ok and short.counterexamples == early
         ok = ok and short.failures == len(early)
     _verdict(11, ok, "simulate(seed=2024, trials=500) byte-identical over "
-             "3 runs; runs of 1/17/40 trials report the same witnesses")
+             f"3 runs; runs of {ks} trials report the same witnesses")
 
 
 def test_acceptance_12_far_monte_carlo():

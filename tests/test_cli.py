@@ -147,10 +147,22 @@ def test_count_prints_more_than_4300_digits(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+@pytest.mark.parametrize("argv", [
+    ("corrupt", "--word", "01e1", "--family", "atmost:1", "--seed", "1"),
+    ("encode", "--code", "rep", "--n", "9", "--t", "1", "--info", "1e1"),
+])
+def test_an_erasure_in_a_codeword_is_named_as_typed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: codeword must be erasure-free bits, got symbol 'e'\n"
+
+
 def test_simulate_reports_codebook_size_past_4300_digits(capsys):
+    # Kinds D and E only: the far decoder corrects every pFar(3P) pattern
+    # of them, so the one trial passes whatever it draws.
     code, out, _ = run(capsys, "simulate", "--code", "far", "--n", "30002",
-                       "--P", "14", "--family", "pfar:42:3", "--trials", "1",
-                       "--seed", "1", "--format", "json")
+                       "--P", "14", "--family", "pfar:42:3@DE", "--trials",
+                       "1", "--seed", "1", "--format", "json")
     assert code == 0
     with exact_integers():
         size = json.loads(out)["codebookSize"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,22 @@ def test_word_text_roundtrip():
     assert word_to_str((0, 1, ERASURE, 1)) == "01e1"
     with pytest.raises(ValueError):
         parse_word("01x")
+
+
+def test_word_text_roundtrips_every_short_word():
+    # One translate writes every word over {0, 1, e} of length <= 8 as the
+    # text parse_word reads back.
+    for n in range(9):
+        for w in itertools.product((0, 1, ERASURE), repeat=n):
+            assert parse_word(word_to_str(w)) == w
+    assert word_to_str((True, 0)) == "10"  # True reads as 1
+
+
+@pytest.mark.parametrize("symbol", [3, 1.0, None])
+def test_word_to_str_refuses_a_foreign_symbol(symbol):
+    with pytest.raises(ValueError) as exc:
+        word_to_str((0, ERASURE, symbol, 1))
+    assert str(exc.value) == f"symbol {symbol!r} is not 0, 1 or e"
 
 
 def test_apply_pattern_kinds():
@@ -239,6 +256,21 @@ def test_sample_is_deterministic_and_member():
     b = sample_pattern(fam, 1234)
     assert a == b
     assert is_member(a, fam)
+
+
+@pytest.mark.parametrize("family", [PatternFamily.at_most(12, 3),
+                                    PatternFamily.p_far(20, 5),
+                                    PatternFamily.burst(12, 3)])
+def test_an_int_seed_draws_as_the_generator_it_seeds(family):
+    # An int seeds random.Random with its low 64 bits; a generator passed
+    # in is drawn from directly and advanced.
+    for seed in (0, 1, 2024, -5, 2 ** 70):
+        rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+        assert sample_pattern(family, seed) == sample_pattern(family, rng)
+    rng = random.Random(7)
+    first, second = sample_pattern(family, rng), sample_pattern(family, rng)
+    rng.seed(7)
+    assert [sample_pattern(family, rng) for _ in range(2)] == [first, second]
 
 
 @given(st.integers(min_value=0, max_value=2 ** 63 - 1))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 
 from delcodes import far, patterns, verify, vt
 from delcodes.errors import BudgetExceeded, exact_integers
-from delcodes.patterns import ErrorPattern, PatternFamily, apply_pattern
+from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
+                               sample_pattern)
 from delcodes.verify import (VerifyReport, make_code, mix64, simulate,
                              verify_combinatorial, verify_roundtrip)
 from delcodes.vt import VtParams, vt_enumerate
@@ -145,6 +147,35 @@ def test_simulate_failure_witness_revalidates():
     assert 0 <= w["trial"] < 500
 
 
+@pytest.mark.parametrize("code, family", [
+    (make_code("far", n=60, P=6), PatternFamily.p_far(60, 18)),
+    (make_code("vt", n=10, a=0), PatternFamily.at_most(10, 2)),
+])
+def test_simulate_trial_is_rebuilt_from_its_generator_alone(code, family):
+    # Trial i draws the codeword index, then the pattern, from
+    # random.Random(mix64(seed, i)) and from nothing else.
+    report = simulate(code, family, trials=200, seed=31)
+    assert len(report.counterexamples) == 10
+    for w in report.counterexamples:
+        rng = random.Random(mix64(31, w["trial"]))
+        x = code.codeword(rng.randrange(code.codeword_count))
+        assert word_to_str(x) == w["x"]
+        assert sample_pattern(family, rng).to_json_dict() == w["g"]
+
+
+def test_simulate_seeds_one_generator_per_trial(monkeypatch):
+    seeds = []
+    seed = random.Random.seed
+
+    def counted(self, *args, **kwargs):
+        seeds.append(args)
+        return seed(self, *args, **kwargs)
+    monkeypatch.setattr(random.Random, "seed", counted)
+    simulate(make_code("far", n=60, P=6), PatternFamily.p_far(60, 18),
+             trials=50, seed=3)
+    assert len(seeds) == 50
+
+
 def _digest(report):
     text = json.dumps(report.to_json_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -161,7 +192,7 @@ def test_report_digests_golden():
     report = simulate(make_code("far", n=60, P=6), PatternFamily.p_far(60, 18),
                       500, 2024)
     assert _digest(report) == (
-        "769b5b9701cb22ddbb64e2af5971658cc202517e36598143fdb8abaad83475ce")
+        "b0e27da48095fb3b29dc50804068f9e4e595f5721ac4194c144ece809f45b8a8")
 
 
 def test_report_builds_at_most_ten_witnesses():
