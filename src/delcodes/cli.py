@@ -161,6 +161,8 @@ def _cmd_count(args) -> int:
         value = analysis.count_far_patterns(args.n, args.far, args.t)
         config = {"command": "count", "n": args.n, "t": args.t, "far": args.far}
     elif args.burst is not None:
+        if args.t is not None:
+            raise UsageError("burst families take no t")
         value = analysis.count_burst_patterns(args.n, args.burst)
         config = {"command": "count", "n": args.n, "burst": args.burst}
     else:

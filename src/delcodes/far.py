@@ -48,12 +48,12 @@ from .words import ERASURE, Symbols, Word, received_bytes, symbol_bytes
 def _best_residue_without_constants(m: int) -> int:
     """Residue maximizing |VT_a(m)| after dropping the constant words.
 
-    The all-zero word has residue 0 and the all-one word m(m+1)/2 mod
-    m+1; ties go to the smallest residue.
+    The all-zero word has residue 0 and the all-one word m(m+1)/2 mod M,
+    the number of residues; ties go to the smallest residue.
     """
     sizes = vt_class_sizes(m)
     sizes[0] -= 1
-    sizes[m * (m + 1) // 2 % (m + 1)] -= 1
+    sizes[m * (m + 1) // 2 % len(sizes)] -= 1
     return sizes.index(max(sizes))
 
 
@@ -79,10 +79,11 @@ class FarParams:
     @cached_property
     def _sum_tables(self) -> Tuple[bytes, bytes]:
         """Tables indexed by an inner window sum v, at least 256 long:
-        1 where v passes the checksum (v is a1 mod P+1), then 1 where it
-        also is no constant word's sum, 0 or P(P+1)/2."""
+        1 where v passes the checksum (v is a1 mod the inner modulus M),
+        then 1 where it also is no constant word's sum, 0 or P(P+1)/2."""
         top = self.P * (self.P + 1) // 2
-        passes = bytes(v % (self.P + 1) == self.a1 for v in range(max(256, top + 1)))
+        m = self.inner_code.modulus
+        passes = bytes(v % m == self.a1 for v in range(max(256, top + 1)))
         member = bytearray(passes)
         member[0] = member[top] = 0
         return passes, bytes(member)
@@ -90,24 +91,6 @@ class FarParams:
     @cached_property
     def codeword_count(self) -> int:
         return len(self.inner_alphabet) ** (self.t - 1) * len(self.final_alphabet)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "P": self.P, "t": self.t, "s": self.s,
-                "a1": self.a1, "a2": self.a2}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FarParams":
-        try:
-            for key in ("n", "P", "t", "s", "a1", "a2"):
-                if (key in ("n", "P") or key in obj) and type(obj[key]) is not int:
-                    raise ValueError(f"far parameter {key!r} must be an integer")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed far parameters: {exc!r}") from exc
-        p = far_params(obj["n"], obj["P"])
-        for key in ("t", "s", "a1", "a2"):
-            if key in obj and obj[key] != getattr(p, key):
-                raise ValueError(f"inconsistent serialized field {key!r}")
-        return p
 
 
 def far_params(n: int, P: int) -> FarParams:

@@ -34,7 +34,8 @@ def mix64(seed: int, i: int) -> int:
 
 class VtCodeAdapter:
     """VT_a(n); the codebook is enumerated on first use, so decoding a
-    single word costs no enumeration."""
+    single word costs no enumeration, and its size comes from the class
+    sizes, so a verify refused by its budget lists no codeword."""
 
     def __init__(self, n: int, a: int):
         self.params = vt.VtParams(n, a)
@@ -43,9 +44,10 @@ class VtCodeAdapter:
     def _codewords(self) -> List[Word]:
         return vt.vt_enumerate(self.params)
 
-    @property
+    @functools.cached_property
     def codeword_count(self) -> int:
-        return len(self._codewords)
+        vt.check_enumeration_budget(self.params.n)
+        return vt.vt_class_sizes(self.params.n)[self.params.a]
 
     def codeword(self, index: int) -> Word:
         return self._codewords[index]

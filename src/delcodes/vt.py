@@ -1,8 +1,8 @@
 """Varshamov-Tenengolts codes and single deletable-error correction.
 
 VT_a(n) is the set of length-n binary words whose weighted checksum
-sum(i * x_i) is congruent to a mod n+1.  A single deletion, erasure or
-flip can be corrected from the checksum discrepancy alone.
+sum(i * x_i) is congruent to a mod M, the one modulus `_modulus(n)`.  A
+single deletion, erasure or flip is corrected from the discrepancy alone.
 
 Class sizes and codebooks come from one counting table over (suffix
 start, checksum residue), built with O(n^2) additions, instead of a walk
@@ -22,20 +22,27 @@ from .errors import DecodeFailure, check_budget
 from .words import ERASURE, Word, codeword_bytes
 
 
+def _modulus(n: int) -> int:
+    """The VT modulus M of length n, n+1 as in the paper."""
+    return n + 1
+
+
 @dataclass(frozen=True)
 class VtParams:
+    """VT_a(n): the words whose checksum is a mod M = `_modulus(n)`."""
+
     n: int
     a: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need n >= 1")
-        if not 0 <= self.a <= self.n:
-            raise ValueError("need 0 <= a <= n")
+        if not 0 <= self.a < self.modulus:
+            raise ValueError(f"need 0 <= a < {self.modulus}")
 
     @property
     def modulus(self) -> int:
-        return self.n + 1
+        return _modulus(self.n)
 
 
 def vt_checksum(x: Word) -> int:
@@ -62,23 +69,22 @@ def vt_contains(p: VtParams, x: Word) -> bool:
 def _suffix_rows(n: int) -> Iterator[List[int]]:
     """Rows n, n-1, ..., 0 of the counting table: row i holds, for each r,
     the number of bit strings over positions i+1..n whose weighted sum
-    sum(k * x_k) is r mod n+1; row n is the empty string alone.
+    sum(k * x_k) is r mod M; row n is the empty string alone.
 
     Each row is the one before plus its copy rotated by the weight, so the
-    (n+1)^2 entries take O(n^2) additions of integers below 2^n.
+    rows of M entries take O(n*M) additions of integers below 2^n.
     """
-    m = n + 1
-    row = [1] + [0] * n
+    row = [1] + [0] * (_modulus(n) - 1)
     yield row
-    for k in range(n, 0, -1):  # row k-1 adds position k
-        row = list(map(add, row, row[m - k:] + row[:m - k]))
+    for k in range(n, 0, -1):  # row k-1 adds position k, rotating by k < M
+        row = list(map(add, row, row[-k:] + row[:-k]))
         yield row
 
 
 def check_enumeration_budget(n: int) -> None:
     """Refuse to enumerate a VT class of length n over the budget.
 
-    About 2^n/(n+1) words are returned, so the budget counts the 2^n words
+    About 2^n/M words are returned, so the budget counts the 2^n words
     (n is clamped at 64 so an absurd n is refused without building 2^n).
     """
     check_budget(2 ** min(n, 64), lambda: f"the 2^{n} words of length {n}")
@@ -109,17 +115,17 @@ def vt_enumerate(p: VtParams) -> List[Word]:
 
 
 def vt_class_sizes(n: int) -> List[int]:
-    """Sizes of VT_a(n) for a = 0..n: the counting table's first row.
+    """Sizes of VT_a(n) for a = 0..M-1: the counting table's first row.
 
-    Only the latest row is kept, so memory is O(n) integers of at most n
-    bits.  The budget counts the (n+1)^2 additions of n-bit integers as
-    (n+1)^2 * n bit operations, so n up to 255 fits the default.
+    Only the latest row is kept, so memory is O(M) integers of at most n
+    bits.  The budget counts the M^2 additions of n-bit integers as
+    M^2 * n bit operations, so n up to 255 fits the default.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    check_budget((n + 1) ** 2 * n,
-                 lambda: f"the (n+1)^2 * n bit operations of the counting "
-                         f"table for n = {n}")
+    check_budget(_modulus(n) ** 2 * n,
+                 lambda: f"the {_modulus(n)}^2 * {n} bit operations of the "
+                         f"counting table for n = {n}")
     return deque(_suffix_rows(n), maxlen=1).pop()
 
 
@@ -150,23 +156,24 @@ def correct_erasure(p: VtParams, y: Word) -> Word:
 def flip_candidates(p: VtParams, y: Word) -> List[Word]:
     """Codewords reachable from y by undoing one flip, in a fixed order.
 
-    The checksum residue r = (CS(y) - a) mod n+1 admits two readings: a
-    one at position r that was flipped up (restore to 0), or a zero at
-    position n+1-r that was flipped down (restore to 1).  Both readings
-    may be valid simultaneously: VT classes contain pairs differing
-    exactly at positions p and n+1-p, so single flips are not uniquely
-    decodable in general.
+    The checksum residue r = (CS(y) - a) mod M admits two readings, kept
+    where the position lies in 1..n: a one at position r that was flipped
+    up (restore to 0), or a zero at position q = M-r that was flipped down
+    (restore to 1).  Both may hold: under the paper's modulus, VT classes
+    contain pairs differing exactly at positions p and M-p, so single
+    flips are not uniquely decodable in general.
     """
     if len(y) != p.n:
         raise ValueError(f"word length {len(y)} != n = {p.n}")
     r = vt_syndrome(codeword_bytes(y), p.a, p.modulus)
     if r == 0:
         raise DecodeFailure("word is already a codeword, no flip to correct")
-    out: List[Word] = []  # 1 <= r <= n, so both positions exist
-    if y[r - 1] == 1:  # restore position r to 0
+    out: List[Word] = []
+    if r <= p.n and y[r - 1] == 1:  # restore position r to 0
         out.append(y[:r - 1] + (0,) + y[r:])
-    if y[p.n - r] == 0:  # restore position n+1-r to 1
-        out.append(y[:p.n - r] + (1,) + y[p.n + 1 - r:])
+    q = p.modulus - r
+    if q <= p.n and y[q - 1] == 0:  # restore position q to 1
+        out.append(y[:q - 1] + (1,) + y[q:])
     return out
 
 
@@ -193,7 +200,7 @@ def _nth(z: bytes, symbol: int, k: int) -> int:
 def correct_deletion(p: VtParams, y: Word) -> Word:
     """Reinsert the single deleted bit of y (length n-1).
 
-    With w ones in y and checksum discrepancy d = (a - CS(y)) mod n+1,
+    With w ones in y and checksum discrepancy d = (a - CS(y)) mod M,
     a deleted 0 goes just left of the d-th one from the right (the
     (w-d+1)-th from the left; at the end when d = 0) if d <= w, and a
     deleted 1 otherwise goes just right of the (d-w-1)-th zero.  Index

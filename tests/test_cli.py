@@ -133,6 +133,14 @@ def test_count(capsys):
     assert code == 0 and out.strip() == "16"
 
 
+def test_count_refuses_t_with_burst(capsys):
+    # A burst family has no error count: --t was ignored, printing 1408.
+    code, out, err = run(capsys, "count", "--n", "10", "--t", "2",
+                         "--burst", "3")
+    assert (code, out) == (1, "")
+    assert err == "usage error: burst families take no t\n"
+
+
 def test_count_prints_more_than_4300_digits(capsys):
     # 4^8000 has 4817 digits, past Python's default int-to-str limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -311,6 +319,21 @@ def test_verify_budget_exit_code(capsys, monkeypatch):
                        "--code", "vt", "--n", "4", "--a", "0",
                        "--family", "atmost:1")
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("mode", ["roundtrip", "combinatorial"])
+def test_vt_verify_over_budget_lists_no_codeword(capsys, monkeypatch, mode):
+    # VT_0(24) has 671,092 codewords: listing them took seconds and
+    # hundreds of MB before the refusal.
+    def refuse(p):
+        raise AssertionError(f"VT_{p.a}({p.n}) listed before the budget check")
+
+    monkeypatch.setattr(vt, "vt_enumerate", refuse)
+    code, out, err = run(capsys, "verify", "--mode", mode, "--code", "vt",
+                         "--n", "24", "--a", "0", "--family", "atmost:1")
+    assert code == 3 and out == ""
+    assert err == ("budget exceeded: 671092 x 73 evaluations exceed the "
+                   "budget of 16777216\n")
 
 
 def test_combinatorial_verify_refuses_before_listing_codewords(capsys,

@@ -39,24 +39,6 @@ def test_params_validation():
         far_params(5, 3)  # fewer than two blocks
 
 
-def test_params_json_roundtrip():
-    p = far_params(12, 3)
-    assert FarParams.from_json_dict(p.to_json_dict()) == p
-    bad = dict(p.to_json_dict(), a1=0)
-    with pytest.raises(ValueError):
-        FarParams.from_json_dict(bad)
-
-
-@pytest.mark.parametrize("obj", [
-    {}, {"n": 12}, [], {"n": None, "P": 3}, {"n": 12.9, "P": 3},
-    {"n": 12, "P": 3.7}, {"n": "12", "P": "3"}, {"n": 12, "P": 3, "t": 4.0},
-    {"n": 12, "P": 3, "s": "0"}, {"n": 12, "P": 3, "a1": True},
-    {"n": 12, "P": 3, "a2": 1.0}, {"n": True, "P": 3}])
-def test_params_json_rejects_malformed_input(obj):
-    with pytest.raises(ValueError):
-        FarParams.from_json_dict(obj)
-
-
 def test_encode_golden():
     p = far_params(12, 3)
     assert far_encode(p, (0, 0, 1, 1)) == parse_word("011011100100")
