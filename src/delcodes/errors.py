@@ -1,4 +1,5 @@
-"""Exception types and the enumeration budget shared across the library."""
+"""Exception types, the enumeration budget and the codeword index check
+shared across the library."""
 
 import os
 import sys
@@ -47,6 +48,12 @@ def check_budget(items: int, what: Callable[[], str]) -> None:
         with exact_integers():
             message = f"{what()} exceed the budget of {budget}"
         raise BudgetExceeded(message)
+
+
+def check_index(index: int, count: int) -> None:
+    """Refuse a codeword index outside 0..count-1, with no wrap-around."""
+    if not 0 <= index < count:
+        raise ValueError("index out of range")
 
 
 class FormulaDomainError(ValueError):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .errors import DecodeFailure
+from .errors import DecodeFailure, check_index
 from .vt import (VtParams, check_enumeration_budget, correct_deletion,
                  correct_erasure, flip_candidates, vt_class_sizes,
                  vt_enumerate, vt_syndrome)
@@ -129,8 +129,7 @@ def far_encode(p: FarParams, indices: Sequence[int]) -> Word:
 def far_codeword(p: FarParams, index: int) -> Word:
     """Codeword number `index`: its block indices are the mixed-radix
     digits of the index, the final block's the least significant."""
-    if not 0 <= index < p.codeword_count:
-        raise ValueError("index out of range")
+    check_index(index, p.codeword_count)
     index, i = divmod(index, len(p.final_alphabet))
     digits = [i]
     for _ in range(p.t - 1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import far, rep, vt
-from .errors import DecodeFailure, check_budget
+from .errors import DecodeFailure, check_budget, check_index
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
 from .words import Word, parse_codeword, word_to_str
@@ -50,6 +50,7 @@ class VtCodeAdapter:
         return vt.vt_class_sizes(self.params.n)[self.params.a]
 
     def codeword(self, index: int) -> Word:
+        check_index(index, self.codeword_count)
         return self._codewords[index]
 
     def codewords(self) -> Iterable[Word]:
@@ -75,6 +76,7 @@ class RepCodeAdapter:
         return 2 ** self.params.m
 
     def codeword(self, index: int) -> Word:
+        check_index(index, self.codeword_count)
         m = self.params.m
         info = tuple((index >> (m - 1 - i)) & 1 for i in range(m))
         return rep.rep_encode(self.params, info)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count
 from operator import add
 from typing import Iterator, List, Sequence, Tuple
@@ -40,7 +41,7 @@ class VtParams:
         if not 0 <= self.a < self.modulus:
             raise ValueError(f"need 0 <= a < {self.modulus}")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return _modulus(self.n)
 
@@ -137,7 +138,9 @@ def vt_best_residue(n: int) -> Tuple[int, int]:
 
 
 def correct_erasure(p: VtParams, y: Word) -> Word:
-    """Fill in the single erased bit of y using the checksum discrepancy."""
+    """Fill in the single erased bit of y, at position k, from one checksum:
+    with the erasure read as 0 and syndrome r, the fill is 0 when r = 0 and
+    1 when r + k is 0 mod M, as a 1 at position k adds k to the checksum."""
     if len(y) != p.n:
         raise ValueError(f"word length {len(y)} != n = {p.n}")
     erased = y.count(ERASURE)
@@ -145,12 +148,11 @@ def correct_erasure(p: VtParams, y: Word) -> Word:
         raise ValueError(f"expected exactly one erasure, found {erased}")
     k = y.index(ERASURE) + 1
     x = y[:k - 1] + (0,) + y[k:]
-    if vt_syndrome(codeword_bytes(x), p.a, p.modulus) != 0:
-        x = y[:k - 1] + (1,) + y[k:]
-        if vt_syndrome(x, p.a, p.modulus) != 0:
-            raise DecodeFailure("erasure correction left a non-codeword",
-                                {"position": k})
-    return x
+    r = vt_syndrome(codeword_bytes(x), p.a, p.modulus)
+    if r and (r + k) % p.modulus:
+        raise DecodeFailure("erasure correction left a non-codeword",
+                            {"position": k})
+    return y[:k - 1] + (1,) + y[k:] if r else x
 
 
 def flip_candidates(p: VtParams, y: Word) -> List[Word]:
@@ -189,12 +191,10 @@ def correct_flip(p: VtParams, y: Word) -> Tuple[Word, bool]:
     return candidates[0], len(candidates) > 1
 
 
-def _nth(z: bytes, symbol: int, k: int) -> int:
-    """Index of the k-th occurrence of symbol in z (k >= 1), -1 for k = 0."""
-    i = -1
-    for _ in range(k):
-        i = z.index(symbol, i + 1)
-    return i
+def _nth(z: bytes, symbol: bytes, k: int) -> int:
+    """Index of the k-th occurrence of the byte symbol in z (1 <= k <= its
+    count), -1 for k = 0: one split at the first k occurrences."""
+    return len(z) - len(z.split(symbol, k)[-1]) - 1
 
 
 def correct_deletion(p: VtParams, y: Word) -> Word:
@@ -203,8 +203,8 @@ def correct_deletion(p: VtParams, y: Word) -> Word:
     With w ones in y and checksum discrepancy d = (a - CS(y)) mod M,
     a deleted 0 goes just left of the d-th one from the right (the
     (w-d+1)-th from the left; at the end when d = 0) if d <= w, and a
-    deleted 1 otherwise goes just right of the (d-w-1)-th zero.  Index
-    scans find both points, one bytes.index call per passed occurrence.
+    deleted 1 otherwise goes just right of the (d-w-1)-th zero.  One
+    bytes.split finds either point, whatever its distance from the start.
     The result is always a codeword (Levenshtein 1966): the 0, with d ones
     right of it, adds d to the checksum, and the 1, with L ones left of
     it, adds (d-w-1) + L + 1 + (w-L) = d."""
@@ -214,9 +214,9 @@ def correct_deletion(p: VtParams, y: Word) -> Word:
     w = z.count(1)
     disc = -vt_syndrome(z, p.a, p.modulus) % p.modulus
     if disc <= w:
-        bit, i = 0, (_nth(z, 1, w - disc + 1) if disc else len(z))
+        bit, i = 0, (_nth(z, b"\1", w - disc + 1) if disc else len(z))
     else:
-        bit, i = 1, _nth(z, 0, disc - w - 1) + 1
+        bit, i = 1, _nth(z, b"\0", disc - w - 1) + 1
     return y[:i] + (bit,) + y[i:]
 
 

@@ -69,14 +69,14 @@ def _foreign(x: Symbols, allowed: bytes) -> object:
     return next(s for s in x if symbol_bytes((s,), allowed) is None)
 
 
-def codeword_bytes(x: Symbols) -> bytes:
-    """An erasure-free word as bytes of 0s and 1s; a symbol other than
+def codeword_bytes(x: Symbols) -> bytearray:
+    """An erasure-free word as a bytearray of 0s and 1s; a symbol other than
     the ints 0 and 1 raises ValueError naming the first one.  The test is
     `symbol_bytes`', inline for speed; `tuple` costs nothing on a tuple
     and, like its guard, refuses an int and splits a str."""
     x = tuple(x)
     try:
-        z = bytes(x)
+        z = bytearray(x)
         if not z.translate(None, _BITS):
             return z
     except (TypeError, ValueError):  # a symbol that is no byte

@@ -4,7 +4,8 @@ Levenshtein's code (1965/66, "Binary codes capable of correcting
 deletions, insertions and reversals"): a flip at position p leaves
 syndrome p (0 -> 1) or 2n - p (1 -> 0), readings that overlap only at
 p = n, where the received bit decides.  So that code corrects a flip as
-well as a deletion, and no flip is ambiguous.
+well as a deletion, and no flip is ambiguous.  The `levenshtein` fixture
+that sets it lives in conftest.py, which test_vt.py shares.
 """
 
 import itertools
@@ -17,11 +18,6 @@ from delcodes.patterns import PatternFamily
 from delcodes.vt import VtParams, correct_single, vt_class_sizes, vt_enumerate
 
 
-@pytest.fixture
-def levenshtein(monkeypatch):
-    monkeypatch.setattr(vt, "_modulus", lambda n: 2 * n)
-
-
 def walk_codebooks(n, m):
     """Reference: the class of each residue mod m, walking all 2^n words
     in lexicographic order."""
@@ -29,6 +25,13 @@ def walk_codebooks(n, m):
     for bits in itertools.product((0, 1), repeat=n):
         books[sum(i * b for i, b in enumerate(bits, 1)) % m].append(bits)
     return books
+
+
+def test_params_read_the_modulus_in_force_when_built(levenshtein):
+    # VtParams keeps its modulus from construction on; one built after the
+    # patch takes residues up to 2n - 1.
+    p = VtParams(5, 7)
+    assert p.modulus == vt._modulus(5) == 10
 
 
 @pytest.mark.parametrize("n", range(1, 13))

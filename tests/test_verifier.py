@@ -43,6 +43,22 @@ def test_code_adapters_enumerate_codewords():
     assert len(set(code.codewords())) == 16
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("vt", {"n": 9, "a": 0}), ("rep", {"n": 9, "t": 1}),
+    ("burst", {"n": 9, "b": 1}), ("far", {"n": 12, "P": 3})])
+def test_codeword_index_is_refused_outside_the_codebook(kind, params):
+    # No kind wraps an index: -1 is not the last codeword, and count is
+    # not codeword 0.
+    code = make_code(kind, **params)
+    count = code.codeword_count
+    words = list(code.codewords())
+    assert len(words) == count
+    assert (code.codeword(0), code.codeword(count - 1)) == (words[0], words[-1])
+    for index in (-1, count):
+        with pytest.raises(ValueError, match="^index out of range$"):
+            code.codeword(index)
+
+
 def test_combinatorial_pass_on_deletions():
     codebook = vt_enumerate(VtParams(4, 0))
     fam = PatternFamily.at_most(4, 1, kinds="D")

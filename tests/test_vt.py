@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -258,7 +259,7 @@ def test_correct_single_dispatch():
 
 def reference_correct_deletion(p, y):
     """Reference: the per-symbol suffix and prefix loops that located the
-    insertion point before the index scans, kept for the comparison."""
+    insertion point before the byte scans, kept for the comparison."""
     if len(y) != p.n - 1:
         raise ValueError(f"word length {len(y)} != n-1 = {p.n - 1}")
     w = sum(y)
@@ -369,3 +370,110 @@ def test_every_codeword_reader_takes_int_bits_only(name):
                                   f"got symbol {symbol!r}")
     with pytest.raises(TypeError):
         read(9)  # an int is no word
+
+
+@pytest.fixture(params=["paper", "levenshtein"])
+def modulus_rule(request):
+    """Each test that takes it runs under the paper's modulus n+1 and under
+    Levenshtein's 2n, set in the one home of the modulus."""
+    if request.param == "levenshtein":
+        request.getfixturevalue("levenshtein")
+    return vt._modulus
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_erasure_fill_or_refusal_matches_brute_force(modulus_rule, n):
+    # Every received word with one erasure, every residue: the fill is the
+    # one of 0 and 1 that lands in VT_a(n), and when neither does the
+    # erasure position is named.  Both fills cannot land, as their
+    # checksums differ by k, with 0 < k <= n < M.
+    m = modulus_rule(n)
+    for a in range(m):
+        p = VtParams(n, a)
+        for rest in itertools.product((0, 1), repeat=n - 1):
+            for k in range(1, n + 1):
+                y = rest[:k - 1] + (ERASURE,) + rest[k - 1:]
+                fills = [y[:k - 1] + (b,) + y[k:] for b in (0, 1)
+                         if vt_checksum(y[:k - 1] + (b,) + y[k:]) % m == a]
+                if fills:
+                    assert [correct_erasure(p, y)] == fills, (a, y)
+                    continue
+                with pytest.raises(DecodeFailure) as exc:
+                    correct_erasure(p, y)
+                assert str(exc.value) == "erasure correction left a non-codeword"
+                assert exc.value.diagnostic == {"position": k}
+
+
+@pytest.mark.parametrize("n", [64, 231])
+def test_deletion_matches_symbol_loops_on_long_words(n):
+    # Past the exhaustive n <= 10: the split finds the k-th occurrence
+    # wherever it lies, also in 231-symbol blocks and constant words.
+    rng = random.Random(n)
+    words = [tuple(rng.getrandbits(1) for _ in range(n - 1)) for _ in range(40)]
+    words += [(0,) * (n - 1), (1,) * (n - 1)]
+    for a in rng.sample(range(n + 1), 24) + [0, n]:
+        p = VtParams(n, a)
+        for y in words:
+            x = correct_deletion(p, y)
+            assert x == reference_correct_deletion(p, y), (a, y)
+
+
+def _nth_by_index(z, symbol, k):
+    """Reference: the k-th occurrence found by one bytes.index per step."""
+    i = -1
+    for _ in range(k):
+        i = z.index(symbol, i + 1)
+    return i
+
+
+def test_nth_occurrence_from_one_split():
+    rng = random.Random(7)
+    for z in [bytearray(rng.getrandbits(1) for _ in range(50)),
+              bytearray(20), bytearray(b"\1" * 20), bytearray(b"\1")]:
+        for symbol in (0, 1):
+            sep, total = bytes((symbol,)), z.count(symbol)
+            assert vt._nth(z, sep, 0) == -1
+            if total:
+                assert vt._nth(z, sep, total) == z.rindex(symbol)
+            for k in range(total + 1):
+                assert vt._nth(z, sep, k) == _nth_by_index(z, symbol, k)
+
+
+def test_params_identity_ignores_the_cached_modulus():
+    p, q = VtParams(4, 1), VtParams(4, 1)
+    assert p.modulus == 5
+    assert repr(p) == "VtParams(n=4, a=1)"
+    assert p == q and hash(p) == hash(q) == hash((4, 1))
+    with pytest.raises(TypeError):
+        VtParams(4, 1, 5)
+
+
+def test_checksums_taken_per_correction(monkeypatch):
+    # One checksum per erasure, deletion and clean word; the flip path
+    # takes correct_single's and flip_candidates' own.  A correction that
+    # took a second checksum again would show here.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vt_syndrome(*args)
+
+    monkeypatch.setattr(vt, "vt_syndrome", counted)
+    p = VtParams(4, 0)
+    cases = [
+        (lambda: correct_erasure(p, parse_word("0e10")), 1),  # fills 1
+        (lambda: correct_erasure(p, parse_word("e110")), 1),  # fills 0
+        (lambda: correct_erasure(VtParams(4, 2), parse_word("e000")), 1),
+        (lambda: correct_deletion(p, parse_word("010")), 1),
+        (lambda: correct_single(p, parse_word("0e10")), 1),
+        (lambda: correct_single(p, parse_word("010")), 1),
+        (lambda: correct_single(p, parse_word("0110")), 1),  # clean
+        (lambda: correct_single(p, parse_word("0100")), 2),  # flip
+    ]
+    for i, (correct, expected) in enumerate(cases):
+        calls.clear()
+        try:
+            correct()
+        except DecodeFailure:
+            assert i == 2  # neither 0000 nor 1000 is in VT_2(4)
+        assert len(calls) == expected, i
