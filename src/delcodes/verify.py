@@ -6,13 +6,23 @@ directly: no two distinct codewords, corrupted by any patterns in the
 family, may collide on the same received word.  Received words are
 keyed by their bytes (symbols 0, 1 and ERASURE = 2), so differing lengths
 or erasure positions make them distinct.
+
+Round trips and Monte Carlo runs use every usable CPU once their work
+(items x cases per item x n, the symbols decoded) reaches SPLIT_WORK per
+part: forked children run the tail of the item range and pipe back their
+totals, and the parent runs the head and merges the parts in item order,
+so the report is byte-identical to a run in one process.  No option
+selects this.  The combinatorial audit stays in one process, because its
+first-owner index spans every codeword.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import random
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import far, rep, vt
@@ -291,19 +301,144 @@ def _roundtrip_case(report: VerifyReport, code, x: Word, g: ErrorPattern,
     report.add_failure(witness)
 
 
+# Symbols decoded that each process must get for a split to pay.  On a
+# 2-CPU x86-64 host with CPython 3.11, a fork and reap took 3.5-8.6 ms
+# (median 4.3-5.2 ms) at 61-69 MB RSS, and 2^20 symbols took 0.16 s of
+# far(3024,14) simulate, 0.47 s of VT_0(16) round trip and 1.3 s of
+# far(60,6) simulate: one fork costs at most about 3% of the work it
+# moves.  A 20-trial simulate of far(60,6) (1,200 symbols) stays in one
+# process; the VT_0(16) round trip under at most one error (3.0M) splits.
+SPLIT_WORK = 2 ** 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_items(report: VerifyReport, run, count: int, work: int) -> VerifyReport:
+    """Run items 0..count-1 into report by `run(report, start, stop)`.
+
+    With work // SPLIT_WORK >= 2, more than one usable CPU and more than
+    one item, and where a fork is safe (os.fork exists and no other thread
+    runs), the items are split into one contiguous range per CPU; see
+    _split.  Otherwise they run here, in order.
+    """
+    parts = min(_usable_cpus(), count, work // SPLIT_WORK)
+    if parts >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+        _split(report, run, count, parts)
+    else:
+        run(report, 0, count)
+    return report
+
+
+def _split(report: VerifyReport, run, count: int, parts: int) -> None:
+    """Run the head range here and each tail range in a forked child.
+
+    Item 0 runs before the forks, so the lazy state every item reads (a VT
+    codebook, a family's pattern weights, a far code's tables) is built
+    once.  The parent reads each pipe to EOF before reaping its child; it
+    kills and reaps every child before any exception, an interrupt
+    included, leaves.  The earliest range's exception is raised, as a run
+    in one process would raise it.
+    """
+    import pickle
+    import signal
+    bounds = [count * k // parts for k in range(parts + 1)]
+    blank = replace(report, counterexamples=[])
+    run(report, 0, 1)
+    children: Dict[int, int] = {}  # pid -> read end of its pipe
+    outcomes = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(run, blank, start, stop, write_fd)
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+            children[pid] = read_fd
+        run(report, 1, bounds[1])
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            outcomes.append((pid, data, status))
+    finally:
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for pid, data, status in outcomes:
+        if status != 0:
+            raise ChildProcessError(
+                f"verification process {pid} ended with wait status {status}")
+        error, totals = pickle.loads(data)
+        if error is not None:
+            raise error
+        _merge(report, *totals)
+
+
+def _child(run, part: VerifyReport, start: int, stop: int, write_fd: int) -> None:
+    """In a forked child: run items start..stop-1 into part, write its
+    totals or its exception to the pipe and exit.  Never returns, so a
+    child cannot unwind into the caller's stack."""
+    import pickle
+    status = 1
+    try:
+        try:
+            run(part, start, stop)
+            result = (None, (part.cases, part.failures, part.ambiguity_count,
+                             part.counterexamples))
+        except Exception as exc:
+            result = (exc, None)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _merge(report: VerifyReport, cases: Optional[int], failures: int,
+           ambiguity_count: int, witnesses: List[dict]) -> None:
+    """Add a later range's totals and first witnesses to the report."""
+    if cases is not None:
+        report.cases += cases
+    report.ambiguity_count += ambiguity_count
+    for witness in witnesses:
+        report.add_failure(lambda: witness)
+    report.failures += failures - len(witnesses)
+
+
 def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
-    """Decode every (codeword, pattern) corruption and compare exactly."""
-    fam_size = check_verify_budget(code.codeword_count, family)
+    """Decode every (codeword, pattern) corruption and compare exactly.
+
+    Codewords are walked by index, so above SPLIT_WORK symbols the index
+    range is split over the usable CPUs (see _run_items), with the same
+    report as one process gives.
+    """
+    count = code.codeword_count
+    fam_size = check_verify_budget(count, family)
     patterns = list(enumerate_family(family))
     report = VerifyReport(
-        mode="roundtrip", codebook_size=code.codeword_count,
+        mode="roundtrip", codebook_size=count,
         family_size=fam_size, result="pass", cases=0,
         config={"family": family.describe(), **code.describe()})
-    for x in code.codewords():
-        for g in patterns:
-            report.cases += 1
-            _roundtrip_case(report, code, x, g)
-    return report
+
+    def run(part: VerifyReport, start: int, stop: int) -> None:
+        for i in range(start, stop):
+            x = code.codeword(i)
+            for g in patterns:
+                part.cases += 1
+                _roundtrip_case(part, code, x, g)
+    return _run_items(report, run, count, count * fam_size * family.n)
 
 
 def simulate(code, family: PatternFamily, trials: int,
@@ -313,7 +448,9 @@ def simulate(code, family: PatternFamily, trials: int,
     Trial i draws its codeword index, then its pattern, from one
     random.Random(mix64(seed, i)), so the report is byte-identical for a
     given seed and trial count, and a run of k trials reports the same
-    witnesses as a longer run restricted to trials below k.
+    witnesses as a longer run restricted to trials below k.  Because trial
+    i depends on (seed, i) alone, above SPLIT_WORK symbols the trials are
+    split over the usable CPUs (see _run_items) with the same report.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -322,8 +459,10 @@ def simulate(code, family: PatternFamily, trials: int,
         mode="montecarlo", codebook_size=count,
         trial_count=trials, seed=seed, result="pass",
         config={"family": family.describe(), **code.describe()})
-    for i in range(trials):
-        rng = random.Random(mix64(seed, i))
-        x = code.codeword(rng.randrange(count))
-        _roundtrip_case(report, code, x, sample_pattern(family, rng), trial=i)
-    return report
+
+    def run(part: VerifyReport, start: int, stop: int) -> None:
+        for i in range(start, stop):
+            rng = random.Random(mix64(seed, i))
+            x = code.codeword(rng.randrange(count))
+            _roundtrip_case(part, code, x, sample_pattern(family, rng), trial=i)
+    return _run_items(report, run, trials, trials * family.n)
