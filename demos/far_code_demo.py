@@ -29,7 +29,7 @@ estimate, info = far_decode(p, y)
 print(f"corrupt with flip@2 + erasure@11 -> {word_to_str(y)}")
 print(f"decode -> {word_to_str(estimate)} "
       f"({'match' if estimate == x else 'mismatch'}, "
-      f"{info.iterations} scan passes)")
+      f"one scan, {info.iterations - 1} correction(s))")
 print()
 
 fam = PatternFamily.p_far(12, 9)

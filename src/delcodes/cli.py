@@ -15,7 +15,8 @@ from typing import Optional
 
 from . import analysis, verify, vt
 from .errors import BudgetExceeded, DecodeFailure, exact_integers
-from .patterns import ErrorPattern, PatternFamily, apply_pattern, sample_pattern
+from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
+                       family_size, sample_pattern)
 from .words import parse_codeword, parse_word, word_to_str
 
 EXIT_OK = 0
@@ -51,10 +52,10 @@ def _parse_family(spec: str, n: int) -> PatternFamily:
     families = {"atmost": (PatternFamily.at_most, "atmost:T"),
                 "pfar": (PatternFamily.p_far, "pfar:P[:T]"),
                 "burst": (PatternFamily.burst, "burst:B")}
-    kinds = "DEF"
+    body, kinds = spec, "DEF"
     if "@" in spec:
-        spec, kinds = spec.split("@", 1)
-    name, *fields = spec.split(":")
+        body, kinds = spec.split("@", 1)
+    name, *fields = body.split(":")
     if name.lower() not in families:
         raise UsageError(f"unknown family kind {name.lower()!r}")
     make, form = families[name.lower()]
@@ -66,21 +67,32 @@ def _parse_family(spec: str, n: int) -> PatternFamily:
         raise UsageError(f"bad family spec {spec!r}: {exc}") from exc
 
 
-def _required_args(fn, args, what: str) -> dict:
-    """Values of the flags named by fn's parameters; each must be given."""
+def _params(registry: dict) -> dict:
+    """The parameter names of a registry's members, in first-seen order."""
+    return dict.fromkeys(name for fn in registry.values()
+                         for name in inspect.signature(fn).parameters)
+
+
+def _required_args(registry: dict, key: str, args, what: str) -> dict:
+    """Values of the flags named by registry[key]'s parameters; each must
+    be given, and no flag that only other members take may be."""
+    takes = inspect.signature(registry[key]).parameters
     values = {}
-    for name in inspect.signature(fn).parameters:
+    for name in takes:
         value = getattr(args, name, None)
         if value is None:
             raise UsageError(f"--{name} is required for {what}")
         values[name] = value
+    for name in _params(registry):
+        if name not in takes and getattr(args, name, None) is not None:
+            raise UsageError(f"--{name} is not a parameter of {what}")
     return values
 
 
 def _code(args):
     """The adapter that --code and its parameter flags select, and those
     parameters."""
-    params = _required_args(verify.CODES[args.code], args,
+    params = _required_args(verify.CODES, args.code, args,
                             f"--code {args.code}")
     return verify.make_code(args.code, **params), params
 
@@ -96,15 +108,16 @@ def _emit(args, payload: dict, text_lines) -> None:
 def _cmd_vt_enum(args) -> int:
     codebook = vt.vt_enumerate(vt.VtParams(args.n, args.a))
     lines = [word_to_str(w) for w in codebook]
+    payload = {"config": {"command": "vt-enum", "n": args.n, "a": args.a},
+               "size": len(codebook)}
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
-        _emit(args, {"config": {"command": "vt-enum", "n": args.n, "a": args.a},
-                     "size": len(codebook), "out": args.out},
-              [f"wrote {len(codebook)} codewords to {args.out}"])
+        payload["out"] = args.out
+        lines = [f"wrote {len(codebook)} codewords to {args.out}"]
     else:
-        for line in lines:
-            print(line)
+        payload["codewords"] = lines
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -133,18 +146,18 @@ def _cmd_decode(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     word = parse_codeword(_read_text(args.word))
-    if args.pattern:
+    if args.pattern is not None:
+        if args.seed is not None:
+            raise UsageError("--seed is not a parameter of --pattern")
         pattern = ErrorPattern.from_json_dict(json.loads(args.pattern))
         config = {"command": "corrupt", "pattern": pattern.to_json_dict()}
-    elif args.family:
+    else:
         if args.seed is None:
             raise UsageError("--seed is required with --family")
         family = _parse_family(args.family, len(word))
         pattern = sample_pattern(family, args.seed)
         config = {"command": "corrupt", "family": family.describe(),
                   "seed": args.seed, "pattern": pattern.to_json_dict()}
-    else:
-        raise UsageError("corrupt needs --pattern or --family")
     corrupted = apply_pattern(word, pattern)
     _emit(args, {"config": config, "word": word_to_str(word),
                  "corrupted": word_to_str(corrupted)},
@@ -153,33 +166,17 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.far is not None and args.burst is not None:
-        raise UsageError("--far and --burst are mutually exclusive")
-    if args.far is not None:
-        if args.t is None:
-            raise UsageError("--t is required with --far")
-        value = analysis.count_far_patterns(args.n, args.far, args.t)
-        config = {"command": "count", "n": args.n, "t": args.t, "far": args.far}
-    elif args.burst is not None:
-        if args.t is not None:
-            raise UsageError("burst families take no t")
-        value = analysis.count_burst_patterns(args.n, args.burst)
-        config = {"command": "count", "n": args.n, "burst": args.burst}
-    else:
-        if args.t is None:
-            raise UsageError("--t is required")
-        value = analysis.count_patterns(args.n, args.t)
-        config = {"command": "count", "n": args.n, "t": args.t}
-    _emit(args, {"config": config, "count": value}, [value])
+    family = _parse_family(args.family, args.n)
+    value = family_size(family)
+    _emit(args, {"config": {"command": "count", "family": family.describe()},
+                 "count": value}, [value])
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    evaluator = analysis.BOUND_EVALUATORS.get(args.name)
-    if evaluator is None:
-        raise UsageError(f"unknown bound name {args.name!r}; choices: "
-                         f"{', '.join(sorted(analysis.BOUND_EVALUATORS))}")
-    report = evaluator(**_required_args(evaluator, args, f"bound {args.name}"))
+    bounds = analysis.BOUND_EVALUATORS
+    report = bounds[args.name](**_required_args(bounds, args.name, args,
+                                                f"bound {args.name}"))
     _emit(args, {"config": {"command": "bounds", "name": args.name,
                             "inputs": report.inputs},
                  "report": report.to_json_dict()},
@@ -247,14 +244,10 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    code_params = dict.fromkeys(
-        name for adapter in verify.CODES.values()
-        for name in inspect.signature(adapter).parameters)
-
     def add_code(name, func, **kwargs):
         p = add(name, func, **kwargs)
         p.add_argument("--code", required=True, choices=verify.CODES)
-        for param in code_params:
+        for param in _params(verify.CODES):
             p.add_argument(f"--{param}", type=int)
         return p
 
@@ -274,24 +267,20 @@ def build_parser() -> _Parser:
 
     p = add("corrupt", _cmd_corrupt, help="apply or sample an error pattern")
     p.add_argument("--word", required=True)
-    p.add_argument("--pattern", help="pattern JSON")
-    p.add_argument("--family", help="family spec, e.g. pfar:9 or atmost:2@D")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pattern", help="pattern JSON")
+    source.add_argument("--family",
+                        help="family spec, e.g. pfar:9 or atmost:2@D")
     p.add_argument("--seed", type=int)
 
     p = add("count", _cmd_count, help="exact pattern counts")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--far", type=int, metavar="P")
-    p.add_argument("--burst", type=int, metavar="B")
+    p.add_argument("--family", required=True)
 
     p = add("bounds", _cmd_bounds, help="evaluate a redundancy bound")
-    p.add_argument("--name", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--P", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--K", type=int)
+    p.add_argument("--name", required=True, choices=analysis.BOUND_EVALUATORS)
+    for param in _params(analysis.BOUND_EVALUATORS):
+        p.add_argument(f"--{param}", type=float if param == "omega" else int)
 
     p = add("fraction", _cmd_fraction, help="fraction of far patterns")
     p.add_argument("--n", type=int, required=True)

@@ -94,7 +94,17 @@ class FarParams:
 
 
 def far_params(n: int, P: int) -> FarParams:
-    """Construct parameters with residues chosen for maximal alphabets."""
+    """Construct parameters: t - 1 inner blocks of length P and a final
+    block of length P + s, where n = t*P + s.
+
+    The inner alphabet is the non-constant words of VT_a1(P), a1 chosen
+    to make it largest; for P >= 3 it is never empty, as the 2^P - 2
+    non-constant words fall into at most 2P residues.  The final alphabet
+    is all of VT_a2(P + s), constants included, but a2 is chosen as if
+    they were dropped: under the paper's modulus it has one word fewer
+    than the largest class at P + s in {4, 6, 8, 10, 12, 16, 18, 22, 24}
+    (9 words, not 10, for far(60, 6)).
+    """
     if P < 3:
         raise ValueError("need P >= 3 so the inner alphabet is non-empty")
     if n < 2 * P:
@@ -105,8 +115,6 @@ def far_params(n: int, P: int) -> FarParams:
     check_enumeration_budget(P + s)
     a1 = _best_residue_without_constants(P)
     inner = tuple(w for w in vt_enumerate(VtParams(P, a1)) if 0 < sum(w) < P)
-    if not inner:
-        raise ValueError(f"inner alphabet empty for P = {P}")
     a2 = _best_residue_without_constants(P + s)
     final = tuple(vt_enumerate(VtParams(P + s, a2)))
     return FarParams(n, P, t, s, a1, a2, inner, final)

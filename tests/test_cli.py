@@ -31,6 +31,13 @@ def test_vt_enum(capsys):
     assert out.split() == ["0000", "0110", "1001", "1111"]
 
 
+def test_vt_enum_json(capsys):
+    code, obj, _ = run_json(capsys, "vt-enum", "--n", "4", "--a", "0")
+    assert code == 0
+    assert obj == {"config": {"command": "vt-enum", "n": 4, "a": 0},
+                   "size": 4, "codewords": ["0000", "0110", "1001", "1111"]}
+
+
 def test_vt_enum_to_file(capsys, tmp_path):
     path = tmp_path / "codebook.txt"
     code, obj, _ = run_json(capsys, "vt-enum", "--n", "4", "--a", "0",
@@ -114,6 +121,22 @@ def test_corrupt_rejects_malformed_pattern(capsys, pattern):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--family", "atmost:1"),
+     "argument --family: not allowed with argument --pattern"),
+    (("--seed", "3"), "--seed is not a parameter of --pattern"),
+    (("--family", "atmost:1", "--seed", "3"),
+     "argument --family: not allowed with argument --pattern"),
+])
+def test_corrupt_pattern_refuses_family_and_seed(capsys, flags, message):
+    # Both were dropped: the pattern was applied and the run exited 0.
+    pattern = '{"n": 4, "errors": [{"pos": 2, "kind": "D"}]}'
+    code, out, err = run(capsys, "corrupt", "--word", "0110",
+                         "--pattern", pattern, *flags)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
+
+
 def test_corrupt_with_family_is_seeded(capsys):
     code1, out1, _ = run(capsys, "corrupt", "--word", "011011100100",
                          "--family", "pfar:9", "--seed", "5")
@@ -123,31 +146,36 @@ def test_corrupt_with_family_is_seeded(capsys):
 
 
 def test_count(capsys):
-    code, out, _ = run(capsys, "count", "--n", "4", "--t", "2")
+    code, out, _ = run(capsys, "count", "--n", "4", "--family", "atmost:2")
     assert code == 0 and out.strip() == "67"
-    code, out, _ = run(capsys, "count", "--n", "12", "--t", "2", "--far", "9")
+    code, out, _ = run(capsys, "count", "--n", "12", "--family", "pfar:9:2")
     assert code == 0 and out.strip() == "91"
-    code, out, _ = run(capsys, "count", "--n", "9", "--burst", "1")
+    code, out, _ = run(capsys, "count", "--n", "9", "--family", "burst:1")
     assert code == 0 and out.strip() == "100"
-    code, out, _ = run(capsys, "count", "--n", "5", "--t", "1", "--far", "1")
+    code, out, _ = run(capsys, "count", "--n", "5", "--family", "pfar:1:1")
     assert code == 0 and out.strip() == "16"
+    code, obj, _ = run_json(capsys, "count", "--n", "12",
+                            "--family", "pfar:9:2@D")
+    assert code == 0 and obj == {
+        "config": {"command": "count", "family": {
+            "kind": "p_far", "n": 12, "P": 9, "t": 2, "kinds": "D"}},
+        "count": 19}
 
 
-def test_count_refuses_t_with_burst(capsys):
-    # A burst family has no error count: --t was ignored, printing 1408.
-    code, out, err = run(capsys, "count", "--n", "10", "--t", "2",
-                         "--burst", "3")
-    assert (code, out) == (1, "")
-    assert err == "usage error: burst families take no t\n"
+@pytest.mark.parametrize("flag", ["--t", "--far", "--burst"])
+def test_count_reads_its_family_from_a_spec_only(capsys, flag):
+    code, out, err = run(capsys, "count", "--n", "10", flag, "2")
+    assert code == 1 and out == "" and err.startswith("usage error: ")
 
 
 def test_count_prints_more_than_4300_digits(capsys):
     # 4^8000 has 4817 digits, past Python's default int-to-str limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    code, text, _ = run(capsys, "count", "--n", "8000", "--t", "8000")
+    code, text, _ = run(capsys, "count", "--n", "8000",
+                        "--family", "atmost:8000")
     assert code == 0
-    code, out, _ = run(capsys, "count", "--n", "8000", "--t", "8000",
-                       "--format", "json")
+    code, out, _ = run(capsys, "count", "--n", "8000", "--family",
+                       "atmost:8000", "--format", "json")
     assert code == 0
     with exact_integers():
         assert text.strip() == str(4 ** 8000)
@@ -255,6 +283,56 @@ def test_bounds_require_each_argument(capsys, name):
                 for f in (f"--{other}", BOUND_FLAGS[other])]
         code, _, err = run(capsys, "bounds", "--name", name, *rest)
         assert code == 1 and f"--{arg} is required" in err
+
+
+@pytest.mark.parametrize("name", sorted(analysis.BOUND_EVALUATORS))
+def test_bounds_refuse_flags_of_other_bounds(capsys, name):
+    arg_names = inspect.signature(analysis.BOUND_EVALUATORS[name]).parameters
+    flags = [f for arg in arg_names for f in (f"--{arg}", BOUND_FLAGS[arg])]
+    for other in BOUND_FLAGS.keys() - arg_names:
+        code, out, err = run(capsys, "bounds", "--name", name, *flags,
+                             f"--{other}", BOUND_FLAGS[other])
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: --{other} is not a parameter of "
+                       f"bound {name}\n")
+
+
+# Per code: its parameter flags, an info word (None: no encoder), a
+# received word and a family it corrects.
+CODE_CASES = {
+    "vt": (("--n", "4", "--a", "0"), None, "010", "atmost:1@D"),
+    "rep": (("--n", "9", "--t", "1"), "101", "111000111", "atmost:1"),
+    "burst": (("--n", "10", "--b", "1"), "10", "1111100000", "burst:1"),
+    "far": (("--n", "12", "--P", "3"), "0,0,1,1", "01101110010e", "pfar:9"),
+}
+
+
+def _code_commands():
+    for code, (flags, info, word, family) in CODE_CASES.items():
+        commands = [("decode", "--word", word),
+                    ("verify", "--mode", "roundtrip", "--family", family),
+                    ("simulate", "--family", family, "--trials", "20",
+                     "--seed", "1")]
+        if info is not None:
+            commands.append(("encode", "--info", info))
+        for command in commands:
+            yield code, (*command, "--code", code, *flags)
+
+
+@pytest.mark.parametrize("code, argv", _code_commands(),
+                         ids=lambda v: v if isinstance(v, str) else v[0])
+def test_commands_refuse_flags_of_other_codes(capsys, code, argv):
+    # A flag that only another code takes was dropped: simulate --code far
+    # --t 3 --family pfar:18 ran the uncapped family.
+    assert run(capsys, *argv)[0] == 0
+    takes = inspect.signature(verify.CODES[code]).parameters
+    foreign = {name for other in verify.CODES.values()
+               for name in inspect.signature(other).parameters} - takes.keys()
+    assert foreign
+    for name in foreign:
+        result = run(capsys, *argv, f"--{name}", "1")
+        assert result == (1, "", f"usage error: --{name} is not a parameter "
+                                 f"of --code {code}\n")
 
 
 HUGE = "9" * 400
@@ -377,6 +455,8 @@ def test_unknown_subcommand(capsys):
 
 @pytest.mark.parametrize("family, message", [
     ("atmost:1:junk", "the form is atmost:T"),
+    ("atmost:1@DX", "bad kinds 'DX'"),
+    ("pfar:9@", "bad kinds ''"),
     ("pfar:9:1:2:3", "the form is pfar:P[:T]"),
     ("burst:1:7", "the form is burst:B"),
     ("atmost", "the form is atmost:T"),
@@ -385,12 +465,12 @@ def test_unknown_subcommand(capsys):
     ("pfar:9:13", "need 0 <= t <= n"),
 ])
 @pytest.mark.parametrize("command", [
-    ("verify", "--mode", "roundtrip"),
-    ("simulate", "--trials", "50", "--seed", "1"),
+    ("verify", "--mode", "roundtrip", "--code", "far", "--P", "3"),
+    ("simulate", "--trials", "50", "--seed", "1", "--code", "far", "--P", "3"),
+    ("count",),
 ])
 def test_bad_family_spec_is_a_usage_error(capsys, family, message, command):
-    code, out, err = run(capsys, *command, "--code", "far", "--n", "12",
-                         "--P", "3", "--family", family)
+    code, out, err = run(capsys, *command, "--n", "12", "--family", family)
     assert code == 1 and out == ""
     assert err == f"usage error: bad family spec {family!r}: {message}\n"
 
