@@ -1,8 +1,9 @@
 """Command-line interface for batch experiments and report generation.
 
 Exit status: 0 success/pass, 1 usage error, 2 verification fail,
-3 budget exceeded.  JSON output is the stable machine format; the text
-format is human-oriented.
+3 budget exceeded or out of memory.  JSON output is the stable machine
+format, and its config names the command and, for a command that builds
+a code, the code as typed; the text format is human-oriented.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from typing import Optional
 
-from . import analysis, verify, vt
+from . import analysis, verify
 from .errors import BudgetExceeded, DecodeFailure, exact_integers
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        family_size, sample_pattern)
@@ -90,14 +91,14 @@ def _required_args(registry: dict, key: str, args, what: str) -> dict:
 
 
 def _code(args):
-    """The adapter that --code and its parameter flags select, and those
-    parameters."""
-    params = _required_args(verify.CODES, args.code, args,
-                            f"--code {args.code}")
-    return verify.make_code(args.code, **params), params
+    """The adapter that --code and its parameter flags select."""
+    return verify.make_code(args.code, **_required_args(
+        verify.CODES, args.code, args, f"--code {args.code}"))
 
 
 def _emit(args, payload: dict, text_lines) -> None:
+    """Print the payload, its config naming the command, or the text."""
+    payload["config"]["command"] = args.command
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -106,38 +107,29 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _cmd_vt_enum(args) -> int:
-    codebook = vt.vt_enumerate(vt.VtParams(args.n, args.a))
-    lines = [word_to_str(w) for w in codebook]
-    payload = {"config": {"command": "vt-enum", "n": args.n, "a": args.a},
-               "size": len(codebook)}
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        payload["out"] = args.out
-        lines = [f"wrote {len(codebook)} codewords to {args.out}"]
-    else:
-        payload["codewords"] = lines
-    _emit(args, payload, lines)
+    code = verify.make_code("vt", n=args.n, a=args.a)
+    lines = [word_to_str(w) for w in code.codewords()]
+    _emit(args, {"config": code.describe(), "size": len(lines),
+                 "codewords": lines}, lines)
     return EXIT_OK
 
 
 def _cmd_encode(args) -> int:
     if not hasattr(verify.CODES[args.code], "encode"):
         raise UsageError(f"encode does not support --code {args.code}")
-    code, params = _code(args)
+    code = _code(args)
     codeword, fields = code.encode(_read_text(args.info))
-    config = {"command": "encode", "code": args.code, **params, **fields}
-    _emit(args, {"config": config, "codeword": word_to_str(codeword)},
+    _emit(args, {"config": {**code.describe(), **fields},
+                 "codeword": word_to_str(codeword)},
           [word_to_str(codeword)])
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
     word = parse_word(_read_text(args.word))
-    code, params = _code(args)
+    code = _code(args)
     estimate, diagnostics = code.decode_diagnostics(word)
-    config = {"command": "decode", "code": args.code,
-              "word": word_to_str(word), **params}
+    config = {**code.describe(), "word": word_to_str(word)}
     _emit(args, {"config": config, "estimate": word_to_str(estimate),
                  "diagnostics": diagnostics},
           [word_to_str(estimate)])
@@ -150,13 +142,13 @@ def _cmd_corrupt(args) -> int:
         if args.seed is not None:
             raise UsageError("--seed is not a parameter of --pattern")
         pattern = ErrorPattern.from_json_dict(json.loads(args.pattern))
-        config = {"command": "corrupt", "pattern": pattern.to_json_dict()}
+        config = {"pattern": pattern.to_json_dict()}
     else:
         if args.seed is None:
             raise UsageError("--seed is required with --family")
         family = _parse_family(args.family, len(word))
         pattern = sample_pattern(family, args.seed)
-        config = {"command": "corrupt", "family": family.describe(),
+        config = {"family": family.describe(),
                   "seed": args.seed, "pattern": pattern.to_json_dict()}
     corrupted = apply_pattern(word, pattern)
     _emit(args, {"config": config, "word": word_to_str(word),
@@ -168,7 +160,7 @@ def _cmd_corrupt(args) -> int:
 def _cmd_count(args) -> int:
     family = _parse_family(args.family, args.n)
     value = family_size(family)
-    _emit(args, {"config": {"command": "count", "family": family.describe()},
+    _emit(args, {"config": {"family": family.describe()},
                  "count": value}, [value])
     return EXIT_OK
 
@@ -177,8 +169,7 @@ def _cmd_bounds(args) -> int:
     bounds = analysis.BOUND_EVALUATORS
     report = bounds[args.name](**_required_args(bounds, args.name, args,
                                                 f"bound {args.name}"))
-    _emit(args, {"config": {"command": "bounds", "name": args.name,
-                            "inputs": report.inputs},
+    _emit(args, {"config": {"name": args.name, "inputs": report.inputs},
                  "report": report.to_json_dict()},
           [f"{report.name}{report.inputs} = {report.value}  "
            f"[{report.applicability}]"])
@@ -188,8 +179,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_fraction(args) -> int:
     fraction, bound = analysis.far_fraction(args.n, args.t, args.omega)
     payload = {
-        "config": {"command": "fraction", "n": args.n, "t": args.t,
-                   "omega": args.omega},
+        "config": {"n": args.n, "t": args.t, "omega": args.omega},
         "fraction": fraction,
         "bound": bound,
     }
@@ -199,34 +189,28 @@ def _cmd_fraction(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    code, _ = _code(args)
+    code = _code(args)
     family = _parse_family(args.family, args.n)
     if args.mode == "combinatorial":
         verify.check_verify_budget(code.codeword_count, family)
-        codebook = list(code.codewords())
-        report = verify.verify_combinatorial(codebook, family)
-    elif args.mode == "roundtrip":
-        report = verify.verify_roundtrip(code, family)
+        report = verify.verify_combinatorial(list(code.codewords()), family)
     else:
-        raise UsageError("verify supports --mode combinatorial|roundtrip")
+        report = verify.verify_roundtrip(code, family)
     payload = report.to_json_dict()
-    payload["config"]["command"] = "verify"
-    payload["config"]["mode"] = args.mode
+    payload["config"].update(code.describe(), mode=args.mode)
     _emit(args, payload,
           [f"{args.mode} verification: {report.result} "
-           f"({report.cases if report.cases is not None else report.family_size} "
-           f"cases, {report.failures} failures, "
+           f"({report.codebook_size * report.family_size} cases, "
+           f"{report.failures} failures, "
            f"{report.ambiguity_count} ambiguous)"])
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
 def _cmd_simulate(args) -> int:
-    code, _ = _code(args)
+    code = _code(args)
     family = _parse_family(args.family, args.n)
     report = verify.simulate(code, family, args.trials, args.seed)
-    payload = report.to_json_dict()
-    payload["config"]["command"] = "simulate"
-    _emit(args, payload,
+    _emit(args, report.to_json_dict(),
           [f"montecarlo: {report.result}, "
            f"{report.trial_count - report.failures}/{report.trial_count} "
            f"successes, seed {report.seed}"])
@@ -254,7 +238,6 @@ def build_parser() -> _Parser:
     p = add("vt-enum", _cmd_vt_enum, help="enumerate a VT codebook")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--out", help="write codebook file (one word per line)")
 
     p = add_code("encode", _cmd_encode,
                  help="encode with a rep, burst or far code")
@@ -292,7 +275,8 @@ def build_parser() -> _Parser:
                      help=f"{name} a code against a pattern family")
         p.add_argument("--family", required=True)
         if name == "verify":
-            p.add_argument("--mode", required=True)
+            p.add_argument("--mode", required=True,
+                           choices=("combinatorial", "roundtrip"))
         else:
             p.add_argument("--trials", type=int, required=True)
             p.add_argument("--seed", type=int, required=True)
@@ -313,6 +297,10 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("out of memory: the command needs more memory than this "
+              "process may use", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -42,7 +42,19 @@ def mix64(seed: int, i: int) -> int:
     return z ^ (z >> 31)
 
 
-class VtCodeAdapter:
+class _Code:
+    """What every adapter shares: its codewords, walked by index, and its
+    description, which make_code records."""
+
+    def codewords(self) -> Iterable[Word]:
+        return map(self.codeword, range(self.codeword_count))
+
+    def describe(self) -> dict:
+        """The code as make_code was asked for it: kind and parameters."""
+        return dict(self.description)
+
+
+class VtCodeAdapter(_Code):
     """VT_a(n); the codebook is enumerated on first use, so decoding a
     single word costs no enumeration, and its size comes from the class
     sizes, so a verify refused by its budget lists no codeword."""
@@ -63,9 +75,6 @@ class VtCodeAdapter:
         check_index(index, self.codeword_count)
         return self._codewords[index]
 
-    def codewords(self) -> Iterable[Word]:
-        return iter(self._codewords)
-
     def decode(self, received: Word) -> Tuple[Word, bool]:
         return vt.correct_single(self.params, received)
 
@@ -73,11 +82,8 @@ class VtCodeAdapter:
         estimate, ambiguous = vt.correct_single(self.params, received)
         return estimate, {"ambiguous": ambiguous}
 
-    def describe(self) -> dict:
-        return {"code": "vt", "n": self.params.n, "a": self.params.a}
 
-
-class RepCodeAdapter:
+class RepCodeAdapter(_Code):
     def __init__(self, n: int, t: int):
         self.params = rep.RepParams(n, t)
 
@@ -90,9 +96,6 @@ class RepCodeAdapter:
         m = self.params.m
         info = tuple((index >> (m - 1 - i)) & 1 for i in range(m))
         return rep.rep_encode(self.params, info)
-
-    def codewords(self) -> Iterable[Word]:
-        return (self.codeword(i) for i in range(self.codeword_count))
 
     def encode(self, info: str) -> Tuple[Word, dict]:
         """Encode an info word given as text; returns (codeword, its config)."""
@@ -108,9 +111,6 @@ class RepCodeAdapter:
         info, tied = rep.rep_decode(self.params, received)
         return info, {"majorityTie": tied}
 
-    def describe(self) -> dict:
-        return {"code": "rep", "n": self.params.n, "t": self.params.t}
-
 
 class BurstCodeAdapter(RepCodeAdapter):
     """The repetition code that rep.burst_params sizes for spread <= b."""
@@ -119,7 +119,7 @@ class BurstCodeAdapter(RepCodeAdapter):
         self.params = rep.burst_params(n, b)
 
 
-class FarCodeAdapter:
+class FarCodeAdapter(_Code):
     def __init__(self, n: int, P: int):
         self.params = far.far_params(n, P)
 
@@ -129,9 +129,6 @@ class FarCodeAdapter:
 
     def codeword(self, index: int) -> Word:
         return far.far_codeword(self.params, index)
-
-    def codewords(self) -> Iterable[Word]:
-        return (self.codeword(i) for i in range(self.codeword_count))
 
     def encode(self, info: str) -> Tuple[Word, dict]:
         """Encode comma-separated block indices; returns (codeword, config)."""
@@ -147,9 +144,6 @@ class FarCodeAdapter:
         return estimate, {"iterations": info.iterations,
                           "ambiguousFlips": info.ambiguous_flips}
 
-    def describe(self) -> dict:
-        return {"code": "far", "n": self.params.n, "P": self.params.P}
-
 
 # Each adapter's constructor arguments are the parameters its kind needs;
 # the CLI reads them from the signature.  Adapters call the library through
@@ -163,13 +157,16 @@ CODES = {
 
 
 def make_code(kind: str, **params):
-    """Build the adapter of a code kind from its named parameters; a length
-    n over the budget is refused before sizes such as 2^m are computed."""
+    """Build the adapter of a code kind from its named parameters, which its
+    describe() reports as given; a length n over the budget is refused
+    before sizes such as 2^m are computed."""
     if kind not in CODES:
         raise ValueError(f"unknown code kind {kind!r}")
     n = params.get("n", 0)
     check_budget(n, lambda: f"the {n} symbols of a codeword")
-    return CODES[kind](**params)
+    code = CODES[kind](**params)
+    code.description = {"code": kind, **params}
+    return code
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from delcodes import analysis, verify, vt
+from delcodes import analysis, cli, verify, vt
 from delcodes.cli import main
 from delcodes.errors import exact_integers
 from delcodes.far import far_params
@@ -34,16 +35,19 @@ def test_vt_enum(capsys):
 def test_vt_enum_json(capsys):
     code, obj, _ = run_json(capsys, "vt-enum", "--n", "4", "--a", "0")
     assert code == 0
-    assert obj == {"config": {"command": "vt-enum", "n": 4, "a": 0},
+    assert obj == {"config": {"command": "vt-enum", "code": "vt", "n": 4,
+                              "a": 0},
                    "size": 4, "codewords": ["0000", "0110", "1001", "1111"]}
 
 
-def test_vt_enum_to_file(capsys, tmp_path):
-    path = tmp_path / "codebook.txt"
-    code, obj, _ = run_json(capsys, "vt-enum", "--n", "4", "--a", "0",
-                            "--out", str(path))
-    assert code == 0 and obj["size"] == 4
-    assert path.read_text().split() == ["0000", "0110", "1001", "1111"]
+def test_vt_enum_to_file(capsys):
+    # A codebook file is the text output redirected, one word per line;
+    # there is no --out flag.
+    code, out, _ = run(capsys, "vt-enum", "--n", "4", "--a", "0")
+    assert code == 0 and out == "0000\n0110\n1001\n1111\n"
+    code, out, err = run(capsys, "vt-enum", "--n", "4", "--a", "0",
+                         "--out", "codebook.txt")
+    assert code == 1 and out == "" and "--out" in err
 
 
 def test_encode_rep(capsys):
@@ -447,6 +451,9 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "bounds", "--name", "nope")
     assert code == 1
+    code, _, err = run(capsys, "verify", "--mode", "exhaustive", "--code",
+                       "vt", "--n", "4", "--a", "0", "--family", "atmost:1")
+    assert code == 1 and "invalid choice: 'exhaustive'" in err
 
 
 def test_unknown_subcommand(capsys):
@@ -474,3 +481,74 @@ def test_bad_family_spec_is_a_usage_error(capsys, family, message, command):
     assert code == 1 and out == ""
     assert err == f"usage error: bad family spec {family!r}: {message}\n"
 
+
+@pytest.mark.parametrize("mode", ["combinatorial", "roundtrip"])
+@pytest.mark.parametrize("code_args, family, cases", [
+    (("vt", "--n", "4", "--a", "0"), "atmost:1", 4 * 13),
+    (("far", "--n", "12", "--P", "3"), "pfar:9", 16 * 91),
+])
+def test_verify_text_counts_every_case(capsys, mode, code_args, family, cases):
+    # A case is one codeword under one pattern, in both modes.
+    code, out, _ = run(capsys, "verify", "--mode", mode, "--code", *code_args,
+                       "--family", family)
+    assert code in (0, 2) and f"({cases} cases, " in out
+
+
+def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
+    # count --n 100000 --family atmost:100000 runs out of memory under a
+    # 1 GB address-space cap.
+    def exhaust(family):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "family_size", exhaust)
+    code, out, err = run(capsys, "count", "--n", "12", "--family", "atmost:2")
+    assert code == 3 and out == ""
+    assert err.startswith("out of memory") and err.count("\n") == 1
+
+
+CODE_FLAGS = {"vt": {"n": 4, "a": 0}, "rep": {"n": 9, "t": 1},
+              "burst": {"n": 9, "b": 1}, "far": {"n": 12, "P": 3}}
+ENCODE_INFO = {"rep": "101", "burst": "1", "far": "0,0,1,1"}
+
+
+def _code_commands():
+    for kind in verify.CODES:
+        word = verify.make_code(kind, **CODE_FLAGS[kind]).codeword(0)
+        commands = {
+            "decode": ("decode", "--word", "".join(map(str, word))),
+            "simulate": ("simulate", "--family", "atmost:1", "--trials", "3",
+                         "--seed", "1")}
+        for mode in ("combinatorial", "roundtrip"):
+            commands[f"verify-{mode}"] = ("verify", "--mode", mode,
+                                          "--family", "atmost:1")
+        if hasattr(verify.CODES[kind], "encode"):
+            commands["encode"] = ("encode", "--info", ENCODE_INFO[kind])
+        for name, command in commands.items():
+            yield pytest.param(kind, command, id=f"{kind}-{name}")
+
+
+@pytest.mark.parametrize("kind, command", _code_commands())
+def test_reports_name_the_command_and_the_code_as_typed(capsys, kind, command):
+    flags = CODE_FLAGS[kind]
+    typed = [arg for name, value in flags.items()
+             for arg in (f"--{name}", str(value))]
+    code, obj, _ = run_json(capsys, *command, "--code", kind, *typed)
+    assert code in (0, 2)
+    config = obj["config"]
+    assert config["command"] == command[0] and config["code"] == kind
+    param_names = set().union(*CODE_FLAGS.values())
+    assert {k: v for k, v in config.items() if k in param_names} == flags
+
+
+def test_cli_builds_codes_only_through_the_registry():
+    # Every command builds its code by verify.make_code, so no command can
+    # name a code other than as verify.CODES describes it.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.rsplit(".", 1)[-1])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name.rsplit(".", 1)[-1]
+                            for alias in node.names)
+    assert imported and not imported & {"vt", "far", "rep"}

@@ -29,7 +29,7 @@ def test_make_code():
     assert make_code("rep", n=9, t=1).codeword_count == 8
     assert make_code("far", n=12, P=3).codeword_count == 16
     burst = make_code("burst", n=9, b=1)
-    assert burst.describe() == {"code": "rep", "n": 9, "t": 2}
+    assert burst.describe() == {"code": "burst", "n": 9, "b": 1}
     with pytest.raises(ValueError):
         make_code("hamming", n=7)
 
