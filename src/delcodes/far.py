@@ -18,6 +18,12 @@ Since blocks are sliced only when the scan reaches them, words shortened
 by any number of far-apart deletions are accepted: a block pushed past
 the end of the word reads as a deletion still pending.
 
+A block holding an erasure, and a final block that is not a codeword,
+goes to `vt.correct_single`, which corrects it from its length and
+erasure count.  The decoder keeps only the decision that rule cannot
+make: whether an inner block without an erasure suffered a flip or a
+deletion, which the next block's checksum tells.
+
 The scan does not visit clean blocks one by one.  `window_sums` gives the
 weighted checksum of every length-P window of the received word from one
 big-integer product, and the scan jumps from one suspect block to the
@@ -40,7 +46,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import DecodeFailure, check_index
 from .vt import (VtParams, check_enumeration_budget, correct_deletion,
-                 correct_erasure, flip_candidates, vt_class_sizes,
+                 correct_single, flip_candidates, vt_class_sizes,
                  vt_enumerate, vt_syndrome)
 from .words import ERASURE, Symbols, Word, received_bytes, symbol_bytes
 
@@ -219,12 +225,15 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     One scan reads y once from the left and writes the estimate once,
     block by block.  A cursor r marks the first received symbol not yet
     read; the estimate holds blocks 1 .. j-1 when block j starts at r.
-    The scan fills in a block's erasure, which leaves a codeword of the
-    block's VT class, and checks the checksum of any other block.  At a
-    mismatch in block j it corrects exactly one error, in block j itself
-    (the module docstring says why), telling a deletion from a flip by
-    the next block's checksum; the fixed block stands for P received
-    symbols after a flip and P-1 after a deletion.  Nothing left of the
+    The scan hands a block holding an erasure, and a final block that is
+    not a codeword, to `vt.correct_single`, and checks the checksum of
+    any other block.  At a mismatch in inner block j it corrects exactly
+    one error, in block j itself (the module docstring says why), telling
+    a deletion from a flip by the next block's checksum; the fixed block
+    stands for P received symbols after a flip and P-1 after a deletion.
+    Every DecodeFailure raised while the scan handles block j carries
+    diagnostic["block"] = j; the check that the estimate is a codeword
+    comes after the scan and names no block.  Nothing left of the
     cursor is read again.  A block is sliced when the scan reaches it:
     an inner block shorter than P mismatches, and a short block after
     the one being corrected means a deletion is pending.  Terminates
@@ -273,7 +282,7 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
             blk = y[r:r + P] if j < t else y[r:]
             if ERASURE in blk:
                 # A filled-in block is a codeword of its VT class.
-                out.extend(_fix_erasure(p, j, tuple(blk)))
+                out.extend(correct_single(code, tuple(blk))[0])
                 r += len(blk)
             elif (j == t and len(blk) == code.n
                     and vt_syndrome(blk, code.a, code.modulus) == 0):
@@ -291,11 +300,14 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
                                          "length": len(out) + len(y) - r})
                 info.iterations += 1
             j += 1
-        if not far_contains(p, out):
-            raise DecodeFailure("estimate is not a codeword",
-                                {"estimate_length": len(out)})
-    except ValueError as exc:  # erasures or lengths outside the model
-        raise DecodeFailure(str(exc)) from exc
+    except DecodeFailure as exc:
+        exc.diagnostic.setdefault("block", j)
+        raise
+    except ValueError as exc:  # an erasure in the block after an error
+        raise DecodeFailure(str(exc), {"block": j}) from exc
+    if not far_contains(p, out):
+        raise DecodeFailure("estimate is not a codeword",
+                            {"estimate_length": len(out)})
     return tuple(out), info
 
 
@@ -303,31 +315,17 @@ def _block_code(p: FarParams, j: int) -> VtParams:
     return p.inner_code if j < p.t else p.final_code
 
 
-def _fix_erasure(p: FarParams, j: int, blk: Word) -> Word:
-    if blk.count(ERASURE) != 1:
-        raise DecodeFailure("multiple erasures in one block", {"block": j})
-    code = _block_code(p, j)
-    if len(blk) != code.n:
-        where = "inner" if j < p.t else "final"
-        raise DecodeFailure(f"erasure in a short {where} block", {"block": j})
-    return correct_erasure(code, blk)
+def _pick_flip(code: VtParams, blk: Word, info: FarDecodeInfo) -> Word:
+    """Undo one flip in an inner block, keeping only alphabet words.
 
-
-def _pick_flip(code: VtParams, blk: Word, inner: bool,
-               info: FarDecodeInfo) -> Word:
-    """Undo one flip, keeping only candidates from the block alphabet.
-
-    Flip candidates are codewords of the block's VT class, which is the
-    final alphabet; an inner block also drops the constant words.  Both
-    flip readings can be alphabet words (VT classes contain pairs at
-    Hamming distance two); the flip-up reading is then chosen and the
-    ambiguity counter incremented.
+    Flip candidates are codewords of the inner VT class; the constant
+    words among them are dropped.  Both flip readings can be alphabet
+    words (VT classes contain pairs at Hamming distance two); the flip-up
+    reading is then chosen and the ambiguity counter incremented.
     """
-    candidates = [c for c in flip_candidates(code, blk)
-                  if not inner or 0 < sum(c) < code.n]
+    candidates = [c for c in flip_candidates(code, blk) if 0 < sum(c) < code.n]
     if not candidates:
-        raise DecodeFailure("no single flip reaches an alphabet word",
-                            {"block_length": len(blk)})
+        raise DecodeFailure("no single flip reaches an alphabet word")
     if len(candidates) > 1:
         info.ambiguous_flips += 1
     return candidates[0]
@@ -345,21 +343,17 @@ def _correct_one(p: FarParams, j: int, blk: Symbols, nxt: Symbols,
     block.
     """
     blk = tuple(blk)
-    if j == p.t:
-        code = p.final_code
-        if len(blk) == code.n:
-            return _pick_flip(code, blk, False, info), len(blk)
-        if len(blk) == code.n - 1:
-            return correct_deletion(code, blk), len(blk)
-        raise DecodeFailure("final block length outside the error model",
-                            {"block": j, "length": len(blk)})
+    if j == p.t:  # the final alphabet is all of its VT class
+        fixed, ambiguous = correct_single(p.final_code, blk)
+        info.ambiguous_flips += ambiguous
+        return fixed, len(blk)
     if len(blk) < p.P:  # the word ends inside block j
         raise DecodeFailure("received word ends inside an inner block",
-                            {"block": j, "length": (j - 1) * p.P + len(blk)})
+                            {"length": (j - 1) * p.P + len(blk)})
     # Error sits in block j; the next block's checksum tells a flip
     # (clean neighbour) from a deletion (neighbour shifted left, or cut
     # short because more deletions are pending).
     code = _block_code(p, j + 1)
     if len(nxt) == code.n and vt_syndrome(nxt, code.a, code.modulus) == 0:
-        return _pick_flip(p.inner_code, blk, True, info), p.P
+        return _pick_flip(p.inner_code, blk, info), p.P
     return correct_deletion(p.inner_code, blk[:-1]), p.P - 1

@@ -187,9 +187,11 @@ def _spaced(f: PatternFamily, k: int) -> bool:
     return f.kind != "burst" or k < 2
 
 
-def _weight_counts(f: PatternFamily) -> Tuple[int, ...]:
-    """Number of patterns of each weight k = 0..max_weight: the supports
-    of size k times base^k kind assignments, base = len(kinds).
+def _weight_counts(f: PatternFamily) -> Iterator[int]:
+    """Yield the number of patterns of each weight k = 0..max_weight: the
+    supports of size k times base^k kind assignments, base = len(kinds).
+    Only the latest count is held, so a caller that sums them keeps two
+    integers, not the table of max_weight + 1.
 
     Spaced support sizes are C(x, k) with x = n - (k-1)*gap, gap =
     spacing - 1.  Each weight's count is built from the one before,
@@ -203,21 +205,23 @@ def _weight_counts(f: PatternFamily) -> Tuple[int, ...]:
     base = len(f.kinds)
     gap = f.spacing - 1
     x = f.n + gap
-    counts = [1]
+    count = 1
+    yield count
     for k in range(f.max_weight()):
         if not _spaced(f, k + 1):
-            supports = sum(count for _, count in _burst_spreads(f, k + 1))
-            counts.append(supports * base ** (k + 1))
+            supports = sum(c for _, c in _burst_spreads(f, k + 1))
+            yield supports * base ** (k + 1)
             continue
-        counts.append(counts[-1] * base * math.perm(x - k, gap + 1)
-                      // (math.perm(x, gap) * (k + 1)))
+        count = (count * base * math.perm(x - k, gap + 1)
+                 // (math.perm(x, gap) * (k + 1)))
+        yield count
         x -= gap
-    return tuple(counts)
 
 
 def family_size(f: PatternFamily) -> int:
-    """Exact number of patterns in the family."""
-    return f.cumulative_weights[-1]
+    """Exact number of patterns in the family, summed as the weight
+    counts are made rather than from the sampler's cumulative table."""
+    return sum(_weight_counts(f))
 
 
 def _iter_supports(f: PatternFamily, k: int) -> Iterator[Tuple[int, ...]]:

@@ -104,6 +104,53 @@ def test_decode_far_diagnostics(capsys, word, iterations):
     assert obj["diagnostics"] == {"iterations": iterations, "ambiguousFlips": 0}
 
 
+def test_encode_and_decode_read_long_words_from_files(capsys, tmp_path):
+    # far(10000,12): a 9999-symbol word is past the inline cap, so the
+    # info indices and the received word are read from @FILE, each with
+    # the trailing newline an editor leaves.
+    p = far_params(10000, 12)
+    info = tmp_path / "info.txt"
+    info.write_text(",".join(str(k % 5) for k in range(p.t)) + "\n")
+    code, obj, _ = run_json(capsys, "encode", "--code", "far", "--n", "10000",
+                            "--P", "12", "--info", f"@{info}")
+    assert code == 0 and len(obj["codeword"]) == 10000
+    received = obj["codeword"][:4999] + obj["codeword"][5000:]
+    word = tmp_path / "word.txt"
+    word.write_text(received + "\n")
+    code, obj2, _ = run_json(capsys, "decode", "--code", "far", "--n", "10000",
+                             "--P", "12", "--word", f"@{word}")
+    assert code == 0 and obj2["estimate"] == obj["codeword"]
+    assert obj2["diagnostics"] == {"iterations": 2, "ambiguousFlips": 0}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decode", "--code", "far", "--n", "10000", "--P", "12",
+      "--word", "0" * 4097),
+     "usage error: inline words are capped at 4096 symbols; "
+     "use @path for longer input"),
+    (("simulate", "--code", "far", "--n", "12", "--P", "3",
+      "--family", "pfar:9", "--trials", "0", "--seed", "1"),
+     "error: need trials >= 1"),
+    (("count", "--n", "12", "--family", "foo:1"),
+     "usage error: unknown family kind 'foo'"),
+    (("corrupt", "--word", "011011100100", "--family", "pfar:9"),
+     "usage error: --seed is required with --family"),
+])
+def test_cli_refuses_inputs_out_of_range(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("command, flag", [("decode", "--word"),
+                                           ("encode", "--info")])
+def test_a_missing_input_file_is_an_error_line(capsys, tmp_path, command, flag):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, command, "--code", "far", "--n", "12",
+                         "--P", "3", flag, f"@{missing}")
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_corrupt_with_pattern(capsys):
     pattern = json.dumps({"n": 4, "errors": [{"pos": 2, "kind": "D"},
                                              {"pos": 4, "kind": "E"}]})

@@ -1,7 +1,9 @@
+import ast
 import functools
 import itertools
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,7 +16,8 @@ from delcodes.far import (FarParams, far_codeword, far_contains, far_decode,
                           far_encode, far_params, window_sums)
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, is_member, sample_pattern)
-from delcodes.vt import correct_deletion, flip_candidates, vt_syndrome
+from delcodes.vt import (correct_deletion, correct_single, flip_candidates,
+                         vt_syndrome)
 from delcodes.words import ERASURE, parse_word
 
 
@@ -105,6 +108,68 @@ def test_decode_out_of_model_fails():
         far_decode(p, parse_word("0110"))
     with pytest.raises(DecodeFailure):
         far_decode(p, parse_word("eeeeeeeeeeee"))
+
+
+EVERY_7TH = {k: "F" for k in range(1, 60, 7)}
+
+
+@pytest.mark.parametrize("n, P, index, errors, length, message, diagnostic", [
+    # far(60,6) codeword 0 is 000111 ten times.
+    (60, 6, 0, {19: "D", 31: "E", 55: "D"}, None,
+     "checksum undefined with erasures present", {"block": 4}),
+    (60, 6, 0, EVERY_7TH, None,
+     "iteration cap exceeded", {"cap": 5, "length": 66, "block": 7}),
+    (60, 6, 22664096, EVERY_7TH, None,
+     "no single flip reaches an alphabet word", {"block": 8}),
+    (60, 6, 3486784, EVERY_7TH, None,
+     "received length 10 outside {n-1, n}", {"block": 10}),
+    (60, 6, 0, {1: "F", 2: "F"}, None,
+     "no single flip reaches an alphabet word", {"block": 1}),
+    (60, 6, 0, {55: "F", 56: "F"}, None,
+     "no single flip reaches a codeword", {"block": 10}),
+    (60, 6, 0, {57: "D", 59: "D"}, None,
+     "received length 4 outside {n-1, n}", {"block": 10}),
+    (60, 6, 0, {2: "E", 4: "E"}, None,
+     "2 erasures, at most one supported", {"block": 1}),
+    (60, 6, 0, {56: "E", 58: "D"}, None,
+     "erasure present but length is not n", {"block": 10}),
+    (60, 6, 0, {8: "E"}, 9,
+     "erasure present but length is not n", {"block": 2}),
+    (60, 6, 0, {2: "E", 4: "F"}, None,
+     "erasure correction left a non-codeword", {"position": 2, "block": 1}),
+    (60, 6, 0, {}, 15,
+     "received word ends inside an inner block", {"length": 15, "block": 3}),
+    # far(10,5) has a1 = 0, so the constant inner block 00000 passes its
+    # checksum and is copied; only the estimate check refuses it.
+    (10, 5, 12, {1: "F", 5: "F"}, None,
+     "estimate is not a codeword", {"estimate_length": 10}),
+])
+def test_decode_failure_names_its_block(n, P, index, errors, length, message,
+                                        diagnostic):
+    # Codeword `index` under `errors`, cut to `length` symbols if given.
+    p = far_params(n, P)
+    x = far_codeword(p, index)
+    y = apply_pattern(x, ErrorPattern.from_dict(n, errors))[:length]
+    with pytest.raises(DecodeFailure) as exc:
+        far_decode(p, y)
+    assert (str(exc.value), exc.value.diagnostic) == (message, diagnostic)
+    assert _outcome(reference_far_decode, p, y) == (message, diagnostic)
+
+
+def test_far_corrects_erasure_and_final_blocks_through_correct_single():
+    # Erasure and final-block correction stay in vt.correct_single: far.py
+    # neither imports nor names the VT erasure and flip correctors.
+    tree = ast.parse(Path(far.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "correct_single" in names and "*" not in names
+    assert not names & {"correct_erasure", "correct_flip"}
 
 
 def test_larger_parameters_roundtrip():
@@ -341,22 +406,21 @@ def reference_far_decode(p, y):
     """The per-block scan far_decode replaced: the reference only.
 
     It takes the checksum of every block it reaches, corrects a mutable
-    copy of y in place, picks flips by alphabet lookup and checks the
-    estimate block by block; the correction helpers it shares with
-    far_decode are unchanged.
+    copy of y in place, picks inner flips by alphabet lookup and checks
+    the estimate block by block.  Like far_decode, it hands erasure and
+    final blocks to `vt.correct_single` and tags each failure with the
+    block it was handling.
     """
     info = far.FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
     P, t = p.P, p.t
-    inner = (P, p.a1, P + 1)
-    final = (P + p.s, p.a2, P + p.s + 1)
-    alphabets = (set(p.inner_alphabet), set(p.final_alphabet))
+    inner_alphabet = set(p.inner_alphabet)
 
-    def pick_flip(code, blk, alphabet):
-        candidates = [c for c in flip_candidates(code, blk) if c in alphabet]
+    def pick_flip(blk):
+        candidates = [c for c in flip_candidates(p.inner_code, blk)
+                      if c in inner_alphabet]
         if not candidates:
-            raise DecodeFailure("no single flip reaches an alphabet word",
-                                {"block_length": len(blk)})
+            raise DecodeFailure("no single flip reaches an alphabet word")
         if len(candidates) > 1:
             info.ambiguous_flips += 1
         return candidates[0]
@@ -374,23 +438,19 @@ def reference_far_decode(p, y):
         start = (j - 1) * P
         blk = _reference_block(p, work, j)
         if j == t:
-            if len(blk) == P + p.s:
-                work[start:] = pick_flip(p.final_code, blk, alphabets[1])
-            elif len(blk) == P + p.s - 1:
-                work[start:] = correct_deletion(p.final_code, blk)
-            else:
-                raise DecodeFailure("final block length outside the error "
-                                    "model", {"block": j, "length": len(blk)})
+            fixed, ambiguous = correct_single(p.final_code, blk)
+            info.ambiguous_flips += ambiguous
+            work[start:] = fixed
             return
         if len(blk) < P:
             raise DecodeFailure("received word ends inside an inner block",
-                                {"block": j, "length": len(work)})
+                                {"length": len(work)})
         nxt = _reference_block(p, work, j + 1)
         code = far._block_code(p, j + 1)
         next_diff = (vt_syndrome(nxt, code.a, code.modulus)
                      if len(nxt) == code.n else 1)
         if next_diff == 0:
-            work[start:start + P] = pick_flip(p.inner_code, blk, alphabets[0])
+            work[start:start + P] = pick_flip(blk)
         else:
             work[start:start + P - 1] = correct_deletion(p.inner_code, blk[:-1])
 
@@ -400,15 +460,14 @@ def reference_far_decode(p, y):
         while j <= t:
             start = (j - 1) * P
             if j < t:
-                length, a, modulus = inner
-                blk = work[start:start + P]
+                code, blk = p.inner_code, work[start:start + P]
             else:
-                length, a, modulus = final
-                blk = work[start:]
+                code, blk = p.final_code, work[start:]
             if ERASURE in blk:
-                blk = far._fix_erasure(p, j, tuple(blk))
-                work[start:start + length] = blk
-            if len(blk) == length and vt_syndrome(blk, a, modulus) == 0:
+                blk = correct_single(code, tuple(blk))[0]
+                work[start:start + code.n] = blk
+            if (len(blk) == code.n
+                    and vt_syndrome(blk, code.a, code.modulus) == 0):
                 j += 1
                 continue
             correct_one(work, j)
@@ -416,12 +475,15 @@ def reference_far_decode(p, y):
                 raise DecodeFailure("iteration cap exceeded",
                                     {"cap": max_iterations, "length": len(work)})
             info.iterations += 1
-        estimate = tuple(work)
-        if not reference_far_contains(p, estimate):
-            raise DecodeFailure("estimate is not a codeword",
-                                {"estimate_length": len(estimate)})
+    except DecodeFailure as exc:
+        exc.diagnostic.setdefault("block", j)
+        raise
     except ValueError as exc:
-        raise DecodeFailure(str(exc)) from exc
+        raise DecodeFailure(str(exc), {"block": j}) from exc
+    estimate = tuple(work)
+    if not reference_far_contains(p, estimate):
+        raise DecodeFailure("estimate is not a codeword",
+                            {"estimate_length": len(estimate)})
     return estimate, info
 
 

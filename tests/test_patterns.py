@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -384,3 +385,19 @@ def test_one_far_family_is_the_at_most_family(n):
         assert family_size(PatternFamily.p_far(n, 1, t=t)) == \
             family_size(PatternFamily.at_most(n, t))
     assert family_size(PatternFamily.p_far(n, 1)) == 4 ** n
+
+
+def test_family_size_streams_the_weight_counts():
+    # Every pattern of length 20000: 4^20000, about 40000 bits.  Summing
+    # the weight counts as they are made holds a few such integers (about
+    # 22 KB at peak); building the table of all 20001 counts first held
+    # 79 MB and peaked at 157 MB.
+    family = PatternFamily.at_most(20000, 20000)
+    tracemalloc.start()
+    try:
+        size = family_size(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 4 ** 20000
+    assert peak < 1_000_000
