@@ -7,17 +7,25 @@ family, may collide on the same received word.  Received words are
 keyed by their bytes (symbols 0, 1 and ERASURE = 2), so differing lengths
 or erasure positions make them distinct.
 
-Round trips and Monte Carlo runs use every usable CPU once their work
-(items x cases per item x n, the symbols decoded) reaches SPLIT_WORK per
-part: forked children run the tail of the item range and pipe back their
-totals, and the parent runs the head and merges the parts in item order,
-so the report is byte-identical to a run in one process.  No option
-selects this.  The combinatorial audit stays in one process, because its
-first-owner index spans every codeword.
+The audit walks one output class at a time: the deletion count and the
+erasure positions in received coordinates, which a pattern fixes and its
+received word shows (its length is n minus the deletions, and codewords
+hold no erasure).  Words of different classes never collide, so each
+class has its own index of first owners, freed before the next, and the
+failing cases are those of one index over the whole family.
+
+Audits, round trips and Monte Carlo runs use every usable CPU once their
+work (cases x n, the symbols corrupted) reaches SPLIT_WORK per part:
+forked children run their share of the items (codeword or trial ranges;
+the audit's classes, dealt by size) and pipe back their totals and first
+ten failures with their case keys, and the parent runs its own share and
+keeps the ten smallest keys, so the report is byte-identical to a run in
+one process.  No option selects this.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
 import random
@@ -180,22 +188,31 @@ class VerifyReport:
     failures: int = 0
     ambiguity_count: int = 0
     seed: Optional[int] = None
-    counterexample: Optional[dict] = None
     counterexamples: List[dict] = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    # The case key of each kept counterexample, in the same order.
+    case_keys: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return self.result == "pass"
 
-    def add_failure(self, witness: Callable[[], dict]) -> None:
-        """Count a failure; `witness()` builds its witness only while
-        fewer than ten are kept, so later failures cost no JSON."""
+    @property
+    def counterexample(self) -> Optional[dict]:
+        return self.counterexamples[0] if self.counterexamples else None
+
+    def add_failure(self, witness: Callable[[], dict], key=0) -> None:
+        """Count the failure of the case with this key (its place in a run
+        in one process).  The witnesses of the ten smallest keys are kept,
+        equal keys in arrival order; `witness()` is called only when its
+        key enters them, so most failures cost no JSON."""
         self.result = "fail"
         self.failures += 1
-        if len(self.counterexamples) < 10:
-            self.counterexamples.append(witness())
-            self.counterexample = self.counterexamples[0]
+        at = bisect.bisect(self.case_keys, key)
+        if at < 10:
+            self.case_keys.insert(at, key)
+            self.counterexamples.insert(at, witness())
+            del self.case_keys[10:], self.counterexamples[10:]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -221,15 +238,6 @@ class VerifyReport:
         return out
 
 
-def _collision_witness(x1: Word, g1: ErrorPattern,
-                       x2: Word, g2: ErrorPattern, received: Word) -> dict:
-    return {
-        "x1": word_to_str(x1), "g1": g1.to_json_dict(),
-        "x2": word_to_str(x2), "g2": g2.to_json_dict(),
-        "received": word_to_str(received),
-    }
-
-
 def check_verify_budget(codeword_count: int, family: PatternFamily) -> int:
     """Refuse to verify codeword_count words under every pattern of the
     family beyond the budget; returns the family size."""
@@ -245,38 +253,79 @@ def _first_pattern(x: Word, patterns: Sequence[ErrorPattern],
     return next(h for h in patterns if apply_pattern(x, h) == received)
 
 
+def _output_class(g: ErrorPattern) -> Tuple[int, Tuple[int, ...]]:
+    """The deletion count of g and its erasure positions in received
+    coordinates (position minus the deletions before it): what the word
+    received through g shows of g."""
+    deleted, erased = 0, []
+    for pos, kind in g.errors:
+        if kind == "D":
+            deleted += 1
+        elif kind == "E":
+            erased.append(pos - deleted)
+    return deleted, tuple(erased)
+
+
+def _collision_witness(codebook: Sequence[Word], patterns: Sequence[ErrorPattern],
+                       key: Tuple[int, int], prior: int) -> dict:
+    """The witness of case key = (codeword index, pattern index), whose
+    received word codeword `prior` produced first."""
+    ci, pi = key
+    x1, x2, g2 = codebook[prior], codebook[ci], patterns[pi]
+    received = apply_pattern(x2, g2)
+    return {
+        "x1": word_to_str(x1),
+        "g1": _first_pattern(x1, patterns, received).to_json_dict(),
+        "x2": word_to_str(x2), "g2": g2.to_json_dict(),
+        "received": word_to_str(received),
+    }
+
+
 def verify_combinatorial(codebook: Sequence[Word],
                          family: PatternFamily) -> VerifyReport:
     """Check that corrupted-output sets are disjoint across codewords.
 
-    The index maps each received word's bytes to the index of the first
-    codeword that produced it, about 70 bytes a case (exact, as
-    `apply_pattern` refuses 1.0).  The pattern that produced it is found
-    again only for a kept witness."""
+    Each output class (see the module docstring) is walked codeword-major
+    with an index that maps each received word's bytes to the index of
+    the first codeword that produced it (exact, as `apply_pattern` refuses
+    1.0).  A case whose owner is another codeword fails.  The classes are
+    the items that _run_items deals, largest first, over the usable CPUs.
+    A part keeps the owner of each kept failure as its witness; the
+    collision witnesses are built here once the parts are merged.
+    """
     fam_size = check_verify_budget(len(codebook), family)
     patterns = list(enumerate_family(family))
-    seen: Dict[bytes, int] = {}
-    owner = seen.setdefault
+    grouped: Dict[Tuple[int, Tuple[int, ...]], list] = {}
+    for pi, g in enumerate(patterns):
+        grouped.setdefault(_output_class(g), []).append((pi, g))
+    classes = list(grouped.values())
     report = VerifyReport(
         mode="combinatorial", codebook_size=len(codebook),
         family_size=fam_size, result="pass",
         config={"family": family.describe()})
-    for ci, x in enumerate(codebook):
-        for g in patterns:
-            received = apply_pattern(x, g)
-            prior = owner(bytes(received), ci)
-            if prior != ci:
-                x1 = codebook[prior]
-                report.add_failure(lambda: _collision_witness(
-                    x1, _first_pattern(x1, patterns, received), x, g, received))
+
+    def run(part: VerifyReport, items: Iterable[int]) -> None:
+        for c in items:
+            members = classes[c]
+            owner = {}.setdefault
+            for ci, x in enumerate(codebook):
+                for pi, g in members:
+                    prior = owner(bytes(apply_pattern(x, g)), ci)
+                    if prior != ci:
+                        part.add_failure(lambda: prior, (ci, pi))
+    _run_items(report, run, len(classes), len(codebook) * fam_size * family.n,
+               [len(members) for members in classes])
+    report.counterexamples = [
+        _collision_witness(codebook, patterns, key, prior)
+        for key, prior in zip(report.case_keys, report.counterexamples)]
     return report
 
 
-def _roundtrip_case(report: VerifyReport, code, x: Word, g: ErrorPattern,
-                    trial: Optional[int] = None) -> None:
+def _roundtrip_case(report: VerifyReport, code, key: int, x: Word,
+                    g: ErrorPattern, trial: Optional[int] = None) -> None:
     """Decode x corrupted by g into the report; a wrong estimate or a
-    decode failure counts as a failure (simulate's witnesses name the
-    trial)."""
+    decode failure counts as a failure of case `key`, the item index
+    (simulate's witnesses name the trial)."""
     estimate, error = None, None
     try:
         estimate, flagged = code.decode(apply_pattern(x, g))
@@ -295,16 +344,17 @@ def _roundtrip_case(report: VerifyReport, code, x: Word, g: ErrorPattern,
         if trial is not None:
             out["trial"] = trial
         return out
-    report.add_failure(witness)
+    report.add_failure(witness, key)
 
 
-# Symbols decoded that each process must get for a split to pay.  On a
+# Symbols corrupted that each process must get for a split to pay.  On a
 # 2-CPU x86-64 host with CPython 3.11, a fork and reap took 3.5-8.6 ms
 # (median 4.3-5.2 ms) at 61-69 MB RSS, and 2^20 symbols took 0.16 s of
 # far(3024,14) simulate, 0.47 s of VT_0(16) round trip and 1.3 s of
 # far(60,6) simulate: one fork costs at most about 3% of the work it
 # moves.  A 20-trial simulate of far(60,6) (1,200 symbols) stays in one
-# process; the VT_0(16) round trip under at most one error (3.0M) splits.
+# process; the VT_0(16) round trip and audit under at most one error
+# (3.0M each) split.
 SPLIT_WORK = 2 ** 20
 
 
@@ -315,53 +365,75 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_items(report: VerifyReport, run, count: int, work: int) -> VerifyReport:
-    """Run items 0..count-1 into report by `run(report, start, stop)`.
+def _run_items(report: VerifyReport, run, count: int, work: int,
+               sizes: Optional[Sequence[int]] = None) -> VerifyReport:
+    """Run items 0..count-1 into report by `run(report, items)`.
 
     With work // SPLIT_WORK >= 2, more than one usable CPU and more than
     one item, and where a fork is safe (os.fork exists and no other thread
-    runs), the items are split into one contiguous range per CPU; see
-    _split.  Otherwise they run here, in order.
+    runs), the items are dealt into one share per CPU (see _deal) and run
+    by _split.  Otherwise they run here, in order.
     """
     parts = min(_usable_cpus(), count, work // SPLIT_WORK)
     if parts >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        _split(report, run, count, parts)
+        _split(report, run, _deal(count, parts, sizes))
     else:
-        run(report, 0, count)
+        run(report, range(count))
     return report
 
 
-def _split(report: VerifyReport, run, count: int, parts: int) -> None:
-    """Run the head range here and each tail range in a forked child.
+def _deal(count: int, parts: int,
+          sizes: Optional[Sequence[int]]) -> List[Sequence[int]]:
+    """One nonempty share of items 0..count-1 per part.  Items of equal
+    work (sizes None) go as contiguous ranges.  Sized items are dealt
+    largest first, each to the part with the least work so far, and each
+    part runs its items smallest first, so the item that the parent runs
+    before it forks is its smallest."""
+    if sizes is None:
+        bounds = [count * k // parts for k in range(parts + 1)]
+        return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    shares: List[List[int]] = [[] for _ in range(parts)]
+    loads = [0] * parts
+    for i in sorted(range(count), key=sizes.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += sizes[i]
+    return [share[::-1] for share in shares]
 
-    Item 0 runs before the forks, so the lazy state every item reads (a VT
-    codebook, a family's pattern weights, a far code's tables) is built
-    once.  The parent reads each pipe to EOF before reaping its child; it
-    kills and reaps every child before any exception, an interrupt
-    included, leaves.  The earliest range's exception is raised, as a run
-    in one process would raise it.
+
+def _split(report: VerifyReport, run, shares: List[Sequence[int]]) -> None:
+    """Run the first share here and each other share in a forked child.
+
+    The first share's first item runs before the forks, so the lazy state
+    every item reads (a VT codebook, a family's pattern weights, a far
+    code's tables) is built once.  The parent reads each pipe to EOF
+    before reaping its child; it kills and reaps every child before any
+    exception, an interrupt included, leaves.  The first share's exception
+    is raised, else the earliest child's: for ranges in order, the one a
+    run in one process raises; an audit meets a faulty codeword in every
+    class, so each of its shares raises the same one.
     """
     import pickle
     import signal
-    bounds = [count * k // parts for k in range(parts + 1)]
-    blank = replace(report, counterexamples=[])
-    run(report, 0, 1)
+    blank = replace(report, counterexamples=[], case_keys=[])
+    head = shares[0]
+    run(report, head[:1])
     children: Dict[int, int] = {}  # pid -> read end of its pipe
     outcomes = []
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
+        for share in shares[1:]:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(run, blank, start, stop, write_fd)
+                    _child(run, blank, share, write_fd)
             except BaseException:
                 os.close(read_fd)
                 raise
             finally:
                 os.close(write_fd)
             children[pid] = read_fd
-        run(report, 1, bounds[1])
+        run(report, head[1:])
         for pid in list(children):
             with open(children[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -383,17 +455,17 @@ def _split(report: VerifyReport, run, count: int, parts: int) -> None:
         _merge(report, *totals)
 
 
-def _child(run, part: VerifyReport, start: int, stop: int, write_fd: int) -> None:
-    """In a forked child: run items start..stop-1 into part, write its
-    totals or its exception to the pipe and exit.  Never returns, so a
-    child cannot unwind into the caller's stack."""
+def _child(run, part: VerifyReport, items: Sequence[int], write_fd: int) -> None:
+    """In a forked child: run the items into part, write its totals or its
+    exception to the pipe and exit.  Never returns, so a child cannot
+    unwind into the caller's stack."""
     import pickle
     status = 1
     try:
         try:
-            run(part, start, stop)
+            run(part, items)
             result = (None, (part.cases, part.failures, part.ambiguity_count,
-                             part.counterexamples))
+                             part.case_keys, part.counterexamples))
         except Exception as exc:
             result = (exc, None)
         with open(write_fd, "wb") as pipe:
@@ -404,13 +476,14 @@ def _child(run, part: VerifyReport, start: int, stop: int, write_fd: int) -> Non
 
 
 def _merge(report: VerifyReport, cases: Optional[int], failures: int,
-           ambiguity_count: int, witnesses: List[dict]) -> None:
-    """Add a later range's totals and first witnesses to the report."""
+           ambiguity_count: int, keys: list, witnesses: list) -> None:
+    """Add a part's totals to the report, which keeps the witnesses of the
+    ten smallest case keys; a part sends the first ten of its own."""
     if cases is not None:
         report.cases += cases
     report.ambiguity_count += ambiguity_count
-    for witness in witnesses:
-        report.add_failure(lambda: witness)
+    for key, witness in zip(keys, witnesses):
+        report.add_failure(lambda: witness, key)
     report.failures += failures - len(witnesses)
 
 
@@ -429,12 +502,12 @@ def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
         family_size=fam_size, result="pass", cases=0,
         config={"family": family.describe(), **code.describe()})
 
-    def run(part: VerifyReport, start: int, stop: int) -> None:
-        for i in range(start, stop):
+    def run(part: VerifyReport, items: Iterable[int]) -> None:
+        for i in items:
             x = code.codeword(i)
             for g in patterns:
                 part.cases += 1
-                _roundtrip_case(part, code, x, g)
+                _roundtrip_case(part, code, i, x, g)
     return _run_items(report, run, count, count * fam_size * family.n)
 
 
@@ -457,9 +530,10 @@ def simulate(code, family: PatternFamily, trials: int,
         trial_count=trials, seed=seed, result="pass",
         config={"family": family.describe(), **code.describe()})
 
-    def run(part: VerifyReport, start: int, stop: int) -> None:
-        for i in range(start, stop):
+    def run(part: VerifyReport, items: Iterable[int]) -> None:
+        for i in items:
             rng = random.Random(mix64(seed, i))
             x = code.codeword(rng.randrange(count))
-            _roundtrip_case(part, code, x, sample_pattern(family, rng), trial=i)
+            _roundtrip_case(part, code, i, x, sample_pattern(family, rng),
+                            trial=i)
     return _run_items(report, run, trials, trials * family.n)

@@ -292,6 +292,16 @@ def test_code_longer_than_the_budget_is_refused_at_once(argv):
                              "codeword exceed the budget of 16777216\n")
 
 
+def test_package_runs_as_a_module():
+    src = Path(verify.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "delcodes", "count", "--n", "12",
+         "--family", "pfar:9:2@D"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "19\n", "")
+
+
 def test_far_code_over_budget_builds_no_table(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"counting table built for n = {n}")

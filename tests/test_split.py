@@ -1,5 +1,5 @@
-"""Round trips and Monte Carlo runs split their items over forked processes
-above SPLIT_WORK symbols decoded.  The report must not change by a byte,
+"""Audits, round trips and Monte Carlo runs split their items over forked
+processes above SPLIT_WORK symbols corrupted.  The report must not change by a byte,
 an exception must be the one a run in one process raises, and no child
 may outlive the call; the gates keep unsafe or small runs in one process.
 
@@ -18,7 +18,8 @@ import pytest
 
 from delcodes import verify
 from delcodes.patterns import PatternFamily
-from delcodes.verify import make_code, simulate, verify_roundtrip
+from delcodes.verify import (make_code, simulate, verify_combinatorial,
+                             verify_roundtrip)
 
 
 def _serial(monkeypatch, call):
@@ -86,6 +87,62 @@ def test_split_children_inherit_the_patched_modulus(monkeypatch, forks, levensht
     assert expected["failures"] == 0 and expected["ambiguityCount"] == 0
     assert call().to_json_dict() == expected
     assert len(forks) == 2
+
+
+def _audit(kind, family, **params):
+    return lambda: verify_combinatorial(
+        list(make_code(kind, **params).codewords()), family)
+
+
+# name -> (audit, forks): one part per output class at most, so a family
+# of few classes forks less or not at all.
+AUDITS = {
+    "vt10-atmost1": (_audit("vt", PatternFamily.at_most(10, 1), n=10, a=0), 2),
+    "rep9-atmost2": (_audit("rep", PatternFamily.at_most(9, 2), n=9, t=1), 2),
+    "vt10-burst2": (_audit("vt", PatternFamily.burst(10, 2), n=10, a=0), 2),
+    # Three classes, zero to two deletions; flips alone are one class.
+    "vt12-atmost2-D": (_audit("vt", PatternFamily.at_most(12, 2, kinds="D"),
+                              n=12, a=0), 2),
+    "vt12-atmost2-F": (_audit("vt", PatternFamily.at_most(12, 2, kinds="F"),
+                              n=12, a=0), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDITS))
+def test_split_audit_reports_as_one_process(monkeypatch, forks, name):
+    call, forked = AUDITS[name]
+    expected = _serial(monkeypatch, call)
+    assert json.dumps(call().to_json_dict()) == json.dumps(expected)
+    assert len(forks) == forked
+
+
+def test_split_audit_keeps_the_smallest_keys_of_every_part(monkeypatch, forks):
+    # Every part finds more than ten collisions, so each sends ten, and
+    # the parent keeps the ten of smallest (codeword, pattern) index.
+    merged = []
+    merge = verify._merge
+    monkeypatch.setattr(verify, "_merge", lambda report, *totals: (
+        merged.append(totals[1]), merge(report, *totals)))
+    call = _audit("far", PatternFamily.p_far(18, 6), n=18, P=6)
+    expected = _serial(monkeypatch, call)
+    report = call().to_json_dict()
+    assert json.dumps(report) == json.dumps(expected)
+    assert len(forks) == 2 and len(merged) == 2
+    assert min(merged + [report["failures"] - sum(merged)]) > 10
+
+
+def test_split_audit_raises_as_one_process(monkeypatch, forks):
+    codebook = list(make_code("vt", n=10, a=0).codewords())
+    codebook[40] = (1.0,) + codebook[40][1:]
+    family = PatternFamily.at_most(10, 1)
+    with pytest.raises(ValueError) as serial:
+        _serial(monkeypatch, lambda: verify_combinatorial(codebook, family))
+    with pytest.raises(ValueError) as split:
+        verify_combinatorial(codebook, family)
+    assert str(serial.value) == str(split.value)
+    assert str(split.value).endswith("got symbol 1.0")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class RaisingCode:
