@@ -12,9 +12,9 @@ from .errors import BudgetExceeded, DecodeFailure, FormulaDomainError
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, is_member,
                        sample_pattern)
-from .vt import (VtParams, correct_deletion, correct_erasure, correct_flip,
-                 correct_single, flip_candidates, vt_best_residue,
-                 vt_checksum, vt_class_sizes, vt_contains, vt_enumerate)
+from .vt import (VtParams, correct_deletion, correct_erasure, correct_single,
+                 flip_candidates, vt_best_residue, vt_checksum,
+                 vt_class_sizes, vt_contains, vt_enumerate)
 from .rep import RepParams, burst_params, rep_decode, rep_encode
 from .far import (FarParams, far_contains, far_decode, far_encode,
                   far_codeword, far_params)

@@ -57,9 +57,9 @@ def _parse_family(spec: str, n: int) -> PatternFamily:
     if "@" in spec:
         body, kinds = spec.split("@", 1)
     name, *fields = body.split(":")
-    if name.lower() not in families:
-        raise UsageError(f"unknown family kind {name.lower()!r}")
-    make, form = families[name.lower()]
+    if name not in families:
+        raise UsageError(f"unknown family kind {name!r}")
+    make, form = families[name]
     try:
         if not 1 <= len(fields) <= form.count(":"):
             raise ValueError(f"the form is {form}")

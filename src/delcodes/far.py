@@ -18,10 +18,10 @@ Since blocks are sliced only when the scan reaches them, words shortened
 by any number of far-apart deletions are accepted: a block pushed past
 the end of the word reads as a deletion still pending.
 
-A block holding an erasure, and a final block that is not a codeword,
-goes to `vt.correct_single`, which corrects it from its length and
-erasure count.  The decoder keeps only the decision that rule cannot
-make: whether an inner block without an erasure suffered a flip or a
+Every final block, and any block holding an erasure, goes to
+`vt.correct_single`, which corrects it from its length and erasure
+count.  The decoder keeps only the decision that rule cannot make:
+whether an inner block without an erasure suffered a flip or a
 deletion, which the next block's checksum tells.
 
 The scan does not visit clean blocks one by one.  `window_sums` gives the
@@ -225,12 +225,12 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     One scan reads y once from the left and writes the estimate once,
     block by block.  A cursor r marks the first received symbol not yet
     read; the estimate holds blocks 1 .. j-1 when block j starts at r.
-    The scan hands a block holding an erasure, and a final block that is
-    not a codeword, to `vt.correct_single`, and checks the checksum of
-    any other block.  At a mismatch in inner block j it corrects exactly
-    one error, in block j itself (the module docstring says why), telling
-    a deletion from a flip by the next block's checksum; the fixed block
-    stands for P received symbols after a flip and P-1 after a deletion.
+    The scan hands every final block, and any block holding an erasure,
+    to `vt.correct_single`, and checks the checksum of any other block.
+    At a mismatch in inner block j it corrects exactly one error, in
+    block j itself (the module docstring says why), telling a deletion
+    from a flip by the next block's checksum; the fixed block stands for
+    P received symbols after a flip and P-1 after a deletion.
     Every DecodeFailure raised while the scan handles block j carries
     diagnostic["block"] = j; the check that the estimate is a codeword
     comes after the scan and names no block.  Nothing left of the
@@ -238,18 +238,19 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     an inner block shorter than P mismatches, and a short block after
     the one being corrected means a deletion is pending.  Terminates
     when the scan passes the final block; iterations counts the
-    corrections plus one.
+    corrections plus one, where a block the estimate holds as received,
+    or with only its erasure filled in, is no correction.
 
     The scan copies every block that is an inner codeword as received
     and goes straight to the next suspect one: a window of y failing its
     checksum, holding an erasure or running past the end of y, or the
-    final block.  Only the final block's checksum is checked again; an
-    inner suspect without an erasure goes to correction.  The scan takes
-    the window sums of y once, erasures read as 0, and reads them
-    through one view per residue mod P of the cursor, built when first
-    needed: a flag per window of that residue, 0 where the window fails
-    its checksum.  One `find` over the stretch up to the next such
-    window cuts it at the block holding the first erasure.
+    final block.  An inner suspect without an erasure goes to
+    correction.  The scan takes the window sums of y once, erasures read
+    as 0, and reads them through one view per residue mod P of the
+    cursor, built when first needed: a flag per window of that residue,
+    0 where the window fails its checksum.  One `find` over the stretch
+    up to the next such window cuts it at the block holding the first
+    erasure.
     """
     info = FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
@@ -278,22 +279,19 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
                     suspect = (e - residue) // P
                 out += y[r:suspect * P + residue]  # the clean blocks
                 j, r = j + suspect - i, suspect * P + residue
-            code = _block_code(p, j)
-            blk = y[r:r + P] if j < t else y[r:]
-            if ERASURE in blk:
-                # A filled-in block is a codeword of its VT class.
-                out.extend(correct_single(code, tuple(blk))[0])
-                r += len(blk)
-            elif (j == t and len(blk) == code.n
-                    and vt_syndrome(blk, code.a, code.modulus) == 0):
-                out += blk
-                r += len(blk)
+            blk = tuple(y[r:r + P] if j < t else y[r:])
+            if j == t or ERASURE in blk:
+                # The final alphabet is all of its VT class.
+                fixed, ambiguous = correct_single(_block_code(p, j), blk)
+                info.ambiguous_flips += ambiguous
+                used = len(blk)
             else:
-                # The next block follows blk; none follows the final block.
-                nxt = y[r + len(blk):r + 2 * P if j + 1 < t else len(y)]
+                # The next block follows blk; the final block runs to the end.
+                nxt = y[r + P:r + 2 * P if j + 1 < t else len(y)]
                 fixed, used = _correct_one(p, j, blk, nxt, info)
-                out.extend(fixed)
-                r += used
+            out.extend(fixed)
+            r += used
+            if fixed != blk and ERASURE not in blk:  # a correction, not a fill
                 if info.iterations > max_iterations:  # = corrections made
                     raise DecodeFailure("iteration cap exceeded",
                                         {"cap": max_iterations,
@@ -331,22 +329,16 @@ def _pick_flip(code: VtParams, blk: Word, info: FarDecodeInfo) -> Word:
     return candidates[0]
 
 
-def _correct_one(p: FarParams, j: int, blk: Symbols, nxt: Symbols,
+def _correct_one(p: FarParams, j: int, blk: Word, nxt: Symbols,
                  info: FarDecodeInfo) -> Tuple[Word, int]:
-    """Fix the single error behind the checksum mismatch at block j.
+    """Fix the single error behind the checksum mismatch at inner block j.
 
-    blk is block j as received: P symbols, or the rest of the word for
-    the final block, fewer where the word ends early.  nxt is the next
-    block as received, the symbols that follow blk.  Returns a codeword
-    of block j's VT class and the number of received symbols it stands
-    for: P after a flip, P-1 after a deletion, len(blk) in the final
-    block.
+    blk is block j as received: P symbols, fewer where the word ends
+    early, and no erasure; every final block goes to `vt.correct_single`
+    instead.  nxt is the next block as received, the symbols that follow
+    blk.  Returns a codeword of the inner VT class and the number of
+    received symbols it stands for: P after a flip, P-1 after a deletion.
     """
-    blk = tuple(blk)
-    if j == p.t:  # the final alphabet is all of its VT class
-        fixed, ambiguous = correct_single(p.final_code, blk)
-        info.ambiguous_flips += ambiguous
-        return fixed, len(blk)
     if len(blk) < p.P:  # the word ends inside block j
         raise DecodeFailure("received word ends inside an inner block",
                             {"length": (j - 1) * p.P + len(blk)})

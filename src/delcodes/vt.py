@@ -179,18 +179,6 @@ def flip_candidates(p: VtParams, y: Word) -> List[Word]:
     return out
 
 
-def correct_flip(p: VtParams, y: Word) -> Tuple[Word, bool]:
-    """Correct a single flipped bit; returns (word, ambiguous).
-
-    When both flip readings are consistent (see flip_candidates) the
-    flip-up reading is returned and the ambiguity flag is set.
-    """
-    candidates = flip_candidates(p, y)
-    if not candidates:
-        raise DecodeFailure("no single flip reaches a codeword")
-    return candidates[0], len(candidates) > 1
-
-
 def _nth(z: bytes, symbol: bytes, k: int) -> int:
     """Index of the k-th occurrence of the byte symbol in z (1 <= k <= its
     count), -1 for k = 0: one split at the first k occurrences."""
@@ -223,8 +211,10 @@ def correct_deletion(p: VtParams, y: Word) -> Word:
 def correct_single(p: VtParams, y: Word) -> Tuple[Word, bool]:
     """Correct at most one deletable error; returns (word, ambiguous).
 
-    Each word is validated once: by the corrector it is passed to, or
-    here when its checksum already matches.
+    A flip is undone by the first of `flip_candidates`; when both flip
+    readings are consistent, that is the flip-up one and the ambiguity
+    flag is set.  Each word is validated once: by the corrector it is
+    passed to, or here when its checksum already matches.
     """
     m = len(y)
     erasures = y.count(ERASURE)
@@ -237,8 +227,11 @@ def correct_single(p: VtParams, y: Word) -> Tuple[Word, bool]:
     if m == p.n - 1:
         return correct_deletion(p, y), False
     if m == p.n:
-        if vt_syndrome(y, p.a, p.modulus) != 0:
-            return correct_flip(p, y)
-        codeword_bytes(y)
-        return y, False
+        if vt_syndrome(y, p.a, p.modulus) == 0:
+            codeword_bytes(y)
+            return y, False
+        candidates = flip_candidates(p, y)
+        if not candidates:
+            raise DecodeFailure("no single flip reaches a codeword")
+        return candidates[0], len(candidates) > 1
     raise DecodeFailure(f"received length {m} outside {{n-1, n}}")

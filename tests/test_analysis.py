@@ -128,6 +128,8 @@ def test_asymptotic_bounds_hand_substitution():
 
     r = analysis.frac_upper_K(1000, 2, 43)
     assert r.value == pytest.approx(43 * 4 * math.log2(2000 / (43 * 4)))
+    with pytest.raises(FormulaDomainError, match="^need K >= 2$"):
+        analysis.frac_upper_K(1000, 2, 1)
 
     r = analysis.far_lower(10 ** 6, 5)
     assert r.value == pytest.approx(10 ** 6 / (2 ** 11 * 21) - 2)
@@ -135,6 +137,8 @@ def test_asymptotic_bounds_hand_substitution():
     r = analysis.far_lower_largeP(10 ** 6, 10 ** 3)
     assert r.value == pytest.approx((10 ** 6 / 6000 - 1)
                                     * math.log2(3000 / 64))
+    with pytest.raises(FormulaDomainError, match="^need P >= 2$"):
+        analysis.far_lower_largeP(10 ** 6, 1)
 
     r = analysis.burst_lower(10 ** 6, 2)
     assert r.value == pytest.approx(math.log2(10 ** 6) - 7 - math.log2(12))

@@ -135,6 +135,9 @@ def test_encode_and_decode_read_long_words_from_files(capsys, tmp_path):
      "usage error: unknown family kind 'foo'"),
     (("corrupt", "--word", "011011100100", "--family", "pfar:9"),
      "usage error: --seed is required with --family"),
+    # Family names are read as typed, like the kinds after '@'.
+    (("count", "--n", "5", "--family", "ATMOST:1"),
+     "usage error: unknown family kind 'ATMOST'"),
 ])
 def test_cli_refuses_inputs_out_of_range(capsys, argv, message):
     code, out, err = run(capsys, *argv)

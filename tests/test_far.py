@@ -189,14 +189,26 @@ def test_larger_parameters_roundtrip():
 
 
 def test_decode_pins_iterations_across_kinds():
-    # One correction per flip or deletion; the erasure is filled in
-    # during the scan and does not count.
+    # One correction per flip or deletion; an erasure is filled in
+    # during the scan and does not count.  The later cases put one error
+    # in the final block, 595..600, for its four outcomes: a codeword as
+    # received and a filled erasure are no correction; a flip (here one
+    # with two readings, the first of them right) and a deletion are.
     p = far_params(600, 6)
     x = far_codeword(p, 12345)
-    g = ErrorPattern.from_dict(600, {5: "F", 100: "D", 300: "E", 500: "F"})
-    estimate, info = far_decode(p, apply_pattern(x, g))
-    assert estimate == x
-    assert (info.iterations, info.ambiguous_flips) == (4, 0)
+    for errors, iterations, ambiguous_flips in [
+            ({5: "F", 100: "D", 300: "E", 500: "F"}, 4, 0),
+            ({}, 1, 0),
+            ({598: "E"}, 1, 0),
+            ({596: "F"}, 2, 1),
+            ({597: "D"}, 2, 0)]:
+        y = apply_pattern(x, ErrorPattern.from_dict(600, errors))
+        estimate, info = far_decode(p, y)
+        assert estimate == x, errors
+        assert (info.iterations, info.ambiguous_flips) == (
+            iterations, ambiguous_flips), errors
+        assert _outcome(reference_far_decode, p, y) == (
+            x, iterations, ambiguous_flips), errors
 
 
 @pytest.mark.parametrize("n", [21, 24])
@@ -565,26 +577,31 @@ def test_correction_reads_only_its_block_and_the_next(index, seed):
 
     with mock.patch.object(far, "_correct_one", traced_correct_one):
         try:
-            _, info = far_decode(p, y)
+            estimate, info = far_decode(p, y)
         except DecodeFailure:
             info = None
-    assert bool(calls) == any(kind in "DF" for _, kind in g.errors), g
-    assert info is None or len(calls) == info.iterations - 1
     behind, last = 0, 0
     for k, (j, blk, nxt, used) in enumerate(calls):
-        assert last < j <= t
+        assert last < j < t  # the final block goes to vt.correct_single
         r = (j - 1) * P - behind  # the cursor at block j
-        size = P if j < t else len(y) - r
-        after = 0 if j == t else P if j + 1 < t else P + p.s
-        assert len(blk) == min(size, len(y) - r), (j, blk)
+        after = P if j + 1 < t else P + p.s
+        assert len(blk) == min(P, len(y) - r), (j, blk)
         assert len(nxt) == min(after, len(y) - r - len(blk)), (j, nxt)
         assert blk + nxt == y[r:r + len(blk) + len(nxt)], j
         if used is None:  # the correction raised DecodeFailure
             assert k == len(calls) - 1 and info is None
         else:
-            assert used in ((P, P - 1) if j < t else (len(blk),)), (j, used)
+            assert used in (P, P - 1), (j, used)
             behind += P - used
         last = j
+    # A final block the estimate does not hold as received, erasures aside,
+    # was corrected too.
+    final = y[(t - 1) * P - behind:]
+    final_fixed = (info is not None and ERASURE not in final
+                   and bytes(estimate[(t - 1) * P:]) != final)
+    assert ((bool(calls) or final_fixed)
+            == any(kind in "DF" for _, kind in g.errors)), g
+    assert info is None or len(calls) + final_fixed == info.iterations - 1
 
 
 @functools.lru_cache(maxsize=None)

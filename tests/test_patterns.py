@@ -225,6 +225,12 @@ def test_kinds_restriction():
     pats = list(enumerate_family(fam))
     assert all(k == "D" for g in pats for _, k in g.errors)
     assert not is_member(ErrorPattern.from_dict(5, {2: "F"}), fam)
+    assert not is_member(ErrorPattern.from_dict(5, {1: "D", 3: "D"}), fam)
+    with pytest.raises(ValueError, match="lengths differ"):
+        is_member(ErrorPattern.from_dict(4, {2: "D"}), fam)
+    # Kinds are read as a set, in the order D, E, F.
+    assert PatternFamily.at_most(5, 1, kinds="FD").kinds == "DF"
+    assert PatternFamily.at_most(5, 1, kinds="DD") == fam
 
 
 def test_enumeration_order_and_uniqueness():
@@ -373,6 +379,7 @@ def test_budget_outside_0_to_n_is_refused(n, make):
     (lambda: PatternFamily("at_most", 9, t=1, b=0),
      "at_most families take no b"),
     (lambda: PatternFamily("p_far", 9, P=3, b=0), "p_far families take no b"),
+    (lambda: PatternFamily("foo", 5), "unknown family kind 'foo'"),
 ])
 def test_directly_built_families_take_the_same_rules(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

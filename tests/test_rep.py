@@ -108,6 +108,8 @@ def test_pad_debris_is_dropped():
 def test_burst_params_roundtrip():
     bp = burst_params(9, 1)
     assert (bp.n, bp.t) == (9, 2)
+    with pytest.raises(ValueError, match="^need b >= 0$"):
+        burst_params(9, -1)
     fam = PatternFamily.burst(9, 1)
     patterns = list(enumerate_family(fam))
     for info in (parse_word("0"), parse_word("1")):

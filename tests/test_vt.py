@@ -9,9 +9,9 @@ from delcodes.errors import BudgetExceeded, DecodeFailure
 from delcodes.far import far_params
 from delcodes.patterns import ErrorPattern, apply_pattern
 from delcodes.vt import (VtParams, correct_deletion, correct_erasure,
-                         correct_flip, correct_single, flip_candidates,
-                         vt_best_residue, vt_checksum, vt_class_sizes,
-                         vt_contains, vt_enumerate, vt_syndrome)
+                         correct_single, flip_candidates, vt_best_residue,
+                         vt_checksum, vt_class_sizes, vt_contains,
+                         vt_enumerate, vt_syndrome)
 from delcodes.words import ERASURE, parse_word, weight
 
 
@@ -148,6 +148,8 @@ def test_enumeration_work_scales_with_codewords(monkeypatch):
 
 
 def test_class_sizes_budget_counts_table_work():
+    with pytest.raises(ValueError, match="^need n >= 0$"):
+        vt_class_sizes(-1)
     sizes = vt_class_sizes(30)  # 31^2 * 30 bit operations; the walk refused
     assert sum(sizes) == 2 ** 30
     assert sum(vt_class_sizes(255)) == 2 ** 255  # 2^24 bit operations
@@ -214,7 +216,7 @@ def test_flip_exhaustive(n):
         p = VtParams(n, a)
         for k in range(n):
             y = bits[:k] + (1 - bits[k],) + bits[k + 1:]
-            estimate, ambiguous = correct_flip(p, y)
+            estimate, ambiguous = correct_single(p, y)
             if not ambiguous:
                 assert estimate == bits
             else:
@@ -224,14 +226,14 @@ def test_flip_exhaustive(n):
 def test_flip_ambiguity_is_flagged():
     # 0111 arises from 0110 (flip at 4) and from 1111 (flip at 1); both
     # readings are VT_0(4) codewords so the decoder must flag the tie.
-    estimate, ambiguous = correct_flip(VtParams(4, 0), parse_word("0111"))
+    estimate, ambiguous = correct_single(VtParams(4, 0), parse_word("0111"))
     assert ambiguous
     assert estimate in (parse_word("0110"), parse_word("1111"))
 
 
 def test_flip_on_codeword_fails():
     with pytest.raises(DecodeFailure):
-        correct_flip(VtParams(4, 0), parse_word("0110"))
+        flip_candidates(VtParams(4, 0), parse_word("0110"))
 
 
 def test_erasure_requires_exactly_one():
@@ -363,6 +365,10 @@ READERS = {
 def test_every_codeword_reader_takes_int_bits_only(name):
     read, word = READERS[name]
     assert read((True,) + word[1:]) == read(word)  # True reads as 1
+    if name in ("vt_contains", "correct_erasure", "flip_candidates",
+                "correct_deletion"):  # the readers of one fixed length
+        with pytest.raises(ValueError, match="^word length "):
+            read(word + (0,))
     for symbol in (1.0, 0.0):
         with pytest.raises(ValueError) as exc:
             read((symbol,) + word[1:])
