@@ -9,7 +9,7 @@ Domain guards are written as `not (in domain)`, so NaN fails them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Tuple
 
 from .errors import FormulaDomainError
@@ -24,12 +24,7 @@ class BoundReport:
     applicability: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "value": self.value,
-            "applicability": self.applicability,
-        }
+        return asdict(self)
 
 
 def redundancy(n: int, size: int) -> float:

@@ -1,9 +1,10 @@
 """Command-line interface for batch experiments and report generation.
 
-Exit status: 0 success/pass, 1 usage error, 2 verification fail,
-3 budget exceeded or out of memory.  JSON output is the stable machine
-format, and its config names the command and, for a command that builds
-a code, the code as typed; the text format is human-oriented.
+Exit status: 0 success/pass, 1 usage error, 2 the printed report's
+result is fail (verify, simulate), 3 budget exceeded or out of memory.
+JSON output is the stable machine format, and its config names the
+command and, for a command that builds a code, the code as typed; the
+text format is human-oriented.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import inspect
 import json
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import analysis, verify
 from .errors import BudgetExceeded, DecodeFailure, exact_integers
@@ -96,47 +97,32 @@ def _code(args):
         verify.CODES, args.code, args, f"--code {args.code}"))
 
 
-def _emit(args, payload: dict, text_lines) -> None:
-    """Print the payload, its config naming the command, or the text."""
-    payload["config"]["command"] = args.command
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_vt_enum(args) -> int:
+def _cmd_vt_enum(args) -> Tuple[dict, list]:
     code = verify.make_code("vt", n=args.n, a=args.a)
     lines = [word_to_str(w) for w in code.codewords()]
-    _emit(args, {"config": code.describe(), "size": len(lines),
-                 "codewords": lines}, lines)
-    return EXIT_OK
+    return ({"config": code.describe(), "size": len(lines),
+             "codewords": lines}, lines)
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> Tuple[dict, list]:
     if not hasattr(verify.CODES[args.code], "encode"):
         raise UsageError(f"encode does not support --code {args.code}")
     code = _code(args)
     codeword, fields = code.encode(_read_text(args.info))
-    _emit(args, {"config": {**code.describe(), **fields},
-                 "codeword": word_to_str(codeword)},
-          [word_to_str(codeword)])
-    return EXIT_OK
+    return ({"config": {**code.describe(), **fields},
+             "codeword": word_to_str(codeword)}, [word_to_str(codeword)])
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> Tuple[dict, list]:
     word = parse_word(_read_text(args.word))
     code = _code(args)
     estimate, diagnostics = code.decode_diagnostics(word)
     config = {**code.describe(), "word": word_to_str(word)}
-    _emit(args, {"config": config, "estimate": word_to_str(estimate),
-                 "diagnostics": diagnostics},
-          [word_to_str(estimate)])
-    return EXIT_OK
+    return ({"config": config, "estimate": word_to_str(estimate),
+             "diagnostics": diagnostics}, [word_to_str(estimate)])
 
 
-def _cmd_corrupt(args) -> int:
+def _cmd_corrupt(args) -> Tuple[dict, list]:
     word = parse_codeword(_read_text(args.word))
     if args.pattern is not None:
         if args.seed is not None:
@@ -151,44 +137,38 @@ def _cmd_corrupt(args) -> int:
         config = {"family": family.describe(),
                   "seed": args.seed, "pattern": pattern.to_json_dict()}
     corrupted = apply_pattern(word, pattern)
-    _emit(args, {"config": config, "word": word_to_str(word),
-                 "corrupted": word_to_str(corrupted)},
-          [word_to_str(corrupted)])
-    return EXIT_OK
+    return ({"config": config, "word": word_to_str(word),
+             "corrupted": word_to_str(corrupted)}, [word_to_str(corrupted)])
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> Tuple[dict, list]:
     family = _parse_family(args.family, args.n)
     value = family_size(family)
-    _emit(args, {"config": {"family": family.describe()},
-                 "count": value}, [value])
-    return EXIT_OK
+    return {"config": {"family": family.describe()}, "count": value}, [value]
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> Tuple[dict, list]:
     bounds = analysis.BOUND_EVALUATORS
     report = bounds[args.name](**_required_args(bounds, args.name, args,
                                                 f"bound {args.name}"))
-    _emit(args, {"config": {"name": args.name, "inputs": report.inputs},
-                 "report": report.to_json_dict()},
-          [f"{report.name}{report.inputs} = {report.value}  "
-           f"[{report.applicability}]"])
-    return EXIT_OK
+    return ({"config": {"name": args.name, "inputs": report.inputs},
+             "report": report.to_json_dict()},
+            [f"{report.name}{report.inputs} = {report.value}  "
+             f"[{report.applicability}]"])
 
 
-def _cmd_fraction(args) -> int:
+def _cmd_fraction(args) -> Tuple[dict, list]:
     fraction, bound = analysis.far_fraction(args.n, args.t, args.omega)
     payload = {
         "config": {"n": args.n, "t": args.t, "omega": args.omega},
         "fraction": fraction,
         "bound": bound,
     }
-    _emit(args, payload,
-          [f"fraction = {fraction}", f"bound (1 - 42/omega) = {bound}"])
-    return EXIT_OK
+    return payload, [f"fraction = {fraction}",
+                     f"bound (1 - 42/omega) = {bound}"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Tuple[dict, list]:
     code = _code(args)
     family = _parse_family(args.family, args.n)
     if args.mode == "combinatorial":
@@ -198,23 +178,20 @@ def _cmd_verify(args) -> int:
         report = verify.verify_roundtrip(code, family)
     payload = report.to_json_dict()
     payload["config"].update(code.describe(), mode=args.mode)
-    _emit(args, payload,
-          [f"{args.mode} verification: {report.result} "
-           f"({report.codebook_size * report.family_size} cases, "
-           f"{report.failures} failures, "
-           f"{report.ambiguity_count} ambiguous)"])
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return payload, [f"{args.mode} verification: {report.result} "
+                     f"({report.codebook_size * report.family_size} cases, "
+                     f"{report.failures} failures, "
+                     f"{report.ambiguity_count} ambiguous)"]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Tuple[dict, list]:
     code = _code(args)
     family = _parse_family(args.family, args.n)
     report = verify.simulate(code, family, args.trials, args.seed)
-    _emit(args, report.to_json_dict(),
-          [f"montecarlo: {report.result}, "
-           f"{report.trial_count - report.failures}/{report.trial_count} "
-           f"successes, seed {report.seed}"])
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return report.to_json_dict(), [
+        f"montecarlo: {report.result}, "
+        f"{report.trial_count - report.failures}/{report.trial_count} "
+        f"successes, seed {report.seed}"]
 
 
 def build_parser() -> _Parser:
@@ -288,7 +265,14 @@ def main(argv: Optional[list] = None) -> int:
     try:
         args = parser.parse_args(argv)
         with exact_integers():
-            return args.func(args)
+            payload, text_lines = args.func(args)
+            payload["config"]["command"] = args.command
+            if args.format == "json":
+                print(json.dumps(payload, sort_keys=True))
+            else:
+                for line in text_lines:
+                    print(line)
+        return EXIT_VERIFY_FAIL if payload.get("result") == "fail" else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -283,12 +283,12 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
             if j == t or ERASURE in blk:
                 # The final alphabet is all of its VT class.
                 fixed, ambiguous = correct_single(_block_code(p, j), blk)
-                info.ambiguous_flips += ambiguous
                 used = len(blk)
             else:
                 # The next block follows blk; the final block runs to the end.
                 nxt = y[r + P:r + 2 * P if j + 1 < t else len(y)]
-                fixed, used = _correct_one(p, j, blk, nxt, info)
+                fixed, ambiguous, used = _correct_one(p, j, blk, nxt)
+            info.ambiguous_flips += ambiguous
             out.extend(fixed)
             r += used
             if fixed != blk and ERASURE not in blk:  # a correction, not a fill
@@ -313,31 +313,31 @@ def _block_code(p: FarParams, j: int) -> VtParams:
     return p.inner_code if j < p.t else p.final_code
 
 
-def _pick_flip(code: VtParams, blk: Word, info: FarDecodeInfo) -> Word:
+def _pick_flip(code: VtParams, blk: Word) -> Tuple[Word, bool]:
     """Undo one flip in an inner block, keeping only alphabet words.
 
     Flip candidates are codewords of the inner VT class; the constant
     words among them are dropped.  Both flip readings can be alphabet
     words (VT classes contain pairs at Hamming distance two); the flip-up
-    reading is then chosen and the ambiguity counter incremented.
+    reading is then chosen.  Returns (word, ambiguous), as
+    `vt.correct_single` does, ambiguous telling whether both were.
     """
     candidates = [c for c in flip_candidates(code, blk) if 0 < sum(c) < code.n]
     if not candidates:
         raise DecodeFailure("no single flip reaches an alphabet word")
-    if len(candidates) > 1:
-        info.ambiguous_flips += 1
-    return candidates[0]
+    return candidates[0], len(candidates) > 1
 
 
-def _correct_one(p: FarParams, j: int, blk: Word, nxt: Symbols,
-                 info: FarDecodeInfo) -> Tuple[Word, int]:
+def _correct_one(p: FarParams, j: int, blk: Word,
+                 nxt: Symbols) -> Tuple[Word, bool, int]:
     """Fix the single error behind the checksum mismatch at inner block j.
 
     blk is block j as received: P symbols, fewer where the word ends
     early, and no erasure; every final block goes to `vt.correct_single`
     instead.  nxt is the next block as received, the symbols that follow
-    blk.  Returns a codeword of the inner VT class and the number of
-    received symbols it stands for: P after a flip, P-1 after a deletion.
+    blk.  Returns a codeword of the inner VT class, whether it is an
+    ambiguous flip (a deletion gives False) and the received symbols it
+    stands for: P after a flip, P-1 after a deletion.
     """
     if len(blk) < p.P:  # the word ends inside block j
         raise DecodeFailure("received word ends inside an inner block",
@@ -347,5 +347,5 @@ def _correct_one(p: FarParams, j: int, blk: Word, nxt: Symbols,
     # short because more deletions are pending).
     code = _block_code(p, j + 1)
     if len(nxt) == code.n and vt_syndrome(nxt, code.a, code.modulus) == 0:
-        return _pick_flip(p.inner_code, blk, info), p.P
-    return correct_deletion(p.inner_code, blk[:-1]), p.P - 1
+        return (*_pick_flip(p.inner_code, blk), p.P)
+    return correct_deletion(p.inner_code, blk[:-1]), False, p.P - 1

@@ -28,10 +28,6 @@ from .words import ERASURE, Word, codeword_bytes
 KINDS = "DEF"
 
 
-def _comb(x: int, k: int) -> int:
-    return math.comb(x, k) if x >= k >= 0 else 0
-
-
 @dataclass(frozen=True)
 class ErrorPattern:
     """Sparse error pattern: support positions with a kind per position."""
@@ -179,7 +175,8 @@ def apply_pattern(x: Word, g: ErrorPattern) -> Word:
 
 def _burst_spreads(f: PatternFamily, k: int) -> List[Tuple[int, int]]:
     """(spread d, number of size-k burst supports of spread d), k >= 2."""
-    return [(d, (f.n - d) * _comb(d - 1, k - 2)) for d in range(k - 1, f.b + 1)]
+    return [(d, (f.n - d) * math.comb(d - 1, k - 2))
+            for d in range(k - 1, f.b + 1)]
 
 
 def _spaced(f: PatternFamily, k: int) -> bool:

@@ -17,9 +17,9 @@ failing cases are those of one index over the whole family.
 Audits, round trips and Monte Carlo runs use every usable CPU once their
 work (cases x n, the symbols corrupted) reaches SPLIT_WORK per part:
 forked children run their share of the items (codeword or trial ranges;
-the audit's classes, dealt by size) and pipe back their totals and first
-ten failures with their case keys, and the parent runs its own share and
-keeps the ten smallest keys, so the report is byte-identical to a run in
+the audit's classes, dealt by size) and send back their part of the
+report, and the parent runs its own share, merges the parts and keeps
+the ten smallest case keys, so the report is byte-identical to a run in
 one process.  No option selects this.
 """
 
@@ -449,14 +449,14 @@ def _split(report: VerifyReport, run, shares: List[Sequence[int]]) -> None:
         if status != 0:
             raise ChildProcessError(
                 f"verification process {pid} ended with wait status {status}")
-        error, totals = pickle.loads(data)
+        error, part = pickle.loads(data)
         if error is not None:
             raise error
-        _merge(report, *totals)
+        _merge(report, part)
 
 
 def _child(run, part: VerifyReport, items: Sequence[int], write_fd: int) -> None:
-    """In a forked child: run the items into part, write its totals or its
+    """In a forked child: run the items into part, write it or its
     exception to the pipe and exit.  Never returns, so a child cannot
     unwind into the caller's stack."""
     import pickle
@@ -464,8 +464,7 @@ def _child(run, part: VerifyReport, items: Sequence[int], write_fd: int) -> None
     try:
         try:
             run(part, items)
-            result = (None, (part.cases, part.failures, part.ambiguity_count,
-                             part.case_keys, part.counterexamples))
+            result = (None, part)
         except Exception as exc:
             result = (exc, None)
         with open(write_fd, "wb") as pipe:
@@ -475,16 +474,15 @@ def _child(run, part: VerifyReport, items: Sequence[int], write_fd: int) -> None
         os._exit(status)
 
 
-def _merge(report: VerifyReport, cases: Optional[int], failures: int,
-           ambiguity_count: int, keys: list, witnesses: list) -> None:
-    """Add a part's totals to the report, which keeps the witnesses of the
-    ten smallest case keys; a part sends the first ten of its own."""
-    if cases is not None:
-        report.cases += cases
-    report.ambiguity_count += ambiguity_count
-    for key, witness in zip(keys, witnesses):
+def _merge(report: VerifyReport, part: VerifyReport) -> None:
+    """Add a part to the report, which keeps the witnesses of the ten
+    smallest case keys; a part holds the first ten of its own."""
+    if part.cases is not None:
+        report.cases += part.cases
+    report.ambiguity_count += part.ambiguity_count
+    for key, witness in zip(part.case_keys, part.counterexamples):
         report.add_failure(lambda: witness, key)
-    report.failures += failures - len(witnesses)
+    report.failures += part.failures - len(part.counterexamples)
 
 
 def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:

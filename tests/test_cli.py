@@ -237,6 +237,16 @@ def test_count_prints_more_than_4300_digits(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_exact_integers_without_a_digit_limit_to_lift(monkeypatch):
+    # Python 3.10 has no sys.set_int_max_str_digits: the block runs as is.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    with exact_integers():
+        assert limit() == before
+    assert limit() == before
+
+
 @pytest.mark.parametrize("argv", [
     ("corrupt", "--word", "01e1", "--family", "atmost:1", "--seed", "1"),
     ("encode", "--code", "rep", "--n", "9", "--t", "1", "--info", "1e1"),

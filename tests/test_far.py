@@ -569,11 +569,11 @@ def test_correction_reads_only_its_block_and_the_next(index, seed):
     correct_one = far._correct_one
     calls = []
 
-    def traced_correct_one(p, j, blk, nxt, info):
+    def traced_correct_one(p, j, blk, nxt):
         call = [j, bytes(blk), bytes(nxt), None]
         calls.append(call)
-        fixed, call[3] = correct_one(p, j, blk, nxt, info)
-        return fixed, call[3]
+        fixed, ambiguous, call[3] = correct_one(p, j, blk, nxt)
+        return fixed, ambiguous, call[3]
 
     with mock.patch.object(far, "_correct_one", traced_correct_one):
         try:

@@ -44,6 +44,14 @@ def forks(monkeypatch):
     return made
 
 
+@pytest.mark.parametrize("count, usable", [(None, 1), (4, 4)])
+def test_usable_cpus_without_an_affinity_mask(monkeypatch, count, usable):
+    # macOS has no os.sched_getaffinity; os.cpu_count() may be None.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert verify._usable_cpus() == usable
+
+
 ROUNDTRIPS = {
     "vt10-atmost1": lambda: verify_roundtrip(
         make_code("vt", n=10, a=0), PatternFamily.at_most(10, 1)),
@@ -121,8 +129,8 @@ def test_split_audit_keeps_the_smallest_keys_of_every_part(monkeypatch, forks):
     # the parent keeps the ten of smallest (codeword, pattern) index.
     merged = []
     merge = verify._merge
-    monkeypatch.setattr(verify, "_merge", lambda report, *totals: (
-        merged.append(totals[1]), merge(report, *totals)))
+    monkeypatch.setattr(verify, "_merge", lambda report, part: (
+        merged.append(part.failures), merge(report, part)))
     call = _audit("far", PatternFamily.p_far(18, 6), n=18, P=6)
     expected = _serial(monkeypatch, call)
     report = call().to_json_dict()
@@ -197,8 +205,8 @@ def test_split_reads_witnesses_beyond_a_pipe_buffer(monkeypatch, forks):
     # above the 64 KiB a pipe holds before its writer blocks.
     sizes = []
     merge = verify._merge
-    monkeypatch.setattr(verify, "_merge", lambda report, *totals: (
-        sizes.append(len(pickle.dumps(totals))), merge(report, *totals)))
+    monkeypatch.setattr(verify, "_merge", lambda report, part: (
+        sizes.append(len(pickle.dumps(part))), merge(report, part)))
 
     def call():
         return simulate(make_code("far", n=5000, P=14),
