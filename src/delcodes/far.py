@@ -230,16 +230,16 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     At a mismatch in inner block j it corrects exactly one error, in
     block j itself (the module docstring says why), telling a deletion
     from a flip by the next block's checksum; the fixed block stands for
-    P received symbols after a flip and P-1 after a deletion.
-    Every DecodeFailure raised while the scan handles block j carries
-    diagnostic["block"] = j; the check that the estimate is a codeword
-    comes after the scan and names no block.  Nothing left of the
-    cursor is read again.  A block is sliced when the scan reaches it:
-    an inner block shorter than P mismatches, and a short block after
-    the one being corrected means a deletion is pending.  Terminates
-    when the scan passes the final block; iterations counts the
-    corrections plus one, where a block the estimate holds as received,
-    or with only its erasure filled in, is no correction.
+    P received symbols after a flip and P-1 after a deletion.  Nothing
+    left of the cursor is read again.  A block is sliced when the scan
+    reaches it: an inner block shorter than P mismatches, and a short
+    block after the one being corrected means a deletion is pending.
+    Terminates when the scan passes the final block; iterations counts
+    the corrections plus one, where a block the estimate holds as
+    received, or with only its erasure filled in, is no correction.
+    Every DecodeFailure comes from a rule, none from another exception;
+    one raised while handling block j carries diagnostic["block"] = j,
+    and the final check that the estimate is a codeword names no block.
 
     The scan copies every block that is an inner codeword as received
     and goes straight to the next suspect one: a window of y failing its
@@ -301,8 +301,6 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     except DecodeFailure as exc:
         exc.diagnostic.setdefault("block", j)
         raise
-    except ValueError as exc:  # an erasure in the block after an error
-        raise DecodeFailure(str(exc), {"block": j}) from exc
     if not far_contains(p, out):
         raise DecodeFailure("estimate is not a codeword",
                             {"estimate_length": len(out)})
@@ -337,15 +335,17 @@ def _correct_one(p: FarParams, j: int, blk: Word,
     instead.  nxt is the next block as received, the symbols that follow
     blk.  Returns a codeword of the inner VT class, whether it is an
     ambiguous flip (a deletion gives False) and the received symbols it
-    stands for: P after a flip, P-1 after a deletion.
+    stands for: P after a flip, P-1 after a deletion.  A full next block
+    holding an erasure has no checksum to tell them by, and is refused.
     """
     if len(blk) < p.P:  # the word ends inside block j
         raise DecodeFailure("received word ends inside an inner block",
                             {"length": (j - 1) * p.P + len(blk)})
-    # Error sits in block j; the next block's checksum tells a flip
-    # (clean neighbour) from a deletion (neighbour shifted left, or cut
-    # short because more deletions are pending).
+    # The next block's checksum tells a flip (clean neighbour) from a
+    # deletion (neighbour shifted left, or cut short: deletions pending).
     code = _block_code(p, j + 1)
+    if len(nxt) == code.n and ERASURE in nxt:
+        raise DecodeFailure("checksum undefined with erasures present")
     if len(nxt) == code.n and vt_syndrome(nxt, code.a, code.modulus) == 0:
         return (*_pick_flip(p.inner_code, blk), p.P)
     return correct_deletion(p.inner_code, blk[:-1]), False, p.P - 1

@@ -18,7 +18,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -141,12 +141,8 @@ class PatternFamily:
         return tuple(itertools.accumulate(_weight_counts(self)))
 
     def describe(self) -> dict:
-        out = {"kind": self.kind, "n": self.n, "kinds": self.kinds}
-        for name in ("t", "P", "b"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
 def apply_pattern(x: Word, g: ErrorPattern) -> Word:

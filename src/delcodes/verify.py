@@ -30,7 +30,7 @@ import functools
 import os
 import random
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import far, rep, vt
@@ -149,8 +149,7 @@ class FarCodeAdapter(_Code):
 
     def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
         estimate, info = far.far_decode(self.params, received)
-        return estimate, {"iterations": info.iterations,
-                          "ambiguousFlips": info.ambiguous_flips}
+        return estimate, _json_fields(info)
 
 
 # Each adapter's constructor arguments are the parameters its kind needs;
@@ -175,6 +174,19 @@ def make_code(kind: str, **params):
     code = CODES[kind](**params)
     code.description = {"code": kind, **params}
     return code
+
+
+def _camel(name: str) -> str:
+    """The JSON name of a field: trial_count becomes trialCount."""
+    head, *rest = name.split("_")
+    return head + "".join(map(str.capitalize, rest))
+
+
+def _json_fields(obj, skip: Sequence[str] = ()) -> dict:
+    """The dataclass fields of obj, but those named in skip, that are
+    neither None nor an empty list, under their camelCase names."""
+    return {_camel(f.name): getattr(obj, f.name) for f in fields(obj)
+            if f.name not in skip and getattr(obj, f.name) not in (None, [])}
 
 
 @dataclass
@@ -215,26 +227,10 @@ class VerifyReport:
             del self.case_keys[10:], self.counterexamples[10:]
 
     def to_json_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "codebookSize": self.codebook_size,
-            "result": self.result,
-            "failures": self.failures,
-            "ambiguityCount": self.ambiguity_count,
-            "config": self.config,
-        }
-        if self.family_size is not None:
-            out["familySize"] = self.family_size
-        if self.trial_count is not None:
-            out["trialCount"] = self.trial_count
-        if self.cases is not None:
-            out["cases"] = self.cases
-        if self.seed is not None:
-            out["seed"] = self.seed
+        """The fields but case_keys (see _json_fields), and counterexample."""
+        out = _json_fields(self, skip=("case_keys",))
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
-        if self.counterexamples:
-            out["counterexamples"] = self.counterexamples
         return out
 
 
@@ -245,12 +241,6 @@ def check_verify_budget(codeword_count: int, family: PatternFamily) -> int:
     check_budget(codeword_count * fam_size,
                  lambda: f"{codeword_count} x {fam_size} evaluations")
     return fam_size
-
-
-def _first_pattern(x: Word, patterns: Sequence[ErrorPattern],
-                   received: Word) -> ErrorPattern:
-    """The first pattern, in family order, that corrupts x into received."""
-    return next(h for h in patterns if apply_pattern(x, h) == received)
 
 
 def _output_class(g: ErrorPattern) -> Tuple[int, Tuple[int, ...]]:
@@ -269,13 +259,14 @@ def _output_class(g: ErrorPattern) -> Tuple[int, Tuple[int, ...]]:
 def _collision_witness(codebook: Sequence[Word], patterns: Sequence[ErrorPattern],
                        key: Tuple[int, int], prior: int) -> dict:
     """The witness of case key = (codeword index, pattern index), whose
-    received word codeword `prior` produced first."""
+    received word codeword x1 = `prior` produced first, by g1, the first
+    pattern in family order that corrupts x1 into it."""
     ci, pi = key
     x1, x2, g2 = codebook[prior], codebook[ci], patterns[pi]
     received = apply_pattern(x2, g2)
+    g1 = next(h for h in patterns if apply_pattern(x1, h) == received)
     return {
-        "x1": word_to_str(x1),
-        "g1": _first_pattern(x1, patterns, received).to_json_dict(),
+        "x1": word_to_str(x1), "g1": g1.to_json_dict(),
         "x2": word_to_str(x2), "g2": g2.to_json_dict(),
         "received": word_to_str(received),
     }

@@ -374,27 +374,40 @@ def test_bounds_refuse_flags_of_other_bounds(capsys, name):
 # Per code: its parameter flags, an info word (None: no encoder), a
 # received word and a family it corrects.
 CODE_CASES = {
-    "vt": (("--n", "4", "--a", "0"), None, "010", "atmost:1@D"),
-    "rep": (("--n", "9", "--t", "1"), "101", "111000111", "atmost:1"),
-    "burst": (("--n", "10", "--b", "1"), "10", "1111100000", "burst:1"),
-    "far": (("--n", "12", "--P", "3"), "0,0,1,1", "01101110010e", "pfar:9"),
+    "vt": ({"n": 4, "a": 0}, None, "010", "atmost:1@D"),
+    "rep": ({"n": 9, "t": 1}, "101", "111000111", "atmost:1"),
+    "burst": ({"n": 10, "b": 1}, "10", "1111100000", "burst:1"),
+    "far": ({"n": 12, "P": 3}, "0,0,1,1", "01101110010e", "pfar:9"),
 }
 
 
-def _code_commands():
+def _code_commands(*modes):
+    """(code, argv) of each command that takes --code, for every code of
+    CODE_CASES, with verify once per mode; the id names the mode only
+    where more than one is given."""
     for code, (flags, info, word, family) in CODE_CASES.items():
-        commands = [("decode", "--word", word),
-                    ("verify", "--mode", "roundtrip", "--family", family),
-                    ("simulate", "--family", family, "--trials", "20",
-                     "--seed", "1")]
+        commands = {"decode": ("decode", "--word", word),
+                    "simulate": ("simulate", "--family", family,
+                                 "--trials", "20", "--seed", "1")}
+        for mode in modes:
+            name = f"verify-{mode}" if len(modes) > 1 else "verify"
+            commands[name] = ("verify", "--mode", mode, "--family", family)
         if info is not None:
-            commands.append(("encode", "--info", info))
-        for command in commands:
-            yield code, (*command, "--code", code, *flags)
+            commands["encode"] = ("encode", "--info", info)
+        typed = [arg for name, value in flags.items()
+                 for arg in (f"--{name}", str(value))]
+        for name, command in commands.items():
+            yield pytest.param(code, (*command, "--code", code, *typed),
+                               id=f"{code}-{name}")
 
 
-@pytest.mark.parametrize("code, argv", _code_commands(),
-                         ids=lambda v: v if isinstance(v, str) else v[0])
+def test_code_cases_cover_every_code_and_encoder():
+    assert ({code: case[1] is not None for code, case in CODE_CASES.items()}
+            == {code: hasattr(adapter, "encode")
+                for code, adapter in verify.CODES.items()})
+
+
+@pytest.mark.parametrize("code, argv", _code_commands("roundtrip"))
 def test_commands_refuse_flags_of_other_codes(capsys, code, argv):
     # A flag that only another code takes was dropped: simulate --code far
     # --t 3 --family pfar:18 ran the uncapped family.
@@ -576,37 +589,15 @@ def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
     assert err.startswith("out of memory") and err.count("\n") == 1
 
 
-CODE_FLAGS = {"vt": {"n": 4, "a": 0}, "rep": {"n": 9, "t": 1},
-              "burst": {"n": 9, "b": 1}, "far": {"n": 12, "P": 3}}
-ENCODE_INFO = {"rep": "101", "burst": "1", "far": "0,0,1,1"}
-
-
-def _code_commands():
-    for kind in verify.CODES:
-        word = verify.make_code(kind, **CODE_FLAGS[kind]).codeword(0)
-        commands = {
-            "decode": ("decode", "--word", "".join(map(str, word))),
-            "simulate": ("simulate", "--family", "atmost:1", "--trials", "3",
-                         "--seed", "1")}
-        for mode in ("combinatorial", "roundtrip"):
-            commands[f"verify-{mode}"] = ("verify", "--mode", mode,
-                                          "--family", "atmost:1")
-        if hasattr(verify.CODES[kind], "encode"):
-            commands["encode"] = ("encode", "--info", ENCODE_INFO[kind])
-        for name, command in commands.items():
-            yield pytest.param(kind, command, id=f"{kind}-{name}")
-
-
-@pytest.mark.parametrize("kind, command", _code_commands())
-def test_reports_name_the_command_and_the_code_as_typed(capsys, kind, command):
-    flags = CODE_FLAGS[kind]
-    typed = [arg for name, value in flags.items()
-             for arg in (f"--{name}", str(value))]
-    code, obj, _ = run_json(capsys, *command, "--code", kind, *typed)
-    assert code in (0, 2)
+@pytest.mark.parametrize("code, argv",
+                         _code_commands("combinatorial", "roundtrip"))
+def test_reports_name_the_command_and_the_code_as_typed(capsys, code, argv):
+    status, obj, _ = run_json(capsys, *argv)
+    assert status in (0, 2)
     config = obj["config"]
-    assert config["command"] == command[0] and config["code"] == kind
-    param_names = set().union(*CODE_FLAGS.values())
+    assert config["command"] == argv[0] and config["code"] == code
+    flags = CODE_CASES[code][0]
+    param_names = set().union(*(case[0] for case in CODE_CASES.values()))
     assert {k: v for k, v in config.items() if k in param_names} == flags
 
 

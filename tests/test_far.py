@@ -156,6 +156,18 @@ def test_decode_failure_names_its_block(n, P, index, errors, length, message,
     assert _outcome(reference_far_decode, p, y) == (message, diagnostic)
 
 
+def test_decode_failures_come_only_from_the_decoders_rules(monkeypatch):
+    # A fault in a corrector propagates: reports would count it as an
+    # ordinary decode failure if far_decode turned it into one.
+    def boom(*args):
+        raise ValueError("boom")
+    monkeypatch.setattr(far, "correct_deletion", boom)
+    p = far_params(60, 6)
+    y = apply_pattern(far_codeword(p, 0), ErrorPattern.from_dict(60, {19: "D"}))
+    with pytest.raises(ValueError, match="^boom$"):
+        far_decode(p, y)
+
+
 def test_far_corrects_erasure_and_final_blocks_through_correct_single():
     # Erasure and final-block correction stay in vt.correct_single: far.py
     # neither imports nor names the VT erasure and flip correctors.

@@ -8,6 +8,7 @@ Splits are forced here with SPLIT_WORK = 1 and three usable CPUs, so a
 forked tails.
 """
 
+import errno
 import json
 import os
 import pickle
@@ -197,6 +198,51 @@ def test_split_kills_and_reaps_children_when_the_parent_raises(forks, error):
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    """The entries of /proc/self/fd, or None where /proc does not exist."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc") else None
+
+
+class ExitingCode(RaisingCode):
+    """RaisingCode whose forked child exits with status 3, sending nothing,
+    when it reads a codeword of the given indices."""
+
+    def codeword(self, index):
+        if os.getpid() != self.pid and index in self.bad:
+            os._exit(3)
+        return super().codeword(index)
+
+
+def test_split_names_a_child_that_dies_without_its_part(forks):
+    fds = _open_fds()
+    with pytest.raises(ChildProcessError, match="ended with wait status 768$"):
+        verify_roundtrip(ExitingCode(range(62, 94)), PatternFamily.at_most(10, 1))
+    assert len(forks) == 2
+    assert _open_fds() == fds
+
+
+def test_split_kills_the_first_child_when_the_second_fork_fails(monkeypatch,
+                                                                 forks):
+    # The first child would sleep 30 s per codeword: returning at once
+    # shows it was killed, and the conftest check shows it was reaped.
+    fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+    monkeypatch.setattr(os, "fork", fork_once)
+    fds = _open_fds()
+    start = time.monotonic()
+    with pytest.raises(OSError) as exc:
+        verify_roundtrip(RaisingCode(set(), child_sleep=30.0),
+                         PatternFamily.at_most(10, 1))
+    assert exc.value.errno == errno.EAGAIN
+    assert time.monotonic() - start < 20
+    assert len(forks) == 1
+    assert _open_fds() == fds
 
 
 def test_split_reads_witnesses_beyond_a_pipe_buffer(monkeypatch, forks):

@@ -381,7 +381,10 @@ def test_audit_calls_apply_pattern_once_per_case(monkeypatch):
     PatternFamily.at_most(9, 3, kinds="DEF"), PatternFamily.at_most(9, 2, kinds="DE"),
     PatternFamily.p_far(10, 3, kinds="D"), PatternFamily.p_far(11, 2, kinds="DEF"),
     PatternFamily.burst(9, 3, kinds="E"), PatternFamily.burst(10, 2, kinds="DEF"),
-    PatternFamily.at_most(8, 3, kinds="F")], ids=lambda f: json.dumps(f.describe()))
+    PatternFamily.at_most(8, 3, kinds="F")],
+    # Ids name kind, n and kinds first, whatever order describe() keeps.
+    ids=lambda f: json.dumps({"kind": f.kind, "n": f.n, "kinds": f.kinds,
+                              **f.describe()}))
 def test_output_class_is_what_the_received_word_shows(family):
     # The audit indexes each class apart, which is exact only because a
     # received word shows the class of its pattern: its length and, as
