@@ -48,7 +48,7 @@ from .errors import DecodeFailure, check_index
 from .vt import (VtParams, check_enumeration_budget, correct_deletion,
                  correct_single, flip_candidates, vt_class_sizes,
                  vt_enumerate, vt_syndrome)
-from .words import ERASURE, Symbols, Word, received_bytes, symbol_bytes
+from .words import ERASURE, UNITS, Symbols, Word, like, received_bytes, symbol_bytes
 
 
 def _best_residue_without_constants(m: int) -> int:
@@ -120,9 +120,10 @@ def far_params(n: int, P: int) -> FarParams:
     # building any counting table.
     check_enumeration_budget(P + s)
     a1 = _best_residue_without_constants(P)
-    inner = tuple(w for w in vt_enumerate(VtParams(P, a1)) if 0 < sum(w) < P)
-    a2 = _best_residue_without_constants(P + s)
+    a2 = _best_residue_without_constants(P + s) if s else a1
     final = tuple(vt_enumerate(VtParams(P + s, a2)))
+    inner = vt_enumerate(VtParams(P, a1)) if s else final  # s = 0: one class
+    inner = tuple(w for w in inner if 0 < sum(w) < P)
     return FarParams(n, P, t, s, a1, a2, inner, final)
 
 
@@ -194,9 +195,6 @@ def _passing(sums: Sequence[int], table: bytes) -> bytes:
     return bytes(map(table.__getitem__, sums))
 
 
-_ERASED = bytes([ERASURE])
-
-
 def far_contains(p: FarParams, x: Symbols) -> bool:
     """Whether x (a tuple, bytes or bytearray) is a codeword.  A word of
     the wrong length or with a symbol other than 0 and 1 is not one.
@@ -219,7 +217,7 @@ class FarDecodeInfo:
     ambiguous_flips: int = 0
 
 
-def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
+def far_decode(p: FarParams, y: Symbols) -> Tuple[Symbols, FarDecodeInfo]:
     """Sequentially correct a far-apart deletable error pattern.
 
     One scan reads y once from the left and writes the estimate once,
@@ -255,8 +253,8 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     info = FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
     P, t = p.P, p.t
-    y = received_bytes(y)
-    sums = window_sums(y.replace(_ERASED, b"\0"), P)  # erasures read as 0
+    received, y = y, bytes(received_bytes(y))
+    sums = window_sums(y.replace(UNITS[bytes][ERASURE], b"\0"), P)  # erasures as 0
     views: Dict[int, bytes] = {}
     out = bytearray()  # the estimate of the blocks before block j
     r = 0  # block j starts at y[r]
@@ -279,7 +277,7 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
                     suspect = (e - residue) // P
                 out += y[r:suspect * P + residue]  # the clean blocks
                 j, r = j + suspect - i, suspect * P + residue
-            blk = tuple(y[r:r + P] if j < t else y[r:])
+            blk = y[r:r + P] if j < t else y[r:]
             if j == t or ERASURE in blk:
                 # The final alphabet is all of its VT class.
                 fixed, ambiguous = correct_single(_block_code(p, j), blk)
@@ -304,14 +302,14 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Word, FarDecodeInfo]:
     if not far_contains(p, out):
         raise DecodeFailure("estimate is not a codeword",
                             {"estimate_length": len(out)})
-    return tuple(out), info
+    return like(received, out), info
 
 
 def _block_code(p: FarParams, j: int) -> VtParams:
     return p.inner_code if j < p.t else p.final_code
 
 
-def _pick_flip(code: VtParams, blk: Word) -> Tuple[Word, bool]:
+def _pick_flip(code: VtParams, blk: bytes) -> Tuple[bytes, bool]:
     """Undo one flip in an inner block, keeping only alphabet words.
 
     Flip candidates are codewords of the inner VT class; the constant
@@ -320,14 +318,14 @@ def _pick_flip(code: VtParams, blk: Word) -> Tuple[Word, bool]:
     reading is then chosen.  Returns (word, ambiguous), as
     `vt.correct_single` does, ambiguous telling whether both were.
     """
-    candidates = [c for c in flip_candidates(code, blk) if 0 < sum(c) < code.n]
+    candidates = [c for c in flip_candidates(code, blk) if 0 < c.count(1) < code.n]
     if not candidates:
         raise DecodeFailure("no single flip reaches an alphabet word")
     return candidates[0], len(candidates) > 1
 
 
-def _correct_one(p: FarParams, j: int, blk: Word,
-                 nxt: Symbols) -> Tuple[Word, bool, int]:
+def _correct_one(p: FarParams, j: int, blk: bytes,
+                 nxt: bytes) -> Tuple[bytes, bool, int]:
     """Fix the single error behind the checksum mismatch at inner block j.
 
     blk is block j as received: P symbols, fewer where the word ends

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import check_budget
-from .words import ERASURE, Word, codeword_bytes
+from .words import ERASURE, UNITS, Symbols, codeword_bytes, like
 
 KINDS = "DEF"
 
@@ -145,28 +145,26 @@ class PatternFamily:
                 if getattr(self, f.name) is not None}
 
 
-def apply_pattern(x: Word, g: ErrorPattern) -> Word:
-    """Corrupt the word x by the pattern g.
+def apply_pattern(x: Symbols, g: ErrorPattern) -> Symbols:
+    """Corrupt the word x by the pattern g, in x's word type (see `words`).
 
     The clean run before each marked position, and the rest after the
-    last, is copied as one slice: the Python work is per error, not per
-    symbol.  A flip emits the inverted bit, an erasure the erasure symbol
-    and a deletion nothing.
+    last, is copied from x's bytes as one slice: the Python work is per
+    error, not per symbol.  A flip emits the inverted bit, an erasure the
+    erasure symbol and a deletion nothing.
     """
-    codeword_bytes(x)
-    if len(x) != g.n:
-        raise ValueError(f"word length {len(x)} != pattern length {g.n}")
+    z = codeword_bytes(x)
+    if len(z) != g.n:
+        raise ValueError(f"word length {len(z)} != pattern length {g.n}")
     out = []
     start = 0
     for pos, kind in g.errors:
-        out += x[start:pos - 1]
-        if kind == "F":
-            out.append(1 - x[pos - 1])
-        elif kind == "E":
-            out.append(ERASURE)
+        out.append(z[start:pos - 1])
+        if kind != "D":
+            out.append(UNITS[bytes][1 - z[pos - 1] if kind == "F" else ERASURE])
         start = pos
-    out += x[start:]
-    return tuple(out)
+    out.append(z[start:])
+    return like(x, b"".join(out))
 
 
 def _burst_spreads(f: PatternFamily, k: int) -> List[Tuple[int, int]]:

@@ -10,7 +10,7 @@ any burst of deletable errors of spread at most b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .errors import DecodeFailure
 from .words import Symbols, Word, codeword_bytes, received_bytes
@@ -61,11 +61,7 @@ def rep_encode(p: RepParams, info: Word) -> Word:
     bits = codeword_bytes(info)
     if len(bits) != p.m:
         raise ValueError(f"info length {len(bits)} != m = {p.m}")
-    out: List[int] = []
-    for bit in bits:
-        out.extend([bit] * p.block)
-    out.extend([0] * p.pad)
-    return tuple(out)
+    return tuple(bit for bit in bits for _ in range(p.block)) + (0,) * p.pad
 
 
 def rep_decode(p: RepParams, z: Symbols) -> Tuple[Word, bool]:

@@ -37,7 +37,7 @@ from . import far, rep, vt
 from .errors import DecodeFailure, check_budget, check_index
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
-from .words import Word, parse_codeword, word_to_str
+from .words import Symbols, Word, codeword_bytes, like, parse_codeword, word_to_str
 
 _MASK64 = (1 << 64) - 1
 
@@ -83,7 +83,7 @@ class VtCodeAdapter(_Code):
         check_index(index, self.codeword_count)
         return self._codewords[index]
 
-    def decode(self, received: Word) -> Tuple[Word, bool]:
+    def decode(self, received: Symbols) -> Tuple[Symbols, bool]:
         return vt.correct_single(self.params, received)
 
     def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
@@ -110,9 +110,9 @@ class RepCodeAdapter(_Code):
         word = parse_codeword(info)
         return rep.rep_encode(self.params, word), {"info": word_to_str(word)}
 
-    def decode(self, received: Word) -> Tuple[Word, bool]:
+    def decode(self, received: Symbols) -> Tuple[Symbols, bool]:
         info, tied = rep.rep_decode(self.params, received)
-        return rep.rep_encode(self.params, info), tied
+        return like(received, rep.rep_encode(self.params, info)), tied
 
     def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
         """The decoded info word (not the codeword) and the tie flag."""
@@ -143,7 +143,7 @@ class FarCodeAdapter(_Code):
         indices = [int(part) for part in info.split(",")]
         return far.far_encode(self.params, indices), {"indices": indices}
 
-    def decode(self, received: Word) -> Tuple[Word, bool]:
+    def decode(self, received: Symbols) -> Tuple[Symbols, bool]:
         estimate, info = far.far_decode(self.params, received)
         return estimate, info.ambiguous_flips > 0
 
@@ -256,13 +256,13 @@ def _output_class(g: ErrorPattern) -> Tuple[int, Tuple[int, ...]]:
     return deleted, tuple(erased)
 
 
-def _collision_witness(codebook: Sequence[Word], patterns: Sequence[ErrorPattern],
+def _collision_witness(words: Sequence[bytes], patterns: Sequence[ErrorPattern],
                        key: Tuple[int, int], prior: int) -> dict:
     """The witness of case key = (codeword index, pattern index), whose
     received word codeword x1 = `prior` produced first, by g1, the first
     pattern in family order that corrupts x1 into it."""
     ci, pi = key
-    x1, x2, g2 = codebook[prior], codebook[ci], patterns[pi]
+    x1, x2, g2 = words[prior], words[ci], patterns[pi]
     received = apply_pattern(x2, g2)
     g1 = next(h for h in patterns if apply_pattern(x1, h) == received)
     return {
@@ -276,16 +276,18 @@ def verify_combinatorial(codebook: Sequence[Word],
                          family: PatternFamily) -> VerifyReport:
     """Check that corrupted-output sets are disjoint across codewords.
 
-    Each output class (see the module docstring) is walked codeword-major
-    with an index that maps each received word's bytes to the index of
-    the first codeword that produced it (exact, as `apply_pattern` refuses
-    1.0).  A case whose owner is another codeword fails.  The classes are
-    the items that _run_items deals, largest first, over the usable CPUs.
+    Each output class (see the module docstring) is walked codeword-major,
+    each codeword read into bytes once, with an index that maps the bytes
+    `apply_pattern` returns to the index of the first codeword that
+    produced them (exact, as `codeword_bytes` refuses 1.0).  A case whose
+    owner is another codeword fails.  The classes are the items that
+    _run_items deals, largest first, over the usable CPUs.
     A part keeps the owner of each kept failure as its witness; the
     collision witnesses are built here once the parts are merged.
     """
     fam_size = check_verify_budget(len(codebook), family)
     patterns = list(enumerate_family(family))
+    words = list(map(codeword_bytes, codebook))
     grouped: Dict[Tuple[int, Tuple[int, ...]], list] = {}
     for pi, g in enumerate(patterns):
         grouped.setdefault(_output_class(g), []).append((pi, g))
@@ -299,20 +301,20 @@ def verify_combinatorial(codebook: Sequence[Word],
         for c in items:
             members = classes[c]
             owner = {}.setdefault
-            for ci, x in enumerate(codebook):
+            for ci, x in enumerate(words):
                 for pi, g in members:
-                    prior = owner(bytes(apply_pattern(x, g)), ci)
+                    prior = owner(apply_pattern(x, g), ci)
                     if prior != ci:
                         part.add_failure(lambda: prior, (ci, pi))
     _run_items(report, run, len(classes), len(codebook) * fam_size * family.n,
                [len(members) for members in classes])
     report.counterexamples = [
-        _collision_witness(codebook, patterns, key, prior)
+        _collision_witness(words, patterns, key, prior)
         for key, prior in zip(report.case_keys, report.counterexamples)]
     return report
 
 
-def _roundtrip_case(report: VerifyReport, code, key: int, x: Word,
+def _roundtrip_case(report: VerifyReport, code, key: int, x: bytes,
                     g: ErrorPattern, trial: Optional[int] = None) -> None:
     """Decode x corrupted by g into the report; a wrong estimate or a
     decode failure counts as a failure of case `key`, the item index
@@ -479,7 +481,8 @@ def _merge(report: VerifyReport, part: VerifyReport) -> None:
 def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
     """Decode every (codeword, pattern) corruption and compare exactly.
 
-    Codewords are walked by index, so above SPLIT_WORK symbols the index
+    Codewords are walked by index, each read into bytes once for
+    `apply_pattern` and the decoder; above SPLIT_WORK symbols the index
     range is split over the usable CPUs (see _run_items), with the same
     report as one process gives.
     """
@@ -493,7 +496,7 @@ def verify_roundtrip(code, family: PatternFamily) -> VerifyReport:
 
     def run(part: VerifyReport, items: Iterable[int]) -> None:
         for i in items:
-            x = code.codeword(i)
+            x = codeword_bytes(code.codeword(i))
             for g in patterns:
                 part.cases += 1
                 _roundtrip_case(part, code, i, x, g)
@@ -522,7 +525,7 @@ def simulate(code, family: PatternFamily, trials: int,
     def run(part: VerifyReport, items: Iterable[int]) -> None:
         for i in items:
             rng = random.Random(mix64(seed, i))
-            x = code.codeword(rng.randrange(count))
+            x = codeword_bytes(code.codeword(rng.randrange(count)))
             _roundtrip_case(part, code, i, x, sample_pattern(family, rng),
                             trial=i)
     return _run_items(report, run, trials, trials * family.n)

@@ -15,12 +15,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress
 from operator import add
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import DecodeFailure, check_budget
-from .words import ERASURE, Word, codeword_bytes
+from .words import ERASURE, UNITS, Symbols, Word, codeword_bytes, like
+
+_POSITIONS = range(1, 1 << 62)  # 1-based; reused, it costs less than count(1)
 
 
 def _modulus(n: int) -> int:
@@ -48,7 +50,7 @@ class VtParams:
 
 def vt_checksum(x: Word) -> int:
     """Unreduced weighted checksum sum(i * x_i), 1-based."""
-    return sum(compress(count(1), codeword_bytes(x)))
+    return sum(compress(_POSITIONS, codeword_bytes(x)))
 
 
 def vt_syndrome(word: Sequence[int], a: int, modulus: int) -> int:
@@ -58,7 +60,7 @@ def vt_syndrome(word: Sequence[int], a: int, modulus: int) -> int:
     """
     if ERASURE in word:
         raise ValueError("checksum undefined with erasures present")
-    return (sum(compress(count(1), word)) - a) % modulus
+    return (sum(compress(_POSITIONS, word)) - a) % modulus
 
 
 def vt_contains(p: VtParams, x: Word) -> bool:
@@ -137,7 +139,7 @@ def vt_best_residue(n: int) -> Tuple[int, int]:
     return sizes.index(best), best
 
 
-def correct_erasure(p: VtParams, y: Word) -> Word:
+def correct_erasure(p: VtParams, y: Symbols) -> Symbols:
     """Fill in the single erased bit of y, at position k, from one checksum:
     with the erasure read as 0 and syndrome r, the fill is 0 when r = 0 and
     1 when r + k is 0 mod M, as a 1 at position k adds k to the checksum."""
@@ -147,15 +149,16 @@ def correct_erasure(p: VtParams, y: Word) -> Word:
     if erased != 1:
         raise ValueError(f"expected exactly one erasure, found {erased}")
     k = y.index(ERASURE) + 1
-    x = y[:k - 1] + (0,) + y[k:]
+    v = like(y, y)  # the word the fills are cut from
+    x = v[:k - 1] + UNITS[type(v)][0] + v[k:]
     r = vt_syndrome(codeword_bytes(x), p.a, p.modulus)
     if r and (r + k) % p.modulus:
         raise DecodeFailure("erasure correction left a non-codeword",
                             {"position": k})
-    return y[:k - 1] + (1,) + y[k:] if r else x
+    return v[:k - 1] + UNITS[type(v)][1] + v[k:] if r else x
 
 
-def flip_candidates(p: VtParams, y: Word) -> List[Word]:
+def flip_candidates(p: VtParams, y: Symbols) -> List[Symbols]:
     """Codewords reachable from y by undoing one flip, in a fixed order.
 
     The checksum residue r = (CS(y) - a) mod M admits two readings, kept
@@ -170,29 +173,24 @@ def flip_candidates(p: VtParams, y: Word) -> List[Word]:
     r = vt_syndrome(codeword_bytes(y), p.a, p.modulus)
     if r == 0:
         raise DecodeFailure("word is already a codeword, no flip to correct")
-    out: List[Word] = []
-    if r <= p.n and y[r - 1] == 1:  # restore position r to 0
-        out.append(y[:r - 1] + (0,) + y[r:])
+    v = like(y, y)  # the word the candidates are cut from
+    out: List[Symbols] = []
+    if r <= p.n and v[r - 1]:  # restore position r to 0
+        out.append(v[:r - 1] + UNITS[type(v)][0] + v[r:])
     q = p.modulus - r
-    if q <= p.n and y[q - 1] == 0:  # restore position q to 1
-        out.append(y[:q - 1] + (1,) + y[q:])
+    if q <= p.n and not v[q - 1]:  # restore position q to 1
+        out.append(v[:q - 1] + UNITS[type(v)][1] + v[q:])
     return out
 
 
-def _nth(z: bytes, symbol: bytes, k: int) -> int:
-    """Index of the k-th occurrence of the byte symbol in z (1 <= k <= its
-    count), -1 for k = 0: one split at the first k occurrences."""
-    return len(z) - len(z.split(symbol, k)[-1]) - 1
-
-
-def correct_deletion(p: VtParams, y: Word) -> Word:
+def correct_deletion(p: VtParams, y: Symbols) -> Symbols:
     """Reinsert the single deleted bit of y (length n-1).
 
     With w ones in y and checksum discrepancy d = (a - CS(y)) mod M,
     a deleted 0 goes just left of the d-th one from the right (the
     (w-d+1)-th from the left; at the end when d = 0) if d <= w, and a
     deleted 1 otherwise goes just right of the (d-w-1)-th zero.  One
-    bytes.split finds either point, whatever its distance from the start.
+    bytes.rsplit or split finds either point, wherever it lies.
     The result is always a codeword (Levenshtein 1966): the 0, with d ones
     right of it, adds d to the checksum, and the 1, with L ones left of
     it, adds (d-w-1) + L + 1 + (w-L) = d."""
@@ -202,13 +200,14 @@ def correct_deletion(p: VtParams, y: Word) -> Word:
     w = z.count(1)
     disc = -vt_syndrome(z, p.a, p.modulus) % p.modulus
     if disc <= w:
-        bit, i = 0, (_nth(z, b"\1", w - disc + 1) if disc else len(z))
+        bit, i = 0, len(z.rsplit(b"\1", disc)[0])
     else:
-        bit, i = 1, _nth(z, b"\0", disc - w - 1) + 1
-    return y[:i] + (bit,) + y[i:]
+        bit, i = 1, len(z) - len(z.split(b"\0", disc - w - 1)[-1])
+    v = like(y, y)
+    return v[:i] + UNITS[type(v)][bit] + v[i:]
 
 
-def correct_single(p: VtParams, y: Word) -> Tuple[Word, bool]:
+def correct_single(p: VtParams, y: Symbols) -> Tuple[Symbols, bool]:
     """Correct at most one deletable error; returns (word, ambiguous).
 
     A flip is undone by the first of `flip_candidates`; when both flip
@@ -229,7 +228,7 @@ def correct_single(p: VtParams, y: Word) -> Tuple[Word, bool]:
     if m == p.n:
         if vt_syndrome(y, p.a, p.modulus) == 0:
             codeword_bytes(y)
-            return y, False
+            return like(y, y), False
         candidates = flip_candidates(p, y)
         if not candidates:
             raise DecodeFailure("no single flip reaches a codeword")

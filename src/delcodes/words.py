@@ -1,8 +1,10 @@
-"""Binary words with an erasure symbol: tuples, or bytes for decoders.
+"""Binary words with an erasure symbol, held as tuples or as bytes.
 
 A codeword holds the ints 0 and 1 (True reads as 1, 1.0 does not), read
 by `codeword_bytes`; a received word may also hold the erasure ERASURE,
-read by `received_bytes`.  Text form uses '0', '1' and 'e'.
+read by `received_bytes`.  Text form uses '0', '1' and 'e'.  A word
+function returns the word type it was given (`like`): bytes for bytes or
+a bytearray, else a tuple.  New words are made as tuples.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ Symbols = Union[Word, bytes, bytearray]
 ERASURE = 2
 _BITS = bytes((0, 1))
 _SYMBOLS = bytes((0, 1, ERASURE))
+# The word of the one symbol s in each word type: UNITS[type][s].
+UNITS = {bytes: tuple(_SYMBOLS[s:s + 1] for s in _SYMBOLS),
+         tuple: tuple((s,) for s in _SYMBOLS)}
 
 _CHAR_TO_SYM = {"0": 0, "1": 1, "e": ERASURE}
 _TO_TEXT = bytes.maketrans(_SYMBOLS, b"01e")
@@ -69,20 +74,30 @@ def _foreign(x: Symbols, allowed: bytes) -> object:
     return next(s for s in x if symbol_bytes((s,), allowed) is None)
 
 
-def codeword_bytes(x: Symbols) -> bytearray:
-    """An erasure-free word as a bytearray of 0s and 1s; a symbol other than
-    the ints 0 and 1 raises ValueError naming the first one.  The test is
-    `symbol_bytes`', inline for speed; `tuple` costs nothing on a tuple
-    and, like its guard, refuses an int and splits a str."""
-    x = tuple(x)
-    try:
-        z = bytearray(x)
-        if not z.translate(None, _BITS):
-            return z
-    except (TypeError, ValueError):  # a symbol that is no byte
-        pass
+def codeword_bytes(x: Symbols) -> bytes:
+    """An erasure-free word as bytes of 0s and 1s (x itself when bytes,
+    checked by one translate); a symbol other than the ints 0 and 1 raises
+    ValueError naming the first one.  The test is `symbol_bytes`', inline
+    for speed: `tuple` refuses an int and splits a str, as its guard does."""
+    z = x
+    if type(x) is not bytes:
+        if type(x) is not tuple and not isinstance(x, (bytes, bytearray)):
+            x = tuple(x)
+        try:
+            z = bytes(x)
+        except (TypeError, ValueError):  # a symbol that is no byte
+            z = _SYMBOLS  # refused below
+    if not z.translate(None, _BITS):
+        return z
     raise ValueError("codeword must be erasure-free bits, got symbol %r"
                      % (_foreign(x, _BITS),))
+
+
+def like(word: Symbols, z: Symbols) -> Symbols:
+    """The word z in word's type: bytes for bytes or a bytearray, else a tuple."""
+    if type(word) is tuple or not isinstance(word, (bytes, bytearray)):
+        return tuple(z)
+    return z if type(z) is bytes else bytes(z)
 
 
 def received_bytes(y: Symbols) -> bytearray:

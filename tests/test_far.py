@@ -42,6 +42,23 @@ def test_params_validation():
         far_params(5, 3)  # fewer than two blocks
 
 
+@pytest.mark.parametrize("n, P, classes", [
+    (60, 6, [(6, 1)]), (3024, 14, [(14, 0)]), (12, 3, [(3, 1)]),
+    (14, 3, [(5, 0), (3, 1)]), (62, 6, [(8, 3), (6, 1)])])
+def test_far_params_enumerates_each_class_once(n, P, classes):
+    # With s = 0 the final block is of the inner class: one enumeration
+    # and one residue search serve both alphabets.
+    with mock.patch.object(far, "vt_enumerate",
+                           wraps=far.vt_enumerate) as enumerate_, \
+            mock.patch.object(far, "vt_class_sizes",
+                              wraps=far.vt_class_sizes) as sizes:
+        p = far_params(n, P)
+    enumerated = [(c.args[0].n, c.args[0].a) for c in enumerate_.call_args_list]
+    assert sorted(enumerated) == sorted(classes)
+    assert sizes.call_count == len(classes)
+    assert [(P, p.a1), (P + p.s, p.a2)] == [classes[-1], classes[0]]
+
+
 def test_encode_golden():
     p = far_params(12, 3)
     assert far_encode(p, (0, 0, 1, 1)) == parse_word("011011100100")

@@ -241,6 +241,26 @@ def test_report_digests_golden_per_code(kind, params, family, digests):
     assert tuple(map(_digest, reports)) == digests
 
 
+def test_verification_reads_each_codeword_once_into_bytes(monkeypatch):
+    # apply_pattern reads its word through patterns.codeword_bytes: inside
+    # the round trip, the audit (witnesses included) and simulate it gets
+    # the bytes each codeword was read into once, never a tuple again.
+    seen = []
+    read = patterns.codeword_bytes
+    monkeypatch.setattr(patterns, "codeword_bytes",
+                        lambda x: seen.append(type(x)) or read(x))
+    for kind, params, family in (
+            ("vt", {"n": 8, "a": 0}, PatternFamily.at_most(8, 1)),
+            ("rep", {"n": 9, "t": 1}, PatternFamily.at_most(9, 2)),
+            ("far", {"n": 12, "P": 3}, PatternFamily.p_far(12, 6))):
+        code = make_code(kind, **params)
+        reports = (verify_roundtrip(code, family),
+                   verify_combinatorial(list(code.codewords()), family),
+                   simulate(code, family, 100, 1))
+        assert all(report.counterexamples for report in reports)
+    assert seen and tuple not in seen, set(seen)
+
+
 def test_report_builds_at_most_ten_witnesses():
     report = VerifyReport(mode="roundtrip", codebook_size=1, result="pass")
     built = []

@@ -412,7 +412,7 @@ def test_erasure_fill_or_refusal_matches_brute_force(modulus_rule, n):
 
 @pytest.mark.parametrize("n", [64, 231])
 def test_deletion_matches_symbol_loops_on_long_words(n):
-    # Past the exhaustive n <= 10: the split finds the k-th occurrence
+    # Past the exhaustive n <= 10: the split or rsplit finds the point
     # wherever it lies, also in 231-symbol blocks and constant words.
     rng = random.Random(n)
     words = [tuple(rng.getrandbits(1) for _ in range(n - 1)) for _ in range(40)]
@@ -422,27 +422,6 @@ def test_deletion_matches_symbol_loops_on_long_words(n):
         for y in words:
             x = correct_deletion(p, y)
             assert x == reference_correct_deletion(p, y), (a, y)
-
-
-def _nth_by_index(z, symbol, k):
-    """Reference: the k-th occurrence found by one bytes.index per step."""
-    i = -1
-    for _ in range(k):
-        i = z.index(symbol, i + 1)
-    return i
-
-
-def test_nth_occurrence_from_one_split():
-    rng = random.Random(7)
-    for z in [bytearray(rng.getrandbits(1) for _ in range(50)),
-              bytearray(20), bytearray(b"\1" * 20), bytearray(b"\1")]:
-        for symbol in (0, 1):
-            sep, total = bytes((symbol,)), z.count(symbol)
-            assert vt._nth(z, sep, 0) == -1
-            if total:
-                assert vt._nth(z, sep, total) == z.rindex(symbol)
-            for k in range(total + 1):
-                assert vt._nth(z, sep, k) == _nth_by_index(z, symbol, k)
 
 
 def test_params_identity_ignores_the_cached_modulus():
