@@ -253,7 +253,7 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Symbols, FarDecodeInfo]:
     info = FarDecodeInfo(iterations=1)
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
     P, t = p.P, p.t
-    received, y = y, bytes(received_bytes(y))
+    received, y = y, received_bytes(y)
     sums = window_sums(y.replace(UNITS[bytes][ERASURE], b"\0"), P)  # erasures as 0
     views: Dict[int, bytes] = {}
     out = bytearray()  # the estimate of the blocks before block j

@@ -4,7 +4,8 @@ Each information bit is repeated 2t+1 times and the codeword is padded
 with zeros up to length n.  Up to t deletable errors leave every block
 with a clean majority, so the decoder removes the pad, re-blocks and
 takes per-block majorities.  The same construction with t = b corrects
-any burst of deletable errors of spread at most b.
+any burst of deletable errors of spread at most b.  `rep_encode` and
+`rep_decode` return the word type they were given (`words.like`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import DecodeFailure
-from .words import Symbols, Word, codeword_bytes, received_bytes
+from .words import Symbols, codeword_bytes, like, received_bytes
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,18 @@ def burst_params(n: int, b: int) -> RepParams:
     return RepParams(n, b + 1)
 
 
-def rep_encode(p: RepParams, info: Word) -> Word:
-    """Repeat each bit of info 2t+1 times and pad with zeros.  The
-    codeword holds the ints 0 and 1 only: info with any other symbol,
-    1.0 among them, is refused."""
+def rep_encode(p: RepParams, info: Symbols) -> Symbols:
+    """Repeat each bit of info 2t+1 times and pad with zeros, in info's
+    word type (`like`).  The codeword holds the ints 0 and 1 only: info
+    with any other symbol, 1.0 among them, is refused."""
     bits = codeword_bytes(info)
     if len(bits) != p.m:
         raise ValueError(f"info length {len(bits)} != m = {p.m}")
-    return tuple(bit for bit in bits for _ in range(p.block)) + (0,) * p.pad
+    blocks = (bytes(p.block), b"\1" * p.block)
+    return like(info, b"".join(map(blocks.__getitem__, bits)) + bytes(p.pad))
 
 
-def rep_decode(p: RepParams, z: Symbols) -> Tuple[Word, bool]:
+def rep_decode(p: RepParams, z: Symbols) -> Tuple[Symbols, bool]:
     """Decode a (possibly corrupted) codeword; returns (info, tie_flagged).
 
     Preprocessing removes up to ``pad`` trailing zeros.  A flipped pad bit
@@ -73,7 +75,8 @@ def rep_decode(p: RepParams, z: Symbols) -> Tuple[Word, bool]:
     the information content always lies in the first m*(2t+1) symbols, so
     any excess is dropped.  A word that splits into fewer than m blocks is
     outside the <= t error contract and raises DecodeFailure, as does a
-    symbol other than 0, 1 and e.  Ties decode 0 and are flagged.
+    symbol other than 0, 1 and e.  Ties decode 0 and are flagged.  The
+    info comes back in z's word type (`like`).
     """
     y = received_bytes(z)
     kept = min(max(len(y.rstrip(b"\0")), len(y) - p.pad), p.m * p.block)
@@ -81,11 +84,11 @@ def rep_decode(p: RepParams, z: Symbols) -> Tuple[Word, bool]:
         raise DecodeFailure(
             f"got {-(-kept // p.block)} blocks, expected {p.m}",
             {"received_length": len(y)})
-    del y[kept:]
-    info = []
+    y = y[:kept]
+    info = bytearray()
     tied = False
     for i in range(0, kept, p.block):
         ones, zeros = y.count(1, i, i + p.block), y.count(0, i, i + p.block)
         info.append(int(ones > zeros))
         tied = tied or ones == zeros
-    return tuple(info), tied
+    return like(z, info), tied

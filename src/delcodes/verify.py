@@ -37,7 +37,7 @@ from . import far, rep, vt
 from .errors import DecodeFailure, check_budget, check_index
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
-from .words import Symbols, Word, codeword_bytes, like, parse_codeword, word_to_str
+from .words import Symbols, Word, codeword_bytes, parse_codeword, word_to_str
 
 _MASK64 = (1 << 64) - 1
 
@@ -112,7 +112,7 @@ class RepCodeAdapter(_Code):
 
     def decode(self, received: Symbols) -> Tuple[Symbols, bool]:
         info, tied = rep.rep_decode(self.params, received)
-        return like(received, rep.rep_encode(self.params, info)), tied
+        return rep.rep_encode(self.params, info), tied
 
     def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
         """The decoded info word (not the codeword) and the tie flag."""

@@ -227,8 +227,7 @@ def correct_single(p: VtParams, y: Symbols) -> Tuple[Symbols, bool]:
         return correct_deletion(p, y), False
     if m == p.n:
         if vt_syndrome(y, p.a, p.modulus) == 0:
-            codeword_bytes(y)
-            return like(y, y), False
+            return like(y, codeword_bytes(y)), False
         candidates = flip_candidates(p, y)
         if not candidates:
             raise DecodeFailure("no single flip reaches a codeword")

@@ -2,14 +2,16 @@
 
 A codeword holds the ints 0 and 1 (True reads as 1, 1.0 does not), read
 by `codeword_bytes`; a received word may also hold the erasure ERASURE,
-read by `received_bytes`.  Text form uses '0', '1' and 'e'.  A word
-function returns the word type it was given (`like`): bytes for bytes or
-a bytearray, else a tuple.  New words are made as tuples.
+read by `received_bytes`.  Both, and `word_to_str`, read through the one
+symbol test in `symbol_bytes`.  Text form uses '0', '1' and 'e'.  Every
+word function returns the word type it was given (`like`): bytes for
+bytes or a bytearray, else a tuple.  A word made from no word, as by
+`parse_word`, is a tuple.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple, Type, Union
 
 from .errors import DecodeFailure
 
@@ -25,6 +27,9 @@ UNITS = {bytes: tuple(_SYMBOLS[s:s + 1] for s in _SYMBOLS),
 
 _CHAR_TO_SYM = {"0": 0, "1": 1, "e": ERASURE}
 _TO_TEXT = bytes.maketrans(_SYMBOLS, b"01e")
+# What a refusal says, by the symbols allowed.
+_REFUSALS = {_BITS: "codeword must be erasure-free bits, got symbol %r",
+             _SYMBOLS: "symbol %r is not 0, 1 or e"}
 
 
 def parse_word(text: str) -> Word:
@@ -45,10 +50,7 @@ def parse_codeword(text: str) -> Word:
 
 def word_to_str(word: Symbols) -> str:
     """Text form of a word; a symbol other than 0, 1, e raises ValueError."""
-    z = symbol_bytes(word, _SYMBOLS)
-    if z is None:
-        raise ValueError(f"symbol {_foreign(word, _SYMBOLS)!r} is not 0, 1 or e")
-    return z.translate(_TO_TEXT).decode()
+    return symbol_bytes(word, _SYMBOLS, ValueError).translate(_TO_TEXT).decode()
 
 
 def weight(word: Word) -> int:
@@ -56,41 +58,38 @@ def weight(word: Word) -> int:
     return codeword_bytes(word).count(1)
 
 
-def symbol_bytes(x: Symbols, allowed: bytes) -> Optional[bytearray]:
-    """x as a bytearray, or None when a symbol is not one of `allowed`.
-    `iter` raises TypeError on an int, which `bytearray(k)` would read
-    as k zero bytes, and hands `bytearray` a str's characters."""
-    if isinstance(x, (int, str)):
-        x = iter(x)
-    try:
-        z = bytearray(x)
-    except (TypeError, ValueError):  # a symbol that is no byte
-        return None
-    return None if z.translate(None, allowed) else z
-
-
-def _foreign(x: Symbols, allowed: bytes) -> object:
-    """The first symbol of x that the byte test of `allowed` refuses."""
-    return next(s for s in x if symbol_bytes((s,), allowed) is None)
-
-
-def codeword_bytes(x: Symbols) -> bytes:
-    """An erasure-free word as bytes of 0s and 1s (x itself when bytes,
-    checked by one translate); a symbol other than the ints 0 and 1 raises
-    ValueError naming the first one.  The test is `symbol_bytes`', inline
-    for speed: `tuple` refuses an int and splits a str, as its guard does."""
+def symbol_bytes(x: Symbols, allowed: bytes,
+                 error: Optional[Type[Exception]] = None) -> Optional[bytes]:
+    """x as bytes when every symbol is one of `allowed` (_BITS or
+    _SYMBOLS).  Otherwise None, or, given an `error` class, that error
+    naming the first symbol that is not.  Bytes come back as they are
+    after one translate, and a tuple or bytearray is converted to bytes.
+    Any other iterable is first read once into a tuple, where a refused
+    symbol is then found: `tuple` raises TypeError on an int, which
+    `bytes(k)` would read as k zero bytes, and splits a str."""
     z = x
     if type(x) is not bytes:
         if type(x) is not tuple and not isinstance(x, (bytes, bytearray)):
             x = tuple(x)
-        try:
-            z = bytes(x)
+        try:  # bytearray reads a symbol in half the time bytes takes,
+            # but costs more per call: it pays from about 32 symbols
+            z = bytes(x) if len(x) < 32 else bytes(bytearray(x))
         except (TypeError, ValueError):  # a symbol that is no byte
-            z = _SYMBOLS  # refused below
-    if not z.translate(None, _BITS):
+            z = b"\xff"  # no symbol: refused below
+    if not z.translate(None, allowed):
         return z
-    raise ValueError("codeword must be erasure-free bits, got symbol %r"
-                     % (_foreign(x, _BITS),))
+    if error is None:
+        return None
+    for s in x:  # a generator would make `allowed` a cell, paid on every call
+        if symbol_bytes((s,), allowed) is None:
+            raise error(_REFUSALS[allowed] % (s,))
+
+
+def codeword_bytes(x: Symbols) -> bytes:
+    """An erasure-free word as bytes of 0s and 1s (`symbol_bytes`); a
+    symbol other than the ints 0 and 1 raises ValueError naming the first
+    one.  True reads as 1, 1.0 does not."""
+    return symbol_bytes(x, _BITS, ValueError)
 
 
 def like(word: Symbols, z: Symbols) -> Symbols:
@@ -100,10 +99,7 @@ def like(word: Symbols, z: Symbols) -> Symbols:
     return z if type(z) is bytes else bytes(z)
 
 
-def received_bytes(y: Symbols) -> bytearray:
-    """A received word as a mutable byte string; a symbol other than 0,
+def received_bytes(y: Symbols) -> bytes:
+    """A received word as bytes (`symbol_bytes`); a symbol other than 0,
     1 and e raises DecodeFailure naming the first one."""
-    z = symbol_bytes(y, _SYMBOLS)
-    if z is None:
-        raise DecodeFailure(f"symbol {_foreign(y, _SYMBOLS)!r} is not 0, 1 or e")
-    return z
+    return symbol_bytes(y, _SYMBOLS, DecodeFailure)

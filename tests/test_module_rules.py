@@ -1,5 +1,5 @@
-"""Rules every module keeps: no top-level name bound twice, and no heavy
-import when the package and its CLI load."""
+"""Rules every module keeps: no top-level name bound twice, one symbol
+test, and no heavy import when the package and its CLI load."""
 
 import ast
 import os
@@ -28,6 +28,20 @@ def test_no_module_defines_a_top_level_name_twice():
                     rebound.append(f"{path.relative_to(ROOT)}: {node.name}")
                 seen.add(node.name)
     assert not rebound
+
+
+def test_the_symbol_test_is_written_once():
+    # Every word is read through words.symbol_bytes, whose one translate
+    # deletes the allowed symbols; another such call is a second copy of
+    # the rule that the two would have to keep in agreement.
+    calls = [path.name for path in sorted((SRC / "delcodes").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "translate" and node.args
+             and isinstance(node.args[0], ast.Constant)
+             and node.args[0].value is None]
+    assert calls == ["words.py"]
 
 
 def test_loading_the_package_and_cli_imports_no_heavy_module():

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delcodes.errors import BudgetExceeded, exact_integers
+from delcodes.errors import BudgetExceeded, DecodeFailure, exact_integers
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, family_size, is_member,
                                sample_pattern)
 from delcodes.words import (ERASURE, codeword_bytes, parse_word,
-                            symbol_bytes, word_to_str)
+                            received_bytes, symbol_bytes, word_to_str)
 
 
 def test_word_text_roundtrip():
@@ -69,22 +69,32 @@ SYMBOLS = [0, 1, True, False, 0.0, 1.0, ERASURE, 3, 255, 256, -1, "0", "1",
 
 
 def test_codeword_reader_refuses_what_the_byte_test_refuses():
-    # One rule: codeword_bytes, which tests inline for speed, raises exactly
-    # where symbol_bytes(x, b"\0\1") returns None, and names the first
-    # symbol that is not the int 0 or 1.
+    # The rule, written out: a symbol is an int in the reader's allowed
+    # set (True is the int 1).  Where every symbol keeps it, each reader
+    # gives the word's value; elsewhere it raises its own exception naming
+    # the first symbol that breaks it.
+    readers = [
+        (codeword_bytes, {0, 1}, lambda w: bytes(list(w)), ValueError,
+         "codeword must be erasure-free bits, got symbol {!r}"),
+        (received_bytes, {0, 1, ERASURE}, lambda w: bytes(list(w)),
+         DecodeFailure, "symbol {!r} is not 0, 1 or e"),
+        (word_to_str, {0, 1, ERASURE}, lambda w: "".join("01e"[s] for s in w),
+         ValueError, "symbol {!r} is not 0, 1 or e")]
+    # A word of 32 symbols or more is read through a bytearray.
     words = [w for s, t in itertools.product(SYMBOLS, repeat=2)
-             for w in ((s,), (0, s, 1, t), [t, 1, s])]
+             for w in ((s,), (0, s, 1, t), [t, 1, s], (0, 1) * 20 + (s, t))]
     for word in words + ["01", "", b"\0\1", bytearray(b"\1\2")]:
-        z = symbol_bytes(word, b"\0\1")
-        if z is not None:
-            assert codeword_bytes(word) == z, word
-            continue
-        bad = next(s for s in word if not (isinstance(s, int) and s in (0, 1)))
-        with pytest.raises(ValueError) as exc:
-            codeword_bytes(word)
-        assert str(exc.value) == ("codeword must be erasure-free bits, "
-                                  f"got symbol {bad!r}"), word
-    for read in (codeword_bytes, lambda x: symbol_bytes(x, b"\0\1")):
+        for read, allowed, value, error, message in readers:
+            bad = [s for s in word if not (isinstance(s, int) and s in allowed)]
+            if not bad:
+                assert read(word) == value(word), (read, word)
+                continue
+            with pytest.raises(error) as exc:
+                read(word)
+            assert type(exc.value) is error, (read, word)
+            assert str(exc.value) == message.format(bad[0]), (read, word)
+    for read in (codeword_bytes, received_bytes, word_to_str,
+                 lambda x: symbol_bytes(x, b"\0\1")):
         with pytest.raises(TypeError):
             read(9)  # an int is no word, not nine zero bytes
 

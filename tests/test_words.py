@@ -13,10 +13,12 @@ from delcodes.errors import DecodeFailure
 from delcodes.far import far_decode
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family)
+from delcodes.rep import RepParams, rep_decode, rep_encode
 from delcodes.verify import make_code
 from delcodes.vt import (correct_deletion, correct_erasure, correct_single,
                          flip_candidates)
-from delcodes.words import ERASURE
+from delcodes.words import (ERASURE, codeword_bytes, received_bytes, weight,
+                            word_to_str)
 
 CODES = {"vt": make_code("vt", n=8, a=0), "rep": make_code("rep", n=9, t=1),
          "burst": make_code("burst", n=9, b=1), "far": make_code("far", n=12, P=3)}
@@ -32,6 +34,9 @@ FUNCTIONS = {
     "correct_deletion": ("vt", lambda w: correct_deletion(VT, w)),
     "flip_candidates": ("vt", lambda w: flip_candidates(VT, w)),
     "far_decode": ("far", lambda w: far_decode(CODES["far"].params, w)),
+    # Each word is the info of a repetition code with blocks of three.
+    "rep_encode": ("rep", lambda w: rep_encode(RepParams(3 * len(w), 1), w)),
+    "rep_decode": ("rep", lambda w: rep_decode(CODES["rep"].params, w)),
     **{f"{kind}.decode": (kind, code.decode) for kind, code in CODES.items()},
 }
 
@@ -124,3 +129,29 @@ def test_a_float_symbol_is_refused_as_a_foreign_byte_is(case):
 def test_an_int_is_no_word(name):
     with pytest.raises(TypeError):
         FUNCTIONS[name][1](9)
+
+
+# Each function that reads a word, the exception it refuses a symbol with,
+# and what it says.
+READERS = {
+    "codeword_bytes": (codeword_bytes, ValueError,
+                       "codeword must be erasure-free bits, got symbol 7"),
+    "weight": (weight, ValueError,
+               "codeword must be erasure-free bits, got symbol 7"),
+    "received_bytes": (received_bytes, DecodeFailure, "symbol 7 is not 0, 1 or e"),
+    "word_to_str": (word_to_str, ValueError, "symbol 7 is not 0, 1 or e"),
+    "rep_decode": (lambda w: rep_decode(CODES["rep"].params, w),
+                   DecodeFailure, "symbol 7 is not 0, 1 or e"),
+    "far_decode": (lambda w: far_decode(CODES["far"].params, w), DecodeFailure,
+                   "symbol 7 is not 0, 1 or e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_one_shot_word_is_read_once(name):
+    # The foreign symbol is named from the symbols read, not from the
+    # spent generator, which would end the search with StopIteration.
+    read, error, message = READERS[name]
+    with pytest.raises(error) as exc:
+        read(s for s in [0, 1, 7, 1])
+    assert type(exc.value) is error and str(exc.value) == message
