@@ -117,7 +117,7 @@ def far_params(n: int, P: int) -> FarParams:
         raise ValueError("need n >= 2P (at least two blocks)")
     t, s = divmod(n, P)
     # The final block's enumeration is the largest walk: refuse it before
-    # building any counting table.
+    # building any table.
     check_enumeration_budget(P + s)
     a1 = _best_residue_without_constants(P)
     a2 = _best_residue_without_constants(P + s) if s else a1

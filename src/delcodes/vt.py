@@ -4,10 +4,10 @@ VT_a(n) is the set of length-n binary words whose weighted checksum
 sum(i * x_i) is congruent to a mod M, the one modulus `_modulus(n)`.  A
 single deletion, erasure or flip is corrected from the discrepancy alone.
 
-Class sizes and codebooks come from one counting table over (suffix
-start, checksum residue), built with O(n^2) additions, instead of a walk
-over all 2^n words: its first row is |VT_a(n)| for every a, and
-enumeration descends only into prefixes that some codeword completes.
+Class sizes come from a counting table over (suffix start, checksum
+residue), built with O(n^2) additions: its first row is |VT_a(n)| for
+every a.  Codebooks join two half-tables, each half of the positions'
+words with their residues (Horowitz and Sahni's two-list split).
 """
 
 from __future__ import annotations
@@ -93,28 +93,26 @@ def check_enumeration_budget(n: int) -> None:
     check_budget(2 ** min(n, 64), lambda: f"the 2^{n} words of length {n}")
 
 
-def vt_enumerate(p: VtParams) -> List[Word]:
-    """All codewords of VT_a(n) in lexicographic order.
+def _half_table(positions: range, m: int) -> List[Tuple[Word, int]]:
+    """The 0/1 words over `positions` in lexicographic order, each with
+    its weighted sum mod m, grown a position at a time, 0 before 1."""
+    table: List[Tuple[Word, int]] = [((), 0)]
+    for k in positions:
+        table = [(w + (b,), (r + b * k) % m) for w, r in table for b in (0, 1)]
+    return table
 
-    Prefixes grow one position at a time, 0 before 1, and a prefix is
-    kept only while the counting table says some suffix completes it, so
-    it takes O(n) steps per codeword returned.
-    """
+
+def vt_enumerate(p: VtParams) -> List[Word]:
+    """All codewords of VT_a(n) in lexicographic order: each left half
+    over positions 1..n//2 joined with every right half whose residue
+    completes its own to a, one tuple join per codeword."""
     check_enumeration_budget(p.n)
-    counts = list(_suffix_rows(p.n))[::-1]
-    m = p.modulus
-    level: List[Tuple[Word, int]] = [((), p.a)]  # (prefix, residue still needed)
-    for k in range(1, p.n + 1):
-        rest = counts[k]
-        grown = []
-        for prefix, need in level:
-            if rest[need]:
-                grown.append((prefix + (0,), need))
-            need_one = (need - k) % m
-            if rest[need_one]:
-                grown.append((prefix + (1,), need_one))
-        level = grown
-    return [word for word, _ in level]
+    m, h = p.modulus, p.n // 2
+    rights: List[List[Word]] = [[] for _ in range(m)]
+    for w, r in _half_table(range(h + 1, p.n + 1), m):
+        rights[r].append(w)
+    return [w + v for w, r in _half_table(range(1, h + 1), m)
+            for v in rights[(p.a - r) % m]]
 
 
 def vt_class_sizes(n: int) -> List[int]:
@@ -227,7 +225,8 @@ def correct_single(p: VtParams, y: Symbols) -> Tuple[Symbols, bool]:
         return correct_deletion(p, y), False
     if m == p.n:
         if vt_syndrome(y, p.a, p.modulus) == 0:
-            return like(y, codeword_bytes(y)), False
+            codeword_bytes(y)  # refuses a symbol other than 0 and 1
+            return like(y, y), False
         candidates = flip_candidates(p, y)
         if not candidates:
             raise DecodeFailure("no single flip reaches a codeword")

@@ -316,10 +316,11 @@ def test_package_runs_as_a_module():
 
 
 def test_far_code_over_budget_builds_no_table(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"counting table built for n = {n}")
+    def refuse(*args):
+        raise AssertionError(f"table built for {args}")
 
     monkeypatch.setattr(vt, "_suffix_rows", refuse)
+    monkeypatch.setattr(vt, "_half_table", refuse)
     for argv in (("encode", "--info", "0,0"), ("decode", "--word", "0")):
         code, _, err = run(capsys, *argv, "--code", "far", "--n", "8000",
                            "--P", "2000")

@@ -83,7 +83,7 @@ def test_class_sizes_partition_and_pigeonhole():
         assert max(sizes) * (n + 1) >= 2 ** n
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_enumerate_matches_walk(n):
     books = walk_codebooks(n)
     for a in range(n + 1):
@@ -120,31 +120,35 @@ def test_far_alphabets_match_walk(P, s):
 
 def test_enumeration_work_scales_with_codewords(monkeypatch):
     # The walk took the syndrome of every one of the 2^16 = 65,536 words,
-    # once to size the classes and once to enumerate VT_0(16).  The table
-    # walk makes no syndrome call; its work is the prefixes it keeps, one
-    # per non-zero table lookup, at most n per codeword returned.
-    calls, kept = [], []
+    # once to size the classes and once to enumerate VT_0(16).  The
+    # half-table join makes no syndrome call; its work is the half words
+    # of the two tables, at most 2^9 + 2^9 here, and one join per codeword.
+    calls, halves, joins = [], [], []
 
     def counted(*args):
         calls.append(args)
         return vt_syndrome(*args)
 
-    class CountedRow(list):
-        def __getitem__(self, key):
-            value = super().__getitem__(key)
-            if isinstance(key, int) and value:
-                kept.append(key)
-            return value
+    class CountedHalf(tuple):
+        def __add__(self, other):
+            joins.append(other)
+            return tuple(self) + other
 
-    rows = vt._suffix_rows
+    def counted_table(positions, m):
+        table = [(CountedHalf(w), r) for w, r in half_table(positions, m)]
+        halves.extend(table)
+        return table
+
+    half_table = vt._half_table
     monkeypatch.setattr(vt, "vt_syndrome", counted)
-    monkeypatch.setattr(vt, "_suffix_rows",
-                        lambda n: map(CountedRow, rows(n)))
+    monkeypatch.setattr(vt, "_half_table", counted_table)
     codebook = vt_enumerate(VtParams(16, 0))
     sizes = vt_class_sizes(16)
     assert len(codebook) == sizes[0] == 3856
-    assert len(calls) <= len(codebook)
-    assert len(codebook) <= len(kept) <= 16 * len(codebook)
+    assert calls == []
+    assert len(halves) <= 2 ** (16 // 2 + 1) + 2 ** ((16 + 1) // 2 + 1) == 1024
+    assert len(joins) == len(codebook)
+    assert all(type(w) is tuple for w in codebook)
 
 
 def test_class_sizes_budget_counts_table_work():
@@ -164,7 +168,11 @@ def test_best_residue():
     assert (a, size) == (0, 4)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    def refuse(positions, m):
+        raise AssertionError(f"half table built for {positions}")
+
+    monkeypatch.setattr(vt, "_half_table", refuse)
     with pytest.raises(BudgetExceeded):
         vt_enumerate(VtParams(30, 0))
 
@@ -248,6 +256,7 @@ def test_correct_single_dispatch():
     p = VtParams(4, 0)
     x = parse_word("0110")
     assert correct_single(p, x) == (x, False)
+    assert correct_single(p, x)[0] is x
     assert correct_single(p, parse_word("010")) == (x, False)
     assert correct_single(p, parse_word("0e10")) == (x, False)
     # 0100 reads as 0000 (flip up at 2) or 0110 (flip down at 3); the
