@@ -3,7 +3,8 @@
 Counting is exact big-integer arithmetic; ratios are rounded once, at
 report time.  Lower bounds that hold only asymptotically carry an
 applicability note and are never asserted against desk-scale codes.
-Domain guards are written as `not (in domain)`, so NaN fails them.
+Domain guards are written as `not (in domain)`, so NaN fails them, and
+test a divisor before dividing by it.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ def any_code_lower(n: int, t: int) -> BoundReport:
 
 def frac_upper(n: int, t: int, omega: float) -> BoundReport:
     """Redundancy ceiling for codes correcting a 1 - 42/omega fraction."""
-    arg = 2 * n / (omega * t * t)
-    if not (omega >= 6 and t >= 1 and arg > 0):
+    if not (omega >= 6 and t >= 1 and (arg := 2 * n / (omega * t * t)) > 0):
         raise FormulaDomainError("need omega >= 6, t >= 1, positive log argument")
     value = omega * t * t * math.log2(arg)
     return BoundReport("frac_upper", {"n": n, "t": t, "omega": omega},
@@ -100,8 +100,7 @@ def frac_upper_K(n: int, t: int, K: int) -> BoundReport:
     """Constant-omega corollary of frac_upper."""
     if not K >= 2:
         raise FormulaDomainError("need K >= 2")
-    arg = 2 * n / (K * t * t)
-    if not (t >= 1 and arg > 0):
+    if not (t >= 1 and (arg := 2 * n / (K * t * t)) > 0):
         raise FormulaDomainError("need t >= 1 and positive log argument")
     value = K * t * t * math.log2(arg)
     return BoundReport("frac_upper_K", {"n": n, "t": t, "K": K},

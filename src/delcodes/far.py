@@ -123,7 +123,8 @@ def far_params(n: int, P: int) -> FarParams:
     a2 = _best_residue_without_constants(P + s) if s else a1
     final = tuple(vt_enumerate(VtParams(P + s, a2)))
     inner = vt_enumerate(VtParams(P, a1)) if s else final  # s = 0: one class
-    inner = tuple(w for w in inner if 0 < sum(w) < P)
+    # vt_enumerate is lexicographic: 0^P, if present, is first and 1^P last.
+    inner = tuple(inner[not any(inner[0]):len(inner) - all(inner[-1])])
     return FarParams(n, P, t, s, a1, a2, inner, final)
 
 

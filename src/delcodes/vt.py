@@ -5,19 +5,19 @@ sum(i * x_i) is congruent to a mod M, the one modulus `_modulus(n)`.  A
 single deletion, erasure or flip is corrected from the discrepancy alone.
 
 Class sizes come from a counting table over (suffix start, checksum
-residue), built with O(n^2) additions: its first row is |VT_a(n)| for
-every a.  Codebooks join two half-tables, each half of the positions'
-words with their residues (Horowitz and Sahni's two-list split).
+residue), built in one loop of O(n^2) additions that keeps only its
+latest row: the first row is |VT_a(n)| for every a.  Codebooks join two
+half-tables, each half of the positions' words with their residues
+(Horowitz and Sahni's two-list split).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import add
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import DecodeFailure, check_budget
 from .words import ERASURE, UNITS, Symbols, Word, codeword_bytes, like
@@ -69,21 +69,6 @@ def vt_contains(p: VtParams, x: Word) -> bool:
     return vt_syndrome(codeword_bytes(x), p.a, p.modulus) == 0
 
 
-def _suffix_rows(n: int) -> Iterator[List[int]]:
-    """Rows n, n-1, ..., 0 of the counting table: row i holds, for each r,
-    the number of bit strings over positions i+1..n whose weighted sum
-    sum(k * x_k) is r mod M; row n is the empty string alone.
-
-    Each row is the one before plus its copy rotated by the weight, so the
-    rows of M entries take O(n*M) additions of integers below 2^n.
-    """
-    row = [1] + [0] * (_modulus(n) - 1)
-    yield row
-    for k in range(n, 0, -1):  # row k-1 adds position k, rotating by k < M
-        row = list(map(add, row, row[-k:] + row[:-k]))
-        yield row
-
-
 def check_enumeration_budget(n: int) -> None:
     """Refuse to enumerate a VT class of length n over the budget.
 
@@ -118,16 +103,22 @@ def vt_enumerate(p: VtParams) -> List[Word]:
 def vt_class_sizes(n: int) -> List[int]:
     """Sizes of VT_a(n) for a = 0..M-1: the counting table's first row.
 
-    Only the latest row is kept, so memory is O(M) integers of at most n
-    bits.  The budget counts the M^2 additions of n-bit integers as
-    M^2 * n bit operations, so n up to 255 fits the default.
+    Row i counts, for each r, the bit strings over positions i+1..n whose
+    weighted sum is r mod M; row n is the empty string alone.  One loop
+    builds rows n-1, ..., 0, each the row before plus its copy rotated by
+    the weight, keeping only the latest: O(M) integers of at most n bits.
+    The budget counts the M^2 additions of n-bit integers as M^2 * n bit
+    operations, so n up to 255 fits the default.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     check_budget(_modulus(n) ** 2 * n,
                  lambda: f"the {_modulus(n)}^2 * {n} bit operations of the "
                          f"counting table for n = {n}")
-    return deque(_suffix_rows(n), maxlen=1).pop()
+    row = [1] + [0] * (_modulus(n) - 1)
+    for k in range(n, 0, -1):  # row k-1 adds position k, rotating by k < M
+        row = list(map(add, row, row[-k:] + row[:-k]))
+    return row
 
 
 def vt_best_residue(n: int) -> Tuple[int, int]:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import resource
@@ -172,6 +173,30 @@ NAN = float("nan")
 def test_domain_guards_reject_nan(call):
     with pytest.raises(ValueError):
         call()
+
+
+VALID_ARGS = {"n": 1000, "t": 2, "P": 10, "b": 2, "omega": 10, "K": 4}
+
+
+def _edge_arguments():
+    """(bound, argument, value): each argument of each evaluator at 0 and
+    -1, and omega at -0.0 too, the others at a valid value."""
+    for name, evaluator in sorted(analysis.BOUND_EVALUATORS.items()):
+        for arg in inspect.signature(evaluator).parameters:
+            for value in (0, -1, -0.0) if arg == "omega" else (0, -1):
+                yield name, arg, value
+
+
+@pytest.mark.parametrize("name,arg,value", list(_edge_arguments()))
+def test_bound_evaluators_give_a_report_or_a_value_error(name, arg, value):
+    # Anything else, such as a ZeroDivisionError, is a traceback in the CLI.
+    evaluator = analysis.BOUND_EVALUATORS[name]
+    args = {a: VALID_ARGS[a] for a in inspect.signature(evaluator).parameters}
+    try:
+        report = evaluator(**dict(args, **{arg: value}))
+    except ValueError:
+        return
+    assert isinstance(report, analysis.BoundReport)
 
 
 def test_far_fraction_is_the_correctly_rounded_ratio():

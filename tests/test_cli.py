@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from delcodes import analysis, cli, verify, vt
+from delcodes import analysis, cli, far, verify, vt
 from delcodes.cli import main
 from delcodes.errors import exact_integers
 from delcodes.far import far_params
@@ -319,7 +319,7 @@ def test_far_code_over_budget_builds_no_table(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"table built for {args}")
 
-    monkeypatch.setattr(vt, "_suffix_rows", refuse)
+    monkeypatch.setattr(far, "vt_class_sizes", refuse)
     monkeypatch.setattr(vt, "_half_table", refuse)
     for argv in (("encode", "--info", "0,0"), ("decode", "--word", "0")):
         code, _, err = run(capsys, *argv, "--code", "far", "--n", "8000",
@@ -340,6 +340,20 @@ def test_bounds_reject_non_finite_input(capsys, omega):
     code, out, err = run(capsys, "bounds", "--name", "frac_upper", "--n",
                          "100", "--t", "1", "--omega", omega,
                          "--format", "json")
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ("frac_upper", "--t", "0", "--omega", "6"),
+    ("frac_upper", "--t", "1", "--omega", "0"),
+    ("frac_upper", "--t", "1", "--omega", "-0.0"),
+    ("frac_upper_K", "--t", "0", "--K", "2"),
+])
+def test_bounds_with_a_zero_divisor_are_an_error_line(capsys, flags):
+    # t = 0 or omega = 0 puts a zero in the log argument's divisor; the
+    # domain guard refuses it before the division.
+    name, *rest = flags
+    code, out, err = run(capsys, "bounds", "--name", name, "--n", "10", *rest)
     assert code == 1 and out == "" and err.startswith("error: ")
 
 

@@ -1,5 +1,6 @@
-"""Rules every module keeps: no top-level name bound twice, one symbol
-test, and no heavy import when the package and its CLI load."""
+"""Rules every module keeps: no top-level name bound twice, no name
+imported and never used, one symbol test, and no heavy import when the
+package and its CLI load."""
 
 import ast
 import os
@@ -28,6 +29,26 @@ def test_no_module_defines_a_top_level_name_twice():
                     rebound.append(f"{path.relative_to(ROOT)}: {node.name}")
                 seen.add(node.name)
     assert not rebound
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    # No linter is a dependency, so the parse finds what one would: a name
+    # left imported after its last use went.  The package's __init__
+    # imports to re-export, and a __future__ import binds no name.
+    unused = []
+    for path in sorted((SRC / "delcodes").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused
 
 
 def test_the_symbol_test_is_written_once():

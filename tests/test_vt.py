@@ -101,7 +101,7 @@ def test_class_sizes_closed_form():
                                      for a in range(n + 1)]
 
 
-@pytest.mark.parametrize("P", range(3, 13))
+@pytest.mark.parametrize("P", range(3, 15))
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_far_alphabets_match_walk(P, s):
     # Residues maximize the class size less the constant words, smallest
