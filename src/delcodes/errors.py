@@ -38,12 +38,15 @@ def exact_integers():
 
 
 def check_budget(items: int, what: Callable[[], str]) -> None:
-    """Refuse a walk over more items than DELCODE_BUDGET, or 2^24 when it
-    is unset.  `what()` names the items in the message; it runs only on
-    refusal, with the digit limit lifted, because the sizes it names can
-    have more than 4300 digits."""
-    value = os.environ.get("DELCODE_BUDGET")
-    budget = int(value) if value else DEFAULT_BUDGET
+    """Refuse a walk over more items than DELCODE_BUDGET, a count in
+    decimal digits, or 2^24 when it is unset.  `what()` names the items in
+    the message; it runs only on refusal, with the digit limit lifted,
+    because the sizes it names can have more than 4300 digits."""
+    value = os.environ.get("DELCODE_BUDGET") or str(DEFAULT_BUDGET)
+    if not value.strip().isdecimal():
+        raise ValueError("DELCODE_BUDGET must be a non-negative integer, "
+                         f"got {value!r}")
+    budget = int(value)
     if items > budget:
         with exact_integers():
             message = f"{what()} exceed the budget of {budget}"

@@ -132,14 +132,14 @@ def far_encode(p: FarParams, indices: Sequence[int]) -> Word:
     """Concatenate the alphabet words selected by the index tuple."""
     if len(indices) != p.t:
         raise ValueError(f"need {p.t} indices, got {len(indices)}")
-    out: List[int] = []
+    out: List[Word] = []
     for j, i in enumerate(indices, start=1):
         alphabet = p.inner_alphabet if j < p.t else p.final_alphabet
         if not 0 <= i < len(alphabet):
             raise ValueError(f"block {j}: index {i} outside "
                              f"0..{len(alphabet) - 1}")
-        out.extend(alphabet[i])
-    return tuple(out)
+        out.append(alphabet[i])
+    return b"".join(out)
 
 
 def far_codeword(p: FarParams, index: int) -> Word:
@@ -255,7 +255,7 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Symbols, FarDecodeInfo]:
     max_iterations = math.ceil(p.n / (3 * p.P)) + 1
     P, t = p.P, p.t
     received, y = y, received_bytes(y)
-    sums = window_sums(y.replace(UNITS[bytes][ERASURE], b"\0"), P)  # erasures as 0
+    sums = window_sums(y.replace(UNITS[ERASURE], b"\0"), P)  # erasures as 0
     views: Dict[int, bytes] = {}
     out = bytearray()  # the estimate of the blocks before block j
     r = 0  # block j starts at y[r]

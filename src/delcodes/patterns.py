@@ -91,6 +91,8 @@ class PatternFamily:
     def __post_init__(self):
         if self.kind not in ("at_most", "p_far", "burst"):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.n < 0:
+            raise ValueError("need n >= 0")
         for name, takers in (("t", ("at_most", "p_far")), ("P", ("p_far",)),
                              ("b", ("burst",))):
             if getattr(self, name) is not None and self.kind not in takers:
@@ -161,7 +163,7 @@ def apply_pattern(x: Symbols, g: ErrorPattern) -> Symbols:
     for pos, kind in g.errors:
         out.append(z[start:pos - 1])
         if kind != "D":
-            out.append(UNITS[bytes][1 - z[pos - 1] if kind == "F" else ERASURE])
+            out.append(UNITS[1 - z[pos - 1] if kind == "F" else ERASURE])
         start = pos
     out.append(z[start:])
     return like(x, b"".join(out))

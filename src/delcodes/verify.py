@@ -86,7 +86,7 @@ class VtCodeAdapter(_Code):
     def decode(self, received: Symbols) -> Tuple[Symbols, bool]:
         return vt.correct_single(self.params, received)
 
-    def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
+    def decode_diagnostics(self, received: Symbols) -> Tuple[Symbols, dict]:
         estimate, ambiguous = vt.correct_single(self.params, received)
         return estimate, {"ambiguous": ambiguous}
 
@@ -102,7 +102,7 @@ class RepCodeAdapter(_Code):
     def codeword(self, index: int) -> Word:
         check_index(index, self.codeword_count)
         m = self.params.m
-        info = tuple((index >> (m - 1 - i)) & 1 for i in range(m))
+        info = bytes((index >> (m - 1 - i)) & 1 for i in range(m))
         return rep.rep_encode(self.params, info)
 
     def encode(self, info: str) -> Tuple[Word, dict]:
@@ -114,7 +114,7 @@ class RepCodeAdapter(_Code):
         info, tied = rep.rep_decode(self.params, received)
         return rep.rep_encode(self.params, info), tied
 
-    def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
+    def decode_diagnostics(self, received: Symbols) -> Tuple[Symbols, dict]:
         """The decoded info word (not the codeword) and the tie flag."""
         info, tied = rep.rep_decode(self.params, received)
         return info, {"majorityTie": tied}
@@ -147,7 +147,7 @@ class FarCodeAdapter(_Code):
         estimate, info = far.far_decode(self.params, received)
         return estimate, info.ambiguous_flips > 0
 
-    def decode_diagnostics(self, received: Word) -> Tuple[Word, dict]:
+    def decode_diagnostics(self, received: Symbols) -> Tuple[Symbols, dict]:
         estimate, info = far.far_decode(self.params, received)
         return estimate, _json_fields(info)
 
@@ -272,7 +272,7 @@ def _collision_witness(words: Sequence[bytes], patterns: Sequence[ErrorPattern],
     }
 
 
-def verify_combinatorial(codebook: Sequence[Word],
+def verify_combinatorial(codebook: Sequence[Symbols],
                          family: PatternFamily) -> VerifyReport:
     """Check that corrupted-output sets are disjoint across codewords.
 

@@ -48,7 +48,7 @@ class VtParams:
         return _modulus(self.n)
 
 
-def vt_checksum(x: Word) -> int:
+def vt_checksum(x: Symbols) -> int:
     """Unreduced weighted checksum sum(i * x_i), 1-based."""
     return sum(compress(_POSITIONS, codeword_bytes(x)))
 
@@ -63,7 +63,7 @@ def vt_syndrome(word: Sequence[int], a: int, modulus: int) -> int:
     return (sum(compress(_POSITIONS, word)) - a) % modulus
 
 
-def vt_contains(p: VtParams, x: Word) -> bool:
+def vt_contains(p: VtParams, x: Symbols) -> bool:
     if len(x) != p.n:
         raise ValueError(f"word length {len(x)} != n = {p.n}")
     return vt_syndrome(codeword_bytes(x), p.a, p.modulus) == 0
@@ -81,16 +81,16 @@ def check_enumeration_budget(n: int) -> None:
 def _half_table(positions: range, m: int) -> List[Tuple[Word, int]]:
     """The 0/1 words over `positions` in lexicographic order, each with
     its weighted sum mod m, grown a position at a time, 0 before 1."""
-    table: List[Tuple[Word, int]] = [((), 0)]
+    table: List[Tuple[Word, int]] = [(b"", 0)]
     for k in positions:
-        table = [(w + (b,), (r + b * k) % m) for w, r in table for b in (0, 1)]
+        table = [(w + UNITS[b], (r + b * k) % m) for w, r in table for b in (0, 1)]
     return table
 
 
 def vt_enumerate(p: VtParams) -> List[Word]:
     """All codewords of VT_a(n) in lexicographic order: each left half
     over positions 1..n//2 joined with every right half whose residue
-    completes its own to a, one tuple join per codeword."""
+    completes its own to a, one bytes join per codeword."""
     check_enumeration_budget(p.n)
     m, h = p.modulus, p.n // 2
     rights: List[List[Word]] = [[] for _ in range(m)]
@@ -138,13 +138,12 @@ def correct_erasure(p: VtParams, y: Symbols) -> Symbols:
     if erased != 1:
         raise ValueError(f"expected exactly one erasure, found {erased}")
     k = y.index(ERASURE) + 1
-    v = like(y, y)  # the word the fills are cut from
-    x = v[:k - 1] + UNITS[type(v)][0] + v[k:]
-    r = vt_syndrome(codeword_bytes(x), p.a, p.modulus)
+    left, right = codeword_bytes(y[:k - 1]), codeword_bytes(y[k:])
+    r = vt_syndrome(left + b"\0" + right, p.a, p.modulus)
     if r and (r + k) % p.modulus:
         raise DecodeFailure("erasure correction left a non-codeword",
                             {"position": k})
-    return v[:k - 1] + UNITS[type(v)][1] + v[k:] if r else x
+    return like(y, left + (b"\1" if r else b"\0") + right)
 
 
 def flip_candidates(p: VtParams, y: Symbols) -> List[Symbols]:
@@ -159,16 +158,16 @@ def flip_candidates(p: VtParams, y: Symbols) -> List[Symbols]:
     """
     if len(y) != p.n:
         raise ValueError(f"word length {len(y)} != n = {p.n}")
-    r = vt_syndrome(codeword_bytes(y), p.a, p.modulus)
+    z = codeword_bytes(y)
+    r = vt_syndrome(z, p.a, p.modulus)
     if r == 0:
         raise DecodeFailure("word is already a codeword, no flip to correct")
-    v = like(y, y)  # the word the candidates are cut from
     out: List[Symbols] = []
-    if r <= p.n and v[r - 1]:  # restore position r to 0
-        out.append(v[:r - 1] + UNITS[type(v)][0] + v[r:])
+    if r <= p.n and z[r - 1]:  # restore position r to 0
+        out.append(like(y, z[:r - 1] + b"\0" + z[r:]))
     q = p.modulus - r
-    if q <= p.n and not v[q - 1]:  # restore position q to 1
-        out.append(v[:q - 1] + UNITS[type(v)][1] + v[q:])
+    if q <= p.n and not z[q - 1]:  # restore position q to 1
+        out.append(like(y, z[:q - 1] + b"\1" + z[q:]))
     return out
 
 
@@ -189,11 +188,10 @@ def correct_deletion(p: VtParams, y: Symbols) -> Symbols:
     w = z.count(1)
     disc = -vt_syndrome(z, p.a, p.modulus) % p.modulus
     if disc <= w:
-        bit, i = 0, len(z.rsplit(b"\1", disc)[0])
+        bit, i = b"\0", len(z.rsplit(b"\1", disc)[0])
     else:
-        bit, i = 1, len(z) - len(z.split(b"\0", disc - w - 1)[-1])
-    v = like(y, y)
-    return v[:i] + UNITS[type(v)][bit] + v[i:]
+        bit, i = b"\1", len(z) - len(z.split(b"\0", disc - w - 1)[-1])
+    return like(y, z[:i] + bit + z[i:])
 
 
 def correct_single(p: VtParams, y: Symbols) -> Tuple[Symbols, bool]:
@@ -215,9 +213,8 @@ def correct_single(p: VtParams, y: Symbols) -> Tuple[Symbols, bool]:
     if m == p.n - 1:
         return correct_deletion(p, y), False
     if m == p.n:
-        if vt_syndrome(y, p.a, p.modulus) == 0:
-            codeword_bytes(y)  # refuses a symbol other than 0 and 1
-            return like(y, y), False
+        if vt_syndrome(y, p.a, p.modulus) == 0:  # codeword_bytes refuses
+            return like(y, codeword_bytes(y)), False  # a symbol but 0 and 1
         candidates = flip_candidates(p, y)
         if not candidates:
             raise DecodeFailure("no single flip reaches a codeword")

@@ -1,12 +1,11 @@
-"""Binary words with an erasure symbol, held as tuples or as bytes.
+"""Binary words with an erasure symbol, held as bytes.
 
-A codeword holds the ints 0 and 1 (True reads as 1, 1.0 does not), read
-by `codeword_bytes`; a received word may also hold the erasure ERASURE,
-read by `received_bytes`.  Both, and `word_to_str`, read through the one
-symbol test in `symbol_bytes`.  Text form uses '0', '1' and 'e'.  Every
-word function returns the word type it was given (`like`): bytes for
-bytes or a bytearray, else a tuple.  A word made from no word, as by
-`parse_word`, is a tuple.
+A codeword holds the symbols 0 and 1 (True reads as 1, 1.0 does not),
+read by `codeword_bytes`; a received word may also hold the erasure
+ERASURE, read by `received_bytes`.  Both, and `word_to_str`, read through
+the one symbol test in `symbol_bytes`.  Text form uses '0', '1' and 'e'.
+Every word the library makes is bytes; `like` alone hands a tuple back,
+to a caller that passed a tuple in.
 """
 
 from __future__ import annotations
@@ -15,15 +14,13 @@ from typing import Optional, Tuple, Type, Union
 
 from .errors import DecodeFailure
 
-Word = Tuple[int, ...]
-Symbols = Union[Word, bytes, bytearray]
+Word = bytes  # what every producer returns
+Symbols = Union[bytes, bytearray, Tuple[int, ...]]  # what every reader takes
 
 ERASURE = 2
 _BITS = bytes((0, 1))
 _SYMBOLS = bytes((0, 1, ERASURE))
-# The word of the one symbol s in each word type: UNITS[type][s].
-UNITS = {bytes: tuple(_SYMBOLS[s:s + 1] for s in _SYMBOLS),
-         tuple: tuple((s,) for s in _SYMBOLS)}
+UNITS = tuple(_SYMBOLS[s:s + 1] for s in _SYMBOLS)  # UNITS[s]: the word s
 
 _CHAR_TO_SYM = {"0": 0, "1": 1, "e": ERASURE}
 _TO_TEXT = bytes.maketrans(_SYMBOLS, b"01e")
@@ -35,7 +32,7 @@ _REFUSALS = {_BITS: "codeword must be erasure-free bits, got symbol %r",
 def parse_word(text: str) -> Word:
     """Parse a word from its text form over {0, 1, e}."""
     try:
-        return tuple(_CHAR_TO_SYM[c] for c in text)
+        return bytes(map(_CHAR_TO_SYM.__getitem__, text))
     except KeyError as exc:
         raise ValueError(f"bad symbol {exc.args[0]!r} in word {text!r}") from None
 
@@ -53,7 +50,7 @@ def word_to_str(word: Symbols) -> str:
     return symbol_bytes(word, _SYMBOLS, ValueError).translate(_TO_TEXT).decode()
 
 
-def weight(word: Word) -> int:
+def weight(word: Symbols) -> int:
     """Number of ones; erasures must be absent."""
     return codeword_bytes(word).count(1)
 
@@ -93,7 +90,9 @@ def codeword_bytes(x: Symbols) -> bytes:
 
 
 def like(word: Symbols, z: Symbols) -> Symbols:
-    """The word z in word's type: bytes for bytes or a bytearray, else a tuple."""
+    """The word z in word's type: a tuple for a tuple (or any iterable that
+    is no bytes or bytearray), else bytes.  No other function hands a
+    word back as a tuple."""
     if type(word) is tuple or not isinstance(word, (bytes, bytearray)):
         return tuple(z)
     return z if type(z) is bytes else bytes(z)

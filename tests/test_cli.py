@@ -138,6 +138,8 @@ def test_encode_and_decode_read_long_words_from_files(capsys, tmp_path):
     # Family names are read as typed, like the kinds after '@'.
     (("count", "--n", "5", "--family", "ATMOST:1"),
      "usage error: unknown family kind 'ATMOST'"),
+    (("count", "--n", "-5", "--family", "pfar:3"),
+     "usage error: bad family spec 'pfar:3': need n >= 0"),
 ])
 def test_cli_refuses_inputs_out_of_range(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -491,6 +493,15 @@ def test_verify_roundtrip_far(capsys):
                             "--code", "far", "--n", "12", "--P", "3",
                             "--family", "pfar:9")
     assert code == 0 and obj["cases"] == 1456
+
+
+@pytest.mark.parametrize("value", ["1e6", "-1"])
+def test_a_budget_that_is_no_count_is_an_error_line(capsys, monkeypatch, value):
+    monkeypatch.setenv("DELCODE_BUDGET", value)
+    code, out, err = run(capsys, "vt-enum", "--n", "4", "--a", "0")
+    assert (code, out, err) == (
+        1, "", f"error: DELCODE_BUDGET must be a non-negative integer, "
+               f"got {value!r}\n")
 
 
 def test_verify_budget_exit_code(capsys, monkeypatch):

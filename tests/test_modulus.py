@@ -23,7 +23,7 @@ def walk_codebooks(n, m):
     in lexicographic order."""
     books = [[] for _ in range(m)]
     for bits in itertools.product((0, 1), repeat=n):
-        books[sum(i * b for i, b in enumerate(bits, 1)) % m].append(bits)
+        books[sum(i * b for i, b in enumerate(bits, 1)) % m].append(bytes(bits))
     return books
 
 

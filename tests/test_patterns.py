@@ -16,7 +16,7 @@ from delcodes.words import (ERASURE, codeword_bytes, parse_word,
 
 
 def test_word_text_roundtrip():
-    assert parse_word("01e1") == (0, 1, ERASURE, 1)
+    assert parse_word("01e1") == bytes((0, 1, ERASURE, 1))
     assert word_to_str((0, 1, ERASURE, 1)) == "01e1"
     with pytest.raises(ValueError):
         parse_word("01x")
@@ -27,7 +27,7 @@ def test_word_text_roundtrips_every_short_word():
     # text parse_word reads back.
     for n in range(9):
         for w in itertools.product((0, 1, ERASURE), repeat=n):
-            assert parse_word(word_to_str(w)) == w
+            assert parse_word(word_to_str(w)) == bytes(w)
     assert word_to_str((True, 0)) == "10"  # True reads as 1
 
 
@@ -390,6 +390,10 @@ def test_budget_outside_0_to_n_is_refused(n, make):
      "at_most families take no b"),
     (lambda: PatternFamily("p_far", 9, P=3, b=0), "p_far families take no b"),
     (lambda: PatternFamily("foo", 5), "unknown family kind 'foo'"),
+    # No t binds n below zero here, so n is refused on its own.
+    (lambda: PatternFamily.p_far(-5, 3), "need n >= 0"),
+    (lambda: PatternFamily.at_most(-1, 0), "need n >= 0"),
+    (lambda: PatternFamily.burst(-1, 0), "need n >= 0"),
 ])
 def test_directly_built_families_take_the_same_rules(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

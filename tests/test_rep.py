@@ -76,7 +76,7 @@ def test_decode_all_single_kind_errors(n, t):
 def test_tie_is_flagged():
     # A block reduced to one 0 and one 1 has no majority: decode 0, flag.
     info, tied = rep_decode(RepParams(3, 1), parse_word("1e0"))
-    assert info == (0,) and tied
+    assert info == b"\0" and tied
 
 
 def test_out_of_model_length_fails():

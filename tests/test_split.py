@@ -142,7 +142,7 @@ def test_split_audit_keeps_the_smallest_keys_of_every_part(monkeypatch, forks):
 
 def test_split_audit_raises_as_one_process(monkeypatch, forks):
     codebook = list(make_code("vt", n=10, a=0).codewords())
-    codebook[40] = (1.0,) + codebook[40][1:]
+    codebook[40] = (1.0,) + tuple(codebook[40][1:])
     family = PatternFamily.at_most(10, 1)
     with pytest.raises(ValueError) as serial:
         _serial(monkeypatch, lambda: verify_combinatorial(codebook, family))

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from delcodes import far, patterns, verify, vt
-from delcodes.errors import BudgetExceeded, exact_integers
+from delcodes.errors import BudgetExceeded, check_budget, exact_integers
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                sample_pattern)
 from delcodes.verify import (VerifyReport, make_code, mix64, simulate,
@@ -85,6 +85,21 @@ def test_combinatorial_budget(monkeypatch):
     monkeypatch.setenv("DELCODE_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
         verify_combinatorial(codebook, fam)
+
+
+@pytest.mark.parametrize("value", ["1e6", "-1", "ten", "0x10"])
+def test_budget_variable_must_be_a_non_negative_integer(monkeypatch, value):
+    monkeypatch.setenv("DELCODE_BUDGET", value)
+    with pytest.raises(ValueError, match="^DELCODE_BUDGET must be a non-negative "
+                                         f"integer, got {re.escape(repr(value))}$"):
+        check_budget(1, lambda: "one item")
+
+
+def test_budget_variable_zero_refuses_every_item(monkeypatch):
+    monkeypatch.setenv("DELCODE_BUDGET", "0")
+    check_budget(0, lambda: "no item")
+    with pytest.raises(BudgetExceeded, match="^one item exceed the budget of 0$"):
+        check_budget(1, lambda: "one item")
 
 
 def test_roundtrip_budget_names_sizes_past_4300_digits():
@@ -386,7 +401,7 @@ def test_audit_matches_reference_with_a_duplicate_codeword():
 def test_audit_refuses_a_codeword_symbol_other_than_int_bits(symbol):
     # Tuple equality audited (1.0, ...) as (1, ...); the audit names it.
     codebook = vt_enumerate(VtParams(6, 0))
-    codebook[2] = codebook[2][:3] + (symbol,) + codebook[2][4:]
+    codebook[2] = tuple(codebook[2][:3]) + (symbol,) + tuple(codebook[2][4:])
     with pytest.raises(ValueError, match=f"got symbol {re.escape(repr(symbol))}$"):
         verify_combinatorial(codebook, PatternFamily.at_most(6, 1))
 

@@ -20,7 +20,7 @@ def walk_codebooks(n):
     lexicographic order, the enumeration the counting table replaced."""
     books = [[] for _ in range(n + 1)]
     for bits in itertools.product((0, 1), repeat=n):
-        books[sum(i * b for i, b in enumerate(bits, 1)) % (n + 1)].append(bits)
+        books[sum(i * b for i, b in enumerate(bits, 1)) % (n + 1)].append(bytes(bits))
     return books
 
 
@@ -129,10 +129,10 @@ def test_enumeration_work_scales_with_codewords(monkeypatch):
         calls.append(args)
         return vt_syndrome(*args)
 
-    class CountedHalf(tuple):
+    class CountedHalf(bytes):
         def __add__(self, other):
             joins.append(other)
-            return tuple(self) + other
+            return bytes(self) + other
 
     def counted_table(positions, m):
         table = [(CountedHalf(w), r) for w, r in half_table(positions, m)]
@@ -148,7 +148,7 @@ def test_enumeration_work_scales_with_codewords(monkeypatch):
     assert calls == []
     assert len(halves) <= 2 ** (16 // 2 + 1) + 2 ** ((16 + 1) // 2 + 1) == 1024
     assert len(joins) == len(codebook)
-    assert all(type(w) is tuple for w in codebook)
+    assert all(type(w) is bytes for w in codebook)
 
 
 def test_class_sizes_budget_counts_table_work():

@@ -1,7 +1,7 @@
 """The word-type rule: a word function returns the word type it was given.
 A tuple in gives tuples out; bytes or a bytearray in gives bytes out, with
 the same values, and a foreign symbol is refused with the same exception
-whatever type holds it."""
+whatever type holds it.  A word made from no word is bytes."""
 
 import re
 
@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delcodes.errors import DecodeFailure
-from delcodes.far import far_decode
+from delcodes.far import far_codeword, far_decode, far_encode
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family)
 from delcodes.rep import RepParams, rep_decode, rep_encode
 from delcodes.verify import make_code
 from delcodes.vt import (correct_deletion, correct_erasure, correct_single,
-                         flip_candidates)
-from delcodes.words import (ERASURE, codeword_bytes, received_bytes, weight,
-                            word_to_str)
+                         flip_candidates, vt_enumerate)
+from delcodes.words import (ERASURE, codeword_bytes, parse_codeword,
+                            parse_word, received_bytes, weight, word_to_str)
 
 CODES = {"vt": make_code("vt", n=8, a=0), "rep": make_code("rep", n=9, t=1),
          "burst": make_code("burst", n=9, b=1), "far": make_code("far", n=12, P=3)}
@@ -47,7 +47,7 @@ def _corrupted(code):
             for g in enumerate_family(family)]
 
 
-POOLS = {kind: _corrupted(code) for kind, code in CODES.items()}
+POOLS = {kind: list(map(tuple, _corrupted(code))) for kind, code in CODES.items()}
 
 
 def _is_word(obj) -> bool:
@@ -123,6 +123,28 @@ def test_a_float_symbol_is_refused_as_a_foreign_byte_is(case):
         if isinstance(bytes_out[0], type) and "symbol 3" in bytes_out[1]:
             assert tuple_out == (bytes_out[0], re.sub(
                 "symbol 3", "symbol 1.0", bytes_out[1]))
+
+
+FAR = CODES["far"].params
+# Each function that makes words from no word, and the words it makes.
+PRODUCERS = {
+    "parse_word": lambda: [parse_word("01e1")],
+    "parse_codeword": lambda: [parse_codeword("0110")],
+    "vt_enumerate": lambda: vt_enumerate(VT),
+    "far_encode": lambda: [far_encode(FAR, [1] * FAR.t)],
+    "far_codeword": lambda: [far_codeword(FAR, FAR.codeword_count - 1)],
+    "far alphabets": lambda: FAR.inner_alphabet + FAR.final_alphabet,
+    **{f"{kind}.codeword": lambda code=code: [code.codeword(code.codeword_count - 1)]
+       for kind, code in CODES.items()},
+    **{f"{kind}.codewords": lambda code=code: list(code.codewords())
+       for kind, code in CODES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_every_producer_returns_bytes(name):
+    words = PRODUCERS[name]()
+    assert words and all(type(w) is bytes for w in words)
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
