@@ -34,6 +34,32 @@ is small: against per-block `sum(compress(...))` it took 0.004 ms vs
 0.13-0.18 ms at n = 3024, P = 14, 0.8-0.9 ms vs 1.0-1.4 ms at n = 10^5,
 P = 231, and 25-28 ms vs 26-28 ms at n = 10^6, P = 1157 (Python 3.11,
 2-CPU Xeon).
+
+A block code of length at most TABLE_MAX_LENGTH is decoded by table
+lookup (standard-array decoding of a short code, as in MacWilliams and
+Sloane, ch. 1).  `far_params` maps each received block one deletion,
+erasure or flip away from a word of the class, and each word as
+received, to the answer the decoder's corrector gives for it, from one
+call of that corrector; blocks whose answer is a DecodeFailure are left
+out.  The entries for final blocks, and for inner blocks with an
+erasure or a deletion, are `vt.correct_single`'s answers (for a
+deletion that is `vt.correct_deletion`'s word, which the decoder calls
+on a miss), so at s = 0 the inner and final codes share one table;
+inner flips have their own table, of `_pick_flip`'s answers.  The decoder looks a block up first and calls the corrector
+only on a miss, so its answers, failures and the faults it propagates
+are the corrector's.  Every block that far-apart errors deliver is in a
+table: at far(60, 6) a correction costs one dict lookup instead of two
+to four corrector calls of about 3 us each.  An entry costs one
+corrector call and a hit saves one to four, so a table pays for itself
+within about as many corrections as it has entries, but the build
+doubles with each symbol of block length: `far_params(10P, P)` took
+0.12-0.20, 0.18-0.32, 0.37-0.66, 0.66-1.1, 1.3-2.3 and 2.7-4.8 ms for
+P = 3..8 (two runs, best of 9, Python 3.11, 2-CPU host whose speed
+drifts), 5.3-5.7 ms at P = 9 and 43-44 ms at P = 12, against 0.02-0.11
+ms without tables.  The bound, 8, keeps the build within a few
+milliseconds, about a tenth of a process's import and set-up; longer
+codes, the paper's P = 14 among them, keep empty tables and the
+correctors alone.
 """
 
 from __future__ import annotations
@@ -42,13 +68,17 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .errors import DecodeFailure, check_index
 from .vt import (VtParams, check_enumeration_budget, correct_deletion,
                  correct_single, flip_candidates, vt_class_sizes,
                  vt_enumerate, vt_syndrome)
 from .words import ERASURE, UNITS, Symbols, Word, like, received_bytes, symbol_bytes
+
+TABLE_MAX_LENGTH = 8  # longest block code decoded by table lookup: see above
+
+Answer = Tuple[Word, bool]  # a block's correction and its ambiguity flag
 
 
 def _best_residue_without_constants(m: int) -> int:
@@ -73,6 +103,17 @@ class FarParams:
     a2: int
     inner_alphabet: Tuple[Word, ...] = field(repr=False)
     final_alphabet: Tuple[Word, ...] = field(repr=False)
+    # Decoding tables (`_block_table`): vt.correct_single's answers for
+    # inner and for final blocks, one table when s = 0, and _pick_flip's
+    # for inner flips.  They follow from the fields above, so they take
+    # no part in == and hash; an empty one leaves its blocks to the
+    # corrector.
+    inner_table: Dict[bytes, Answer] = field(default_factory=dict, repr=False,
+                                             compare=False)
+    flip_table: Dict[bytes, Answer] = field(default_factory=dict, repr=False,
+                                            compare=False)
+    final_table: Dict[bytes, Answer] = field(default_factory=dict, repr=False,
+                                             compare=False)
 
     @cached_property
     def inner_code(self) -> VtParams:
@@ -109,7 +150,9 @@ def far_params(n: int, P: int) -> FarParams:
     is all of VT_a2(P + s), constants included, but a2 is chosen as if
     they were dropped: under the paper's modulus it has one word fewer
     than the largest class at P + s in {4, 6, 8, 10, 12, 16, 18, 22, 24}
-    (9 words, not 10, for far(60, 6)).
+    (9 words, not 10, for far(60, 6)).  Each block code of length at
+    most TABLE_MAX_LENGTH gets its decoding table here, not at first
+    use, so a decode never pays for it.
     """
     if P < 3:
         raise ValueError("need P >= 3 so the inner alphabet is non-empty")
@@ -121,11 +164,40 @@ def far_params(n: int, P: int) -> FarParams:
     check_enumeration_budget(P + s)
     a1 = _best_residue_without_constants(P)
     a2 = _best_residue_without_constants(P + s) if s else a1
-    final = tuple(vt_enumerate(VtParams(P + s, a2)))
-    inner = vt_enumerate(VtParams(P, a1)) if s else final  # s = 0: one class
+    inner_code, final_code = VtParams(P, a1), VtParams(P + s, a2)
+    final = tuple(vt_enumerate(final_code))
+    inner = vt_enumerate(inner_code) if s else final  # s = 0: one class
     # vt_enumerate is lexicographic: 0^P, if present, is first and 1^P last.
-    inner = tuple(inner[not any(inner[0]):len(inner) - all(inner[-1])])
-    return FarParams(n, P, t, s, a1, a2, inner, final)
+    alphabet = tuple(inner[not any(inner[0]):len(inner) - all(inner[-1])])
+    final_table = _block_table(final_code, final, "DEF", correct_single)
+    inner_table = (_block_table(inner_code, inner, "DE", correct_single)
+                   if s else final_table)
+    return FarParams(n, P, t, s, a1, a2, alphabet, final, inner_table,
+                     _block_table(inner_code, inner, "F", _pick_flip),
+                     final_table)
+
+
+def _block_table(code: VtParams, words: Sequence[Word], kinds: str,
+                 answer: Callable[[VtParams, bytes], Answer]) -> Dict[bytes, Answer]:
+    """answer(code, key) for every key that is one of `words`, the class
+    of `code`, or one error of `kinds` away from one: a deletion (D), an
+    erasure (E) or a flip (F).  A key whose answer is a DecodeFailure is
+    left out.  Empty for a code longer than TABLE_MAX_LENGTH."""
+    if code.n > TABLE_MAX_LENGTH:
+        return {}
+    keys = set(words)
+    for w in words:
+        for i, bit in enumerate(w):
+            head, tail = w[:i], w[i + 1:]
+            middle = {"D": b"", "E": UNITS[ERASURE], "F": UNITS[1 - bit]}
+            keys.update(head + middle[kind] + tail for kind in kinds)
+    table = {}
+    for key in keys:
+        try:
+            table[key] = answer(code, key)
+        except DecodeFailure:
+            pass
+    return table
 
 
 def far_encode(p: FarParams, indices: Sequence[int]) -> Word:
@@ -225,7 +297,8 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Symbols, FarDecodeInfo]:
     block by block.  A cursor r marks the first received symbol not yet
     read; the estimate holds blocks 1 .. j-1 when block j starts at r.
     The scan hands every final block, and any block holding an erasure,
-    to `vt.correct_single`, and checks the checksum of any other block.
+    to `vt.correct_single`, and checks the checksum of any other block;
+    every correction is looked up in the block code's table first.
     At a mismatch in inner block j it corrects exactly one error, in
     block j itself (the module docstring says why), telling a deletion
     from a flip by the next block's checksum; the fixed block stands for
@@ -281,7 +354,9 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Symbols, FarDecodeInfo]:
             blk = y[r:r + P] if j < t else y[r:]
             if j == t or ERASURE in blk:
                 # The final alphabet is all of its VT class.
-                fixed, ambiguous = correct_single(_block_code(p, j), blk)
+                table = p.final_table if j == t else p.inner_table
+                fixed, ambiguous = (table.get(blk)
+                                    or correct_single(_block_code(p, j), blk))
                 used = len(blk)
             else:
                 # The next block follows blk; the final block runs to the end.
@@ -310,7 +385,7 @@ def _block_code(p: FarParams, j: int) -> VtParams:
     return p.inner_code if j < p.t else p.final_code
 
 
-def _pick_flip(code: VtParams, blk: bytes) -> Tuple[bytes, bool]:
+def _pick_flip(code: VtParams, blk: bytes) -> Answer:
     """Undo one flip in an inner block, keeping only alphabet words.
 
     Flip candidates are codewords of the inner VT class; the constant
@@ -336,6 +411,8 @@ def _correct_one(p: FarParams, j: int, blk: bytes,
     ambiguous flip (a deletion gives False) and the received symbols it
     stands for: P after a flip, P-1 after a deletion.  A full next block
     holding an erasure has no checksum to tell them by, and is refused.
+    Each correction is looked up in `p.flip_table` or `p.inner_table`
+    first.
     """
     if len(blk) < p.P:  # the word ends inside block j
         raise DecodeFailure("received word ends inside an inner block",
@@ -346,5 +423,7 @@ def _correct_one(p: FarParams, j: int, blk: bytes,
     if len(nxt) == code.n and ERASURE in nxt:
         raise DecodeFailure("checksum undefined with erasures present")
     if len(nxt) == code.n and vt_syndrome(nxt, code.a, code.modulus) == 0:
-        return (*_pick_flip(p.inner_code, blk), p.P)
-    return correct_deletion(p.inner_code, blk[:-1]), False, p.P - 1
+        return (*(p.flip_table.get(blk) or _pick_flip(p.inner_code, blk)), p.P)
+    d = blk[:-1]
+    hit = p.inner_table.get(d)  # correct_single's (word, False)
+    return hit[0] if hit else correct_deletion(p.inner_code, d), False, p.P - 1

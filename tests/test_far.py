@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import itertools
 import math
@@ -10,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delcodes import far, verify
-from delcodes.errors import DecodeFailure
+from delcodes import far, verify, vt
+from delcodes.errors import BudgetExceeded, DecodeFailure
 from delcodes.far import (FarParams, far_codeword, far_contains, far_decode,
                           far_encode, far_params, window_sums)
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, is_member, sample_pattern)
-from delcodes.vt import (correct_deletion, correct_single, flip_candidates,
-                         vt_syndrome)
+from delcodes.vt import (VtParams, correct_deletion, correct_single,
+                         flip_candidates, vt_enumerate, vt_syndrome)
 from delcodes.words import ERASURE, parse_word
 
 
@@ -173,16 +174,86 @@ def test_decode_failure_names_its_block(n, P, index, errors, length, message,
     assert _outcome(reference_far_decode, p, y) == (message, diagnostic)
 
 
+# The shortest block length decoded without a table, by the correctors.
+ABOVE = far.TABLE_MAX_LENGTH + 1
+
+
+def _boom(*args):
+    raise ValueError("boom")
+
+
 def test_decode_failures_come_only_from_the_decoders_rules(monkeypatch):
     # A fault in a corrector propagates: reports would count it as an
     # ordinary decode failure if far_decode turned it into one.
-    def boom(*args):
-        raise ValueError("boom")
-    monkeypatch.setattr(far, "correct_deletion", boom)
-    p = far_params(60, 6)
-    y = apply_pattern(far_codeword(p, 0), ErrorPattern.from_dict(60, {19: "D"}))
+    monkeypatch.setattr(far, "correct_deletion", _boom)
+    p = far_params(10 * ABOVE, ABOVE)
+    y = apply_pattern(far_codeword(p, 0),
+                      ErrorPattern.from_dict(p.n, {19: "D"}))
     with pytest.raises(ValueError, match="^boom$"):
         far_decode(p, y)
+
+
+def test_a_corrector_fault_propagates_out_of_the_table_build(monkeypatch):
+    # Below the bound the correctors run while far_params fills the
+    # tables; only a DecodeFailure marks a block the table leaves out.
+    monkeypatch.setattr(far, "correct_single", _boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        far_params(60, 6)
+
+
+def _class_images(code, kinds):
+    """Each word of the class of `code` with every block one error of
+    `kinds` away from it, made by apply_pattern."""
+    for w in vt_enumerate(code):
+        yield w, [apply_pattern(w, ErrorPattern.from_dict(code.n, {i: kind}))
+                  for i in range(1, code.n + 1) for kind in kinds]
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("P", range(3, far.TABLE_MAX_LENGTH + 1))
+def test_tables_hold_the_correctors_answers(P, s):
+    # s = 2 puts the final code above the bound at P = 7 and 8.
+    p = far_params(4 * P + s, P)
+    assert p.s == s and (p.inner_table is p.final_table) == (s == 0)
+    for code, table, corrector, kinds, alphabet in [
+            (p.inner_code, p.inner_table, correct_single, "DE", p.inner_alphabet),
+            (p.inner_code, p.flip_table, far._pick_flip, "F", p.inner_alphabet),
+            (p.final_code, p.final_table, correct_single, "DEF", p.final_alphabet)]:
+        if code.n > far.TABLE_MAX_LENGTH:
+            assert table == {}
+            continue
+        for key, answer in table.items():
+            assert answer == corrector(code, key), key
+        for w, images in _class_images(code, kinds):
+            # Every block far-apart errors can deliver is in its table:
+            # each image of an alphabet word, and a clean final word.
+            # Another key may be missing only where its corrector fails.
+            for key in images + [w] * (table is p.final_table):
+                if key in table:
+                    continue
+                assert w not in alphabet, (w, key)
+                with pytest.raises(DecodeFailure):
+                    corrector(code, key)
+
+
+def test_paper_scale_code_builds_no_table():
+    p = _far_3024_14()
+    assert p.inner_table == p.flip_table == p.final_table == {}
+
+
+def _corrector_calls(monkeypatch):
+    """The names of far's corrector calls, from now on."""
+    calls = []
+
+    def counting(name, corrector):
+        def counted(*args):
+            calls.append(name)
+            return corrector(*args)
+        return counted
+
+    for name in ("correct_deletion", "correct_single", "flip_candidates"):
+        monkeypatch.setattr(far, name, counting(name, getattr(far, name)))
+    return calls
 
 
 def test_far_corrects_erasure_and_final_blocks_through_correct_single():
@@ -293,7 +364,8 @@ def test_decode_checksum_work_is_linear(monkeypatch):
 
 
 def _count_deletion_calls(monkeypatch):
-    """The argument tuples of far's correct_deletion calls, from now on."""
+    """The argument tuples of the correct_deletion calls, from now on:
+    far's own and those vt.correct_single makes for a final block."""
     calls = []
 
     def counted(*args):
@@ -301,14 +373,15 @@ def _count_deletion_calls(monkeypatch):
         return correct_deletion(*args)
 
     monkeypatch.setattr(far, "correct_deletion", counted)
+    monkeypatch.setattr(vt, "correct_deletion", counted)
     return calls
 
 
 def test_decode_makes_one_deletion_correction_per_deletion(monkeypatch):
     # Every correction is at the block the scan stopped at, so a
     # deletion-only word takes one correct_deletion call per deletion and
-    # a flip-only word none.
-    p = far_params(12000, 6)
+    # a flip-only word none.  The blocks are too long for a table.
+    p = far_params(2000 * ABOVE, ABOVE)
     x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
     calls = _count_deletion_calls(monkeypatch)
     for kinds in "DF":
@@ -320,11 +393,29 @@ def test_decode_makes_one_deletion_correction_per_deletion(monkeypatch):
         assert estimate == x or kinds == "F"  # flips can be ambiguous
 
 
-def test_decode_of_a_deletion_in_a_run_across_blocks(monkeypatch):
-    # A deletion in the run that ends block j-1 and starts block j leaves
-    # block j-1 as sent: the scan corrects it at block j, with one call.
-    p = _far_600_6()
-    x = far_codeword(p, 12345)
+def test_table_decode_makes_no_corrector_call(monkeypatch):
+    # At P = 6 every block far-apart errors deliver is in a table: the
+    # decode answers as the correctors would, without calling one.
+    p = far_params(12000, 6)
+    without_tables = dataclasses.replace(p, inner_table={}, flip_table={},
+                                         final_table={})
+    x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
+    calls = _corrector_calls(monkeypatch)
+    for kinds in "DEF":
+        g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P, kinds=kinds), 0)
+        y = apply_pattern(x, g)
+        calls.clear()
+        estimate, info = far_decode(p, y)
+        assert g.weight > 400 and calls == [], kinds
+        assert info.iterations == (1 if kinds == "E" else g.weight + 1), kinds
+        assert estimate == x or kinds == "F"  # flips can be ambiguous
+        assert _outcome(far_decode, p, y) == _outcome(far_decode, without_tables, y)
+
+
+def _deletion_in_a_run(p, index):
+    """(x, y, j): codeword `index` and y, x with the first bit deleted
+    of the run that ends block j-1 and starts block j, the first such j."""
+    x = far_codeword(p, index)
     P = p.P
     j = next(j for j in range(2, p.t)
              if x[(j - 1) * P - 1] == x[(j - 1) * P])
@@ -333,10 +424,73 @@ def test_decode_of_a_deletion_in_a_run_across_blocks(monkeypatch):
         k -= 1
     y = x[:k] + x[k + 1:]
     assert y[(j - 2) * P:(j - 1) * P] == x[(j - 2) * P:(j - 1) * P]
+    return x, y, j
+
+
+def test_decode_of_a_deletion_in_a_run_across_blocks(monkeypatch):
+    # A deletion in the run that ends block j-1 and starts block j leaves
+    # block j-1 as sent: the scan corrects it at block j, with one call.
+    p = far_params(60 * ABOVE, ABOVE)
+    x, y, _ = _deletion_in_a_run(p, random.Random(0).randrange(p.codeword_count))
     calls = _count_deletion_calls(monkeypatch)
     estimate, info = far_decode(p, y)
     assert estimate == x
     assert (info.iterations, len(calls)) == (2, 1)
+
+
+def test_table_decode_of_a_deletion_in_a_run_across_blocks(monkeypatch):
+    # The same at P = 6, where the table answers: one correction, made
+    # at block j.
+    p = _far_600_6()
+    x, y, j = _deletion_in_a_run(p, 12345)
+    blocks = []
+
+    def traced_correct_one(p, j, blk, nxt):
+        blocks.append(j)
+        return correct_one(p, j, blk, nxt)
+
+    correct_one = far._correct_one
+    monkeypatch.setattr(far, "_correct_one", traced_correct_one)
+    estimate, info = far_decode(p, y)
+    assert estimate == x
+    assert (info.iterations, blocks) == (2, [j])
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_contains_refuses_a_constant_first_block_at_p14(bit):
+    # Both constant words of length 14 pass the inner checksum (a1 = 0,
+    # and 1^14 sums to 105 = 7 * 15), so only the table of constant
+    # sums refuses them.
+    p = far_params(42, 14)
+    x = far_codeword(p, 0)
+    assert p.a1 == 0 and far_contains(p, x)
+    assert not far_contains(p, bytes([bit]) * 14 + x[14:])
+
+
+def test_pick_flip_drops_the_all_ones_word_at_p14():
+    # Each word one flip down from 1^14, at position i, is also one flip
+    # from the word with zeros at i and 15 - i; 1^14 is no alphabet word,
+    # so that word is the one fix, and it is not ambiguous.
+    def zero_at(w, k):
+        return w[:k - 1] + b"\0" + w[k:]
+
+    code = VtParams(14, 0)
+    ones = b"\1" * 14
+    for i in range(1, 15):
+        assert far._pick_flip(code, zero_at(ones, i)) == (
+            zero_at(zero_at(ones, i), 15 - i), False), i
+
+
+def test_far_params_refuses_an_over_budget_final_block_first(monkeypatch):
+    # Under a budget of 2^12, P = 8 and the class sizes at P + s = 13
+    # fit but the 2^13 final words do not: nothing is enumerated.
+    monkeypatch.setenv("DELCODE_BUDGET", str(2 ** 12))
+    with mock.patch.object(far, "vt_enumerate",
+                           wraps=far.vt_enumerate) as enumerate_:
+        with pytest.raises(BudgetExceeded,
+                           match="^the 2\\^13 words of length 13 exceed"):
+            far_params(21, 8)
+    assert enumerate_.call_count == 0
 
 
 @functools.lru_cache(maxsize=None)

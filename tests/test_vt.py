@@ -154,6 +154,7 @@ def test_enumeration_work_scales_with_codewords(monkeypatch):
 def test_class_sizes_budget_counts_table_work():
     with pytest.raises(ValueError, match="^need n >= 0$"):
         vt_class_sizes(-1)
+    assert vt_class_sizes(0) == [1]  # the empty word, modulus 1
     sizes = vt_class_sizes(30)  # 31^2 * 30 bit operations; the walk refused
     assert sum(sizes) == 2 ** 30
     assert sum(vt_class_sizes(255)) == 2 ** 255  # 2^24 bit operations
@@ -266,6 +267,9 @@ def test_correct_single_dispatch():
         correct_single(p, parse_word("01"))
     with pytest.raises(DecodeFailure):
         correct_single(p, parse_word("ee10"))
+    with pytest.raises(DecodeFailure) as exc:
+        correct_single(p, b"\0" * 7)
+    assert str(exc.value) == "received length 7 outside {n-1, n}"
 
 
 def reference_correct_deletion(p, y):
