@@ -26,6 +26,7 @@ from .errors import check_budget
 from .words import ERASURE, UNITS, Symbols, codeword_bytes, like
 
 KINDS = "DEF"
+_KIND_SYMBOLS = tuple(KINDS)  # a kind is one of these strings
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,25 @@ class ErrorPattern:
     errors: Tuple[Tuple[int, str], ...]  # ((pos, kind), ...) sorted by pos
 
     def __post_init__(self):
+        """Accept a valid pattern in one pass; only an invalid one runs
+        the checks below, in their order, to pick the message."""
+        last, n = 0, self.n
+        for pos, kind in self.errors:
+            if (type(pos) is not int or not last < pos <= n
+                    or kind not in _KIND_SYMBOLS):
+                break
+            last = pos
+        else:
+            return
+        if any(type(pos) is not int for pos, _ in self.errors):  # bool too
+            raise ValueError("error positions must be integers")
         positions = [p for p, _ in self.errors]
         if positions != sorted(set(positions)):
             raise ValueError("positions must be strictly increasing and distinct")
         for pos, kind in self.errors:
             if not 1 <= pos <= self.n:
                 raise ValueError(f"position {pos} outside 1..{self.n}")
-            if len(kind) != 1 or kind not in KINDS:
+            if not isinstance(kind, str) or len(kind) != 1 or kind not in KINDS:
                 raise ValueError(f"unknown error kind {kind!r}")
 
     @classmethod
@@ -68,8 +81,6 @@ class ErrorPattern:
         """Inverse of to_json_dict; malformed input raises ValueError."""
         try:
             errors = tuple((e["pos"], e["kind"]) for e in obj["errors"])
-            if any(type(pos) is not int for pos, _ in errors):
-                raise ValueError("error positions must be integers")
             if type(obj["n"]) is not int:
                 raise ValueError("pattern length n must be an integer")
             return cls(obj["n"], errors)
@@ -286,7 +297,8 @@ def sample_pattern(f: PatternFamily, seed: int | random.Random) -> ErrorPattern:
     rng = (seed if isinstance(seed, random.Random)
            else random.Random(seed & 0xFFFFFFFFFFFFFFFF))
     k = _pick(f.cumulative_weights, rng)
-    support = _sample_support(f, k, rng)
-    base = len(f.kinds)
-    assignment = tuple(f.kinds[rng.randrange(base)] for _ in range(k))
-    return ErrorPattern(f.n, tuple(zip(support, assignment)))
+    kinds, randrange = f.kinds, rng.randrange
+    base = len(kinds)
+    # The whole support is drawn first, then one kind per position in order.
+    return ErrorPattern(f.n, tuple([(pos, kinds[randrange(base)])
+                                    for pos in _sample_support(f, k, rng)]))

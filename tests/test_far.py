@@ -883,3 +883,63 @@ def test_decode_refuses_an_int():
 def test_decode_of_the_empty_str_fails_cleanly():
     with pytest.raises(DecodeFailure):
         far_decode(far_params(12, 3), "")
+
+
+def reference_far_codeword(p, index):
+    """far_codeword's earlier body: peel the mixed-radix digits one by one
+    and pass them through far_encode."""
+    if not 0 <= index < p.codeword_count:
+        raise ValueError("index out of range")
+    index, i = divmod(index, len(p.final_alphabet))
+    digits = [i]
+    for _ in range(p.t - 1):
+        index, i = divmod(index, len(p.inner_alphabet))
+        digits.append(i)
+    return far_encode(p, digits[::-1])
+
+
+# Inner digit counts t - 1 of leaf - 1, leaf, leaf + 1 and 2 * leaf + 1
+# run the per-digit leaf alone, then one and two levels of splitting.
+LEAF_CODES = [(3 * (m + 1), 3) for m in (far.LEAF_DIGITS - 1, far.LEAF_DIGITS,
+                                         far.LEAF_DIGITS + 1,
+                                         2 * far.LEAF_DIGITS + 1)]
+
+
+@pytest.mark.parametrize("n, P", [(60, 6), (3024, 14), (10 ** 4, 12),
+                                  *LEAF_CODES])
+def test_codeword_matches_the_digit_loop(n, P):
+    p = far_params(n, P)
+    rng = random.Random(n)
+    count = p.codeword_count
+    for index in (0, 1, count - 1, *(rng.randrange(count) for _ in range(20))):
+        assert far_codeword(p, index) == reference_far_codeword(p, index), index
+    for index in (-1, count, 2 * count):
+        with pytest.raises(ValueError, match="^index out of range$"):
+            far_codeword(p, index)
+
+
+@pytest.mark.parametrize("n, P", [(3024, 14), (10 ** 4, 12)])
+def test_codeword_split_work_is_quasilinear(monkeypatch, n, P):
+    # Peeling the t digits one by one divides an index of B bits t times,
+    # about B * t / 2 dividend bits in all; halving the digit runs divides
+    # every bit about once per level, plus the leaf loops' B * leaf / 2.
+    dividends = []
+
+    def counted(a, b):
+        dividends.append(a.bit_length())
+        return divmod(a, b)
+
+    p = far_params(n, P)
+    index = random.Random(0).randrange(p.codeword_count)
+    monkeypatch.setattr(far, "divmod", counted, raising=False)
+    x = far_codeword(p, index)
+    monkeypatch.undo()
+    assert x == reference_far_codeword(p, index)
+    B = index.bit_length()
+    bound = 3 * B * math.log2(p.t)
+    assert sum(dividends) <= bound
+    q, digit_loop = index, 0
+    for radix in [len(p.final_alphabet)] + [len(p.inner_alphabet)] * (p.t - 1):
+        digit_loop += q.bit_length()
+        q //= radix
+    assert digit_loop > bound

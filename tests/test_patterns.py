@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delcodes import patterns
 from delcodes.errors import BudgetExceeded, DecodeFailure, exact_integers
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, family_size, is_member,
@@ -143,17 +144,31 @@ def test_apply_pattern_matches_symbol_loop(case):
     assert out == reference_apply_pattern(x, g)
 
 
+PATTERN_FAULTS = [
+    (((0, "F"),), "position 0 outside 1..4"),
+    (((5, "F"),), "position 5 outside 1..4"),
+    (((2, "F"), (2, "D")), "positions must be strictly increasing and distinct"),
+    (((3, "F"), (1, "D")), "positions must be strictly increasing and distinct"),
+    (((1, "X"),), "unknown error kind 'X'"),
+    (((1, "DE"),), "unknown error kind 'DE'"),
+    # Two faults: out of order and a position of n + 1.  The order is
+    # checked first.
+    (((5, "F"), (1, "D")), "positions must be strictly increasing and distinct"),
+    # A float or bool position was accepted and apply_pattern then raised
+    # TypeError; a kind without a length raised TypeError from len().
+    (((2.0, "F"),), "error positions must be integers"),
+    (((True, "F"),), "error positions must be integers"),
+    (((3, "F"), (1.0, "D")), "error positions must be integers"),
+    (((1, 5),), "unknown error kind 5"),
+    (((1, None),), "unknown error kind None"),
+]
+
+
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        ErrorPattern(4, ((0, "F"),))  # position below range
-    with pytest.raises(ValueError):
-        ErrorPattern(4, ((5, "F"),))  # position above range
-    with pytest.raises(ValueError):
-        ErrorPattern(4, ((2, "F"), (2, "D")))  # duplicate position
-    with pytest.raises(ValueError):
-        ErrorPattern(4, ((3, "F"), (1, "D")))  # out of order
-    with pytest.raises(ValueError):
-        ErrorPattern(4, ((1, "X"),))  # unknown kind
+    for errors, message in PATTERN_FAULTS:
+        with pytest.raises(ValueError) as exc:
+            ErrorPattern(4, errors)
+        assert str(exc.value) == message, errors
 
 
 def test_pattern_json_roundtrip():
@@ -162,6 +177,13 @@ def test_pattern_json_roundtrip():
     assert obj == {"n": 7, "errors": [{"pos": 2, "kind": "F"},
                                       {"pos": 6, "kind": "D"}]}
     assert ErrorPattern.from_json_dict(obj) == g
+
+
+@pytest.mark.parametrize("pos", ["1", 1.0, True, None])
+def test_pattern_json_requires_integer_positions(pos):
+    obj = {"n": 4, "errors": [{"pos": pos, "kind": "D"}]}
+    with pytest.raises(ValueError, match="^error positions must be integers$"):
+        ErrorPattern.from_json_dict(obj)
 
 
 def test_pattern_json_requires_integer_length():
@@ -288,6 +310,33 @@ def test_an_int_seed_draws_as_the_generator_it_seeds(family):
     first, second = sample_pattern(family, rng), sample_pattern(family, rng)
     rng.seed(7)
     assert [sample_pattern(family, rng) for _ in range(2)] == [first, second]
+
+
+def reference_sample_pattern(f, rng):
+    """sample_pattern's earlier body: the weight, the support, then one
+    kind per position in position order, zipped into a second tuple."""
+    k = patterns._pick(f.cumulative_weights, rng)
+    support = patterns._sample_support(f, k, rng)
+    base = len(f.kinds)
+    assignment = tuple(f.kinds[rng.randrange(base)] for _ in range(k))
+    return ErrorPattern(f.n, tuple(zip(support, assignment)))
+
+
+@pytest.mark.parametrize("family", [
+    PatternFamily.at_most(30, 4),
+    PatternFamily.p_far(60, 18),
+    PatternFamily.p_far(40, 5, t=3, kinds="DE"),
+    PatternFamily.burst(40, 6, kinds="EF"),
+    PatternFamily.p_far(100, 7, kinds="D"),
+    PatternFamily.at_most(9, 9, kinds="F"),
+])
+def test_sample_draws_as_the_reference_body(family):
+    # Same patterns, and the generator left in the same state, so every
+    # later draw of a trial is unchanged too.
+    rng, ref = random.Random(1), random.Random(1)
+    for _ in range(300):
+        assert sample_pattern(family, rng) == reference_sample_pattern(family, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 @given(st.integers(min_value=0, max_value=2 ** 63 - 1))
