@@ -71,9 +71,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .errors import DecodeFailure, check_index
-from .vt import (VtParams, check_enumeration_budget, correct_deletion,
-                 correct_single, flip_candidates, vt_class_sizes,
-                 vt_enumerate, vt_syndrome)
+from .vt import (VtClass, VtParams, correct_deletion, correct_single,
+                 flip_candidates, vt_class_sizes, vt_enumerate, vt_syndrome)
 from .words import ERASURE, UNITS, Symbols, Word, like, received_bytes, symbol_bytes
 
 TABLE_MAX_LENGTH = 8  # longest block code decoded by table lookup: see above
@@ -102,13 +101,14 @@ class FarParams:
     s: int
     a1: int
     a2: int
-    inner_alphabet: Tuple[Word, ...] = field(repr=False)
-    final_alphabet: Tuple[Word, ...] = field(repr=False)
-    # Decoding tables (`_block_table`): vt.correct_single's answers for
-    # inner and for final blocks, one table when s = 0, and _pick_flip's
-    # for inner flips.  They follow from the fields above, so they take
-    # no part in == and hash; an empty one leaves its blocks to the
-    # corrector.
+    # The alphabets (`vt.VtClass` views: the encoder, the draw and the
+    # count read their `size`, exact past 2^63) and the decoding tables
+    # (`_block_table`): vt.correct_single's answers for inner and for
+    # final blocks, one table when s = 0, and _pick_flip's for inner
+    # flips.  They follow from the fields above, so they take no part in
+    # == and hash; an empty table leaves its blocks to the corrector.
+    inner_alphabet: VtClass = field(repr=False, compare=False)
+    final_alphabet: VtClass = field(repr=False, compare=False)
     inner_table: Dict[bytes, Answer] = field(default_factory=dict, repr=False,
                                              compare=False)
     flip_table: Dict[bytes, Answer] = field(default_factory=dict, repr=False,
@@ -144,38 +144,40 @@ class FarParams:
 
     @cached_property
     def codeword_count(self) -> int:
-        return len(self.inner_alphabet) ** (self.t - 1) * len(self.final_alphabet)
+        return self.inner_alphabet.size ** (self.t - 1) * self.final_alphabet.size
 
 
 def far_params(n: int, P: int) -> FarParams:
     """Construct parameters: t - 1 inner blocks of length P and a final
     block of length P + s, where n = t*P + s.
 
-    The inner alphabet is the non-constant words of VT_a1(P), a1 chosen
-    to make it largest; for P >= 3 it is never empty, as the 2^P - 2
-    non-constant words fall into at most 2P residues.  The final alphabet
-    is all of VT_a2(P + s), constants included, but a2 is chosen as if
-    they were dropped: under the paper's modulus it has one word fewer
-    than the largest class at P + s in {4, 6, 8, 10, 12, 16, 18, 22, 24}
-    (9 words, not 10, for far(60, 6)).  Each block code of length at
-    most TABLE_MAX_LENGTH gets its decoding table here, not at first
-    use, so a decode never pays for it.
+    The alphabets are views of the classes `vt_enumerate` returns:
+    sequences of bytes in lexicographic order that list no word, so the
+    budget is that of the counting tables at P and P + s.  The inner
+    alphabet is the non-constant words of VT_a1(P), a1 chosen to make it
+    largest; for P >= 3 it is never empty, as the 2^P - 2 non-constant
+    words fall into at most 2P residues.  The final alphabet is all of
+    VT_a2(P + s), constants included, but a2 is chosen as if they were
+    dropped: under the paper's modulus it has one word fewer than the
+    largest class at P + s in {4, 6, 8, 10, 12, 16, 18, 22, 24} (9 words,
+    not 10, for far(60, 6)).  Each block code of length at most
+    TABLE_MAX_LENGTH gets its decoding table here, not at first use, so
+    a decode never pays for it.
     """
     if P < 3:
         raise ValueError("need P >= 3 so the inner alphabet is non-empty")
     if n < 2 * P:
         raise ValueError("need n >= 2P (at least two blocks)")
     t, s = divmod(n, P)
-    # The final block's enumeration is the largest walk: refuse it before
-    # building any table.
-    check_enumeration_budget(P + s)
     a1 = _best_residue_without_constants(P)
     a2 = _best_residue_without_constants(P + s) if s else a1
     inner_code, final_code = VtParams(P, a1), VtParams(P + s, a2)
-    final = tuple(vt_enumerate(final_code))
+    final = vt_enumerate(final_code)
     inner = vt_enumerate(inner_code) if s else final  # s = 0: one class
-    # vt_enumerate is lexicographic: 0^P, if present, is first and 1^P last.
-    alphabet = tuple(inner[not any(inner[0]):len(inner) - all(inner[-1])])
+    # In lexicographic order 0^P, of checksum 0, is first if present and
+    # 1^P, of checksum P(P+1)/2, last.
+    ones = P * (P + 1) // 2 % inner_code.modulus == a1
+    alphabet = inner[(a1 == 0):inner.size - ones]
     final_table = _block_table(final_code, final, "DEF", correct_single)
     inner_table = (_block_table(inner_code, inner, "DE", correct_single)
                    if s else final_table)
@@ -214,9 +216,9 @@ def far_encode(p: FarParams, indices: Sequence[int]) -> Word:
     out: List[Word] = []
     for j, i in enumerate(indices, start=1):
         alphabet = p.inner_alphabet if j < p.t else p.final_alphabet
-        if not 0 <= i < len(alphabet):
+        if not 0 <= i < alphabet.size:
             raise ValueError(f"block {j}: index {i} outside "
-                             f"0..{len(alphabet) - 1}")
+                             f"0..{alphabet.size - 1}")
         out.append(alphabet[i])
     return b"".join(out)
 
@@ -227,7 +229,7 @@ def far_codeword(p: FarParams, index: int) -> Word:
 
     The block words are taken from the alphabets as the index is split,
     without `far_encode`'s checks, which these digits always pass.  The
-    t-1 inner digits, base R = len(p.inner_alphabet), are split by divide
+    t-1 inner digits, base R = p.inner_alphabet.size, are split by divide
     and conquer: a run of m digits is cut by one divmod by R^h, h = m//2,
     into its top m-h and bottom h digits, and each part is split in turn;
     a run of at most LEAF_DIGITS digits is peeled one divmod by R at a
@@ -244,7 +246,7 @@ def far_codeword(p: FarParams, index: int) -> Word:
     longer numbers.
     """
     check_index(index, p.codeword_count)
-    index, i = divmod(index, len(p.final_alphabet))
+    index, i = divmod(index, p.final_alphabet.size)
     blocks = [p.final_alphabet[i]]
     _unrank_inner(p, index, p.t - 1, blocks)
     blocks.reverse()
@@ -259,13 +261,13 @@ def _unrank_inner(p: FarParams, index: int, m: int, blocks: List[Word]) -> None:
         powers = p._inner_powers
         power = powers.get(h)
         if power is None:
-            power = powers[h] = len(p.inner_alphabet) ** h
+            power = powers[h] = p.inner_alphabet.size ** h
         high, low = divmod(index, power)
         _unrank_inner(p, low, h, blocks)
         _unrank_inner(p, high, m - h, blocks)
         return
     alphabet = p.inner_alphabet
-    radix = len(alphabet)
+    radix = alphabet.size
     for _ in range(m):
         index, i = divmod(index, radix)
         blocks.append(alphabet[i])

@@ -63,25 +63,26 @@ class _Code:
 
 
 class VtCodeAdapter(_Code):
-    """VT_a(n); the codebook is enumerated on first use, so decoding a
-    single word costs no enumeration, and its size comes from the class
-    sizes, so a verify refused by its budget lists no codeword."""
+    """VT_a(n), held as its class (`vt.vt_enumerate`), built on first
+    use, so decoding a single word builds none; its size comes from the
+    class sizes, so a verify refused by its budget builds no class."""
 
     def __init__(self, n: int, a: int):
         self.params = vt.VtParams(n, a)
 
     @functools.cached_property
-    def _codewords(self) -> List[Word]:
+    def words(self) -> Sequence[Word]:
         return vt.vt_enumerate(self.params)
 
     @functools.cached_property
     def codeword_count(self) -> int:
-        vt.check_enumeration_budget(self.params.n)
         return vt.vt_class_sizes(self.params.n)[self.params.a]
 
+    def codewords(self) -> Iterable[Word]:
+        return iter(self.words)
+
     def codeword(self, index: int) -> Word:
-        check_index(index, self.codeword_count)
-        return self._codewords[index]
+        return self.words[index]
 
     def decode(self, received: Symbols) -> Tuple[Symbols, bool]:
         return vt.correct_single(self.params, received)
@@ -227,7 +228,12 @@ class VerifyReport:
             del self.case_keys[10:], self.counterexamples[10:]
 
     def to_json_dict(self) -> dict:
-        """The fields but case_keys (see _json_fields), and counterexample."""
+        """The fields but case_keys (see _json_fields), and counterexample.
+
+        Its exact counts may have more than 4300 digits (codebook_size of
+        far(30000, 12) has over 6000), which Python 3.11+ refuses to turn
+        into text: dump it inside `errors.exact_integers()`, as the CLI
+        does."""
         out = _json_fields(self, skip=("case_keys",))
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample

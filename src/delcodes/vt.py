@@ -4,22 +4,24 @@ VT_a(n) is the set of length-n binary words whose weighted checksum
 sum(i * x_i) is congruent to a mod M, the one modulus `_modulus(n)`.  A
 single deletion, erasure or flip is corrected from the discrepancy alone.
 
-Class sizes come from a counting table over (suffix start, checksum
-residue), built in one loop of O(n^2) additions that keeps only its
-latest row: the first row is |VT_a(n)| for every a.  Codebooks join two
-half-tables, each half of the positions' words with their residues
-(Horowitz and Sahni's two-list split).
+A class is a sequence of its words in lexicographic order (`VtClass`),
+held as the rows of one counting table over (suffix start, checksum
+residue), built in one loop of O(n^2) additions: the first row is
+|VT_a(n)| for every a, and the rows unrank a word from its index.
+Listing a codebook joins two half-tables, each half of the positions'
+words with their residues (Horowitz and Sahni's two-list split).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, lru_cache
+from itertools import compress, islice
 from operator import add
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .errors import DecodeFailure, check_budget
+from .errors import BudgetExceeded, DecodeFailure, check_budget, check_index
 from .words import ERASURE, UNITS, Symbols, Word, codeword_bytes, like
 
 _POSITIONS = range(1, 1 << 62)  # 1-based; reused, it costs less than count(1)
@@ -87,38 +89,116 @@ def _half_table(positions: range, m: int) -> List[Tuple[Word, int]]:
     return table
 
 
-def vt_enumerate(p: VtParams) -> List[Word]:
-    """All codewords of VT_a(n) in lexicographic order: each left half
-    over positions 1..n//2 joined with every right half whose residue
-    completes its own to a, one bytes join per codeword."""
-    check_enumeration_budget(p.n)
-    m, h = p.modulus, p.n // 2
-    rights: List[List[Word]] = [[] for _ in range(m)]
-    for w, r in _half_table(range(h + 1, p.n + 1), m):
-        rights[r].append(w)
-    return [w + v for w, r in _half_table(range(1, h + 1), m)
-            for v in rights[(p.a - r) % m]]
+Rows = Tuple[Tuple[int, ...], ...]
 
 
-def vt_class_sizes(n: int) -> List[int]:
-    """Sizes of VT_a(n) for a = 0..M-1: the counting table's first row.
+def _counting_table(n: int, m: int) -> Rows:
+    """Rows 0..n of the counting table mod m: row k counts, for each r,
+    the bit strings over positions k+1..n whose weighted sum is r mod m.
 
-    Row i counts, for each r, the bit strings over positions i+1..n whose
-    weighted sum is r mod M; row n is the empty string alone.  One loop
-    builds rows n-1, ..., 0, each the row before plus its copy rotated by
-    the weight, keeping only the latest: O(M) integers of at most n bits.
-    The budget counts the M^2 additions of n-bit integers as M^2 * n bit
-    operations, so n up to 255 fits the default.
+    The budget counts the m^2 additions of n-bit integers as m^2 * n bit
+    operations, so n up to 255 fits the default under the paper's
+    modulus.  It is checked on every call, the table built once per
+    (n, m) for the last eight: a far code's set-up reads the class sizes
+    and then enumerates the same classes.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    check_budget(_modulus(n) ** 2 * n,
-                 lambda: f"the {_modulus(n)}^2 * {n} bit operations of the "
-                         f"counting table for n = {n}")
-    row = [1] + [0] * (_modulus(n) - 1)
-    for k in range(n, 0, -1):  # row k-1 adds position k, rotating by k < M
-        row = list(map(add, row, row[-k:] + row[:-k]))
-    return row
+    check_budget(m ** 2 * n, lambda: f"the {m}^2 * {n} bit operations of "
+                                     f"the counting table for n = {n}")
+    return _build_rows(n, m)
+
+
+@lru_cache(maxsize=8)
+def _build_rows(n: int, m: int) -> Rows:
+    """Row n is the empty string alone.  One loop builds rows n-1, ..., 0,
+    each the row before plus its copy rotated by the weight: O(m) integers
+    of at most n bits per row.  Tuples, as the cache shares them."""
+    rows = [(1,) + (0,) * (m - 1)]
+    for k in range(n, 0, -1):  # row k-1 adds position k, rotating by k < m
+        row = rows[-1]
+        rows.append(tuple(map(add, row, row[-k:] + row[:-k])))
+    rows.reverse()
+    return tuple(rows)
+
+
+class VtClass(Sequence):
+    """The words of VT_a(n) in lexicographic order, as a sequence of bytes.
+
+    `cls[i]` unranks word i from the rows of the counting table: at
+    position k it takes 0 when row k still counts more than i completions
+    of the checksum, else subtracts them and takes 1.  While the class
+    fits the enumeration budget it keeps each word it unranks, as a tuple
+    of the class would, so a word drawn again costs one dict lookup;
+    above the budget it keeps none.  Iteration is the half-table join
+    (Horowitz and Sahni's two-list split), under the enumeration budget.
+    `cls[a:b]` is a view of the same rows; a slice with a step is
+    refused.  An index outside 0..size-1 is refused, with no wrap-around.
+    `size` is the number of words, which len() gives only below 2^63, as
+    for a range.
+    """
+
+    def __init__(self, p: VtParams, rows: Rows, ranks: range):
+        self.params = p
+        self._rows = rows  # rows 1..n of the counting table
+        self._ranks = ranks  # the class ranks of this sequence's words, step 1
+        self.size = max(0, ranks.stop - ranks.start)
+        try:
+            check_enumeration_budget(p.n)
+            self._kept: Optional[Dict[int, Word]] = {}
+        except BudgetExceeded:
+            self._kept = None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if type(i) is int:
+            try:
+                return self._kept[i]
+            except (KeyError, TypeError):  # not kept yet, or none is kept
+                pass
+        elif isinstance(i, slice):
+            if i.step not in (None, 1):
+                raise ValueError("a class view takes no step")
+            return VtClass(self.params, self._rows, self._ranks[i])
+        check_index(i, self.size)
+        rank, need, m = self._ranks[i], self.params.a, self.params.modulus
+        bits = bytearray(self.params.n)
+        for k, row in enumerate(self._rows, 1):
+            if rank >= row[need]:
+                rank -= row[need]
+                bits[k - 1] = 1
+                need = (need - k) % m
+        word = bytes(bits)
+        if self._kept is not None:
+            self._kept[i] = word
+        return word
+
+    def __iter__(self) -> Iterator[Word]:
+        check_enumeration_budget(self.params.n)
+        m, n, h = self.params.modulus, self.params.n, self.params.n // 2
+        rights: List[List[Word]] = [[] for _ in range(m)]
+        for w, r in _half_table(range(h + 1, n + 1), m):
+            rights[r].append(w)
+        words = (w + v for w, r in _half_table(range(1, h + 1), m)
+                 for v in rights[(self.params.a - r) % m])
+        return islice(words, self._ranks.start, self._ranks.stop)
+
+
+def vt_enumerate(p: VtParams) -> VtClass:
+    """VT_a(n) as a `VtClass`, the sequence of its codewords in
+    lexicographic order, each bytes; not a list.  It holds the rows of
+    the counting table, under the table's budget, and no word: a word is
+    unranked when it is indexed, and the codebook is listed when the
+    class is iterated, under the enumeration budget."""
+    rows = _counting_table(p.n, p.modulus)
+    return VtClass(p, rows[1:], range(rows[0][p.a]))
+
+
+def vt_class_sizes(n: int) -> List[int]:
+    """Sizes of VT_a(n) for a = 0..M-1: the counting table's row 0."""
+    return list(_counting_table(n, _modulus(n))[0])
 
 
 def vt_best_residue(n: int) -> Tuple[int, int]:

@@ -31,7 +31,7 @@ def _verdict(number, ok, detail):
 
 def test_acceptance_01_vt_enumeration():
     start = time.monotonic()
-    codebook = vt_enumerate(VtParams(4, 0))
+    codebook = list(vt_enumerate(VtParams(4, 0)))
     golden = [parse_word(w) for w in ("0000", "0110", "1001", "1111")]
     ok = codebook == golden
     for n in range(1, 13):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from delcodes import analysis, cli, far, verify, vt
+from delcodes import analysis, cli, verify, vt
 from delcodes.cli import main
 from delcodes.errors import exact_integers
 from delcodes.far import far_params
@@ -318,15 +318,18 @@ def test_package_runs_as_a_module():
 
 
 def test_far_code_over_budget_builds_no_table(capsys, monkeypatch):
+    # The counting table of length 2000 is refused before its first row:
+    # no addition of the table and no half table of a codebook runs.
     def refuse(*args):
         raise AssertionError(f"table built for {args}")
 
-    monkeypatch.setattr(far, "vt_class_sizes", refuse)
+    monkeypatch.setattr(vt, "add", refuse)
     monkeypatch.setattr(vt, "_half_table", refuse)
     for argv in (("encode", "--info", "0,0"), ("decode", "--word", "0")):
         code, _, err = run(capsys, *argv, "--code", "far", "--n", "8000",
                            "--P", "2000")
-        assert code == 3 and "the 2^2000 words of length 2000" in err
+        assert code == 3 and ("the 2001^2 * 2000 bit operations of the "
+                              "counting table for n = 2000") in err
 
 
 def test_bounds(capsys):

@@ -18,15 +18,16 @@ from delcodes.far import (FarParams, far_codeword, far_contains, far_decode,
 from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
                                enumerate_family, is_member, sample_pattern)
 from delcodes.vt import (VtParams, correct_deletion, correct_single,
-                         flip_candidates, vt_enumerate, vt_syndrome)
+                         flip_candidates, vt_class_sizes, vt_enumerate,
+                         vt_syndrome)
 from delcodes.words import ERASURE, parse_word
 
 
 def test_params_12_3():
     p = far_params(12, 3)
     assert (p.t, p.s, p.a1, p.a2) == (4, 0, 1, 1)
-    assert p.inner_alphabet == (parse_word("011"), parse_word("100"))
-    assert p.final_alphabet == (parse_word("011"), parse_word("100"))
+    assert tuple(p.inner_alphabet) == (parse_word("011"), parse_word("100"))
+    assert tuple(p.final_alphabet) == (parse_word("011"), parse_word("100"))
     assert p.codeword_count == 16
 
 
@@ -482,14 +483,22 @@ def test_pick_flip_drops_the_all_ones_word_at_p14():
 
 
 def test_far_params_refuses_an_over_budget_final_block_first(monkeypatch):
-    # Under a budget of 2^12, P = 8 and the class sizes at P + s = 13
-    # fit but the 2^13 final words do not: nothing is enumerated.
-    monkeypatch.setenv("DELCODE_BUDGET", str(2 ** 12))
+    # The budget bounds the counting tables, not the 2^(P+s) words, which
+    # no alphabet lists.  Under 3000, P = 8 and its 2^8 inner words fit,
+    # and so does the table at P + s = 13, but the 2^13 final words do
+    # not: the code builds, and its final words are unranked.  At
+    # P + s = 15 the table's 16^2 * 15 = 3840 operations do not fit:
+    # the final class is refused before any class is built.
+    monkeypatch.setenv("DELCODE_BUDGET", "3000")
+    p = far_params(21, 8)
+    assert len(p.final_alphabet) == vt_class_sizes(13)[p.a2]
+    assert far_contains(p, far_codeword(p, p.codeword_count - 1))
     with mock.patch.object(far, "vt_enumerate",
                            wraps=far.vt_enumerate) as enumerate_:
         with pytest.raises(BudgetExceeded,
-                           match="^the 2\\^13 words of length 13 exceed"):
-            far_params(21, 8)
+                           match="^the 16\\^2 \\* 15 bit operations of the "
+                                 "counting table for n = 15 exceed"):
+            far_params(23, 8)
     assert enumerate_.call_count == 0
 
 
@@ -532,6 +541,43 @@ def test_decode_round_trip_with_thousands_of_deletions(kinds):
         assert info.iterations == deletions + 1
 
 
+@pytest.mark.parametrize("n, P", [(10 ** 4, 46), (30_000, 138)])
+def test_paper_block_lengths_round_trip(n, P):
+    # P = floor(n / (t^2 * omega)) with t = 3 and omega = 24, the rule of
+    # decode_paper's far(3024, 14); the final blocks are 64 and 192 long.
+    # The alphabets are unranked, never listed.  Seeded draws round-trip
+    # under pFar(3P), t <= 3, kinds D and E; with flips too, a wrong
+    # estimate is always flagged ambiguous.
+    p = far_params(n, P)
+    constants = (p.a1 == 0) + (P * (P + 1) // 2 % (P + 1) == p.a1)
+    assert (p.P + p.s, p.inner_alphabet.size) == (
+        {46: 64, 138: 192}[P], vt_class_sizes(P)[p.a1] - constants)
+    last = p.inner_alphabet[p.inner_alphabet.size - 1]
+    assert 0 < p.inner_alphabet[0].count(1) and last.count(1) < P
+    for kinds in ("DE", "DEF"):
+        family = PatternFamily.p_far(n, 3 * P, t=3, kinds=kinds)
+        rng = random.Random(P)
+        wrong = 0
+        for _ in range(20):
+            x = far_codeword(p, rng.randrange(p.codeword_count))
+            assert far_contains(p, x)
+            estimate, info = far_decode(p, apply_pattern(x, sample_pattern(family, rng)))
+            if kinds == "DE":
+                assert estimate == x
+            elif estimate != x:
+                wrong += 1
+                assert info.ambiguous_flips > 0
+        assert wrong < 20
+
+
+def test_far_params_refuses_the_counting_table_of_a_long_final_block():
+    # far(10^5, 231): t = 3, omega = 48; the final block is 439 long, and
+    # the counting tables stop at 255 under the default budget.
+    with pytest.raises(BudgetExceeded, match="^the 440\\^2 \\* 439 bit operations "
+                                             "of the counting table for n = 439 exceed"):
+        far_params(10 ** 5, 231)
+
+
 def test_window_sums_match_naive():
     # One-byte digits up to P = 22; P(P+1)/2 > 255 from P = 23 on.
     rng = random.Random(6)
@@ -546,12 +592,11 @@ def test_window_sums_match_naive():
 
 def test_two_byte_digit_windows_scan_and_check():
     # P = 23 is the first block length whose window sums need two-byte
-    # digits.  far_params would enumerate 2^23 words, so the parameters
-    # are assembled directly: decoding and membership read only n, P, t,
-    # s and the residues.
+    # digits.
     P, t = 23, 4
-    a = far._best_residue_without_constants(P)
-    p = FarParams(t * P, P, t, 0, a, a, (), ())
+    p = far_params(t * P, P)
+    a = p.a1
+    assert (p.t, p.s, p.a2) == (t, 0, a)
     rng = random.Random(P)
 
     def letter():

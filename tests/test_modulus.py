@@ -38,9 +38,16 @@ def test_params_read_the_modulus_in_force_when_built(levenshtein):
 def test_levenshtein_classes_match_walk(levenshtein, n):
     books = walk_codebooks(n, 2 * n)
     assert vt_class_sizes(n) == [len(book) for book in books]
-    assert [vt_enumerate(VtParams(n, a)) for a in range(2 * n)] == books
+    assert [list(vt_enumerate(VtParams(n, a))) for a in range(2 * n)] == books
     with pytest.raises(ValueError):
         VtParams(n, 2 * n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_levenshtein_unranking_matches_walk(levenshtein, n):
+    for a, book in enumerate(walk_codebooks(n, 2 * n)):
+        cls = vt_enumerate(VtParams(n, a))
+        assert [cls[i] for i in range(len(cls))] == book
 
 
 def test_levenshtein_table_budget_counts_the_wider_rows(levenshtein):
@@ -65,7 +72,7 @@ def test_levenshtein_far_code_corrects_every_far_pattern(levenshtein, n, P):
     code = verify.make_code("far", n=n, P=P)
     inner = [[x for x in book if 0 < sum(x) < P]
              for book in walk_codebooks(P, 2 * P)]
-    assert code.params.inner_alphabet == tuple(max(inner, key=len))
+    assert tuple(code.params.inner_alphabet) == tuple(max(inner, key=len))
     report = verify.verify_roundtrip(code, PatternFamily.p_far(n, 3 * P))
     assert report.cases > 0
     assert (report.failures, report.ambiguity_count) == (0, 0)

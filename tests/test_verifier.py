@@ -385,7 +385,7 @@ def test_audit_matches_reference_on_repetition_codes(kind, n, arg, b):
 
 
 def test_audit_matches_reference_with_a_duplicate_codeword():
-    codebook = vt_enumerate(VtParams(6, 0))
+    codebook = list(vt_enumerate(VtParams(6, 0)))
     codebook.insert(3, codebook[1])
     _assert_same_audit(codebook, PatternFamily.at_most(6, 1, kinds="DEF"))
     # VT codes correct one deletion: the copies are the only collisions.
@@ -400,7 +400,7 @@ def test_audit_matches_reference_with_a_duplicate_codeword():
 @pytest.mark.parametrize("symbol", [1.0, 0.0, 2, "1", None])
 def test_audit_refuses_a_codeword_symbol_other_than_int_bits(symbol):
     # Tuple equality audited (1.0, ...) as (1, ...); the audit names it.
-    codebook = vt_enumerate(VtParams(6, 0))
+    codebook = list(vt_enumerate(VtParams(6, 0)))
     codebook[2] = tuple(codebook[2][:3]) + (symbol,) + tuple(codebook[2][4:])
     with pytest.raises(ValueError, match=f"got symbol {re.escape(repr(symbol))}$"):
         verify_combinatorial(codebook, PatternFamily.at_most(6, 1))
@@ -461,3 +461,19 @@ def test_output_class_is_what_the_received_word_shows(family):
             y = apply_pattern(x, g)
             erased = tuple(i for i, s in enumerate(y, 1) if s == ERASURE)
             assert verify._output_class(g) == (family.n - len(y), erased), g
+
+
+def test_report_of_a_large_far_code_dumps_inside_exact_integers():
+    # codebookSize of far(30000, 12) has over 6000 digits: past the limit
+    # Python 3.11+ puts on int-to-text conversion, which the caller lifts.
+    code = make_code("far", n=30000, P=12)
+    report = simulate(code, PatternFamily.at_most(30000, 1, kinds="D"),
+                      trials=2, seed=1)
+    assert report.passed and report.codebook_size == code.codeword_count
+    if hasattr(sys, "set_int_max_str_digits"):
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            json.dumps(report.to_json_dict())
+    with exact_integers():
+        text = json.dumps(report.to_json_dict())
+        assert len(str(code.codeword_count)) > 6000
+        assert json.loads(text)["codebookSize"] == code.codeword_count

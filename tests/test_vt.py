@@ -72,7 +72,7 @@ def test_vt_syndrome():
 
 
 def test_vt04_golden():
-    codebook = vt_enumerate(VtParams(4, 0))
+    codebook = list(vt_enumerate(VtParams(4, 0)))
     assert [parse_word(w) for w in ("0000", "0110", "1001", "1111")] == codebook
 
 
@@ -87,7 +87,7 @@ def test_class_sizes_partition_and_pigeonhole():
 def test_enumerate_matches_walk(n):
     books = walk_codebooks(n)
     for a in range(n + 1):
-        assert vt_enumerate(VtParams(n, a)) == books[a]
+        assert list(vt_enumerate(VtParams(n, a))) == books[a]
 
 
 def test_class_sizes_match_walk():
@@ -142,7 +142,7 @@ def test_enumeration_work_scales_with_codewords(monkeypatch):
     half_table = vt._half_table
     monkeypatch.setattr(vt, "vt_syndrome", counted)
     monkeypatch.setattr(vt, "_half_table", counted_table)
-    codebook = vt_enumerate(VtParams(16, 0))
+    codebook = list(vt_enumerate(VtParams(16, 0)))
     sizes = vt_class_sizes(16)
     assert len(codebook) == sizes[0] == 3856
     assert calls == []
@@ -174,8 +174,88 @@ def test_enumerate_cap(monkeypatch):
         raise AssertionError(f"half table built for {positions}")
 
     monkeypatch.setattr(vt, "_half_table", refuse)
+    codebook = vt_enumerate(VtParams(30, 0))  # 31^2 * 30 table operations
+    assert len(codebook) == vt_class_sizes(30)[0]
+    with pytest.raises(BudgetExceeded, match="^the 2\\^30 words of length 30"):
+        iter(codebook)  # listing it walks the 2^30 words
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_unranking_matches_walk(n):
+    for a, book in enumerate(walk_codebooks(n)):
+        cls = vt_enumerate(VtParams(n, a))
+        assert len(cls) == len(book)
+        assert [cls[i] for i in range(len(cls))] == book
+
+
+def test_class_views_slice_as_lists():
+    cls = vt_enumerate(VtParams(9, 3))
+    book = list(cls)
+    cuts = [slice(None), slice(1, -1), slice(2, 9), slice(-5, None),
+            slice(None, 3), slice(40, 3), slice(7, 7)]
+    for outer in cuts:
+        view = cls[outer]
+        assert (len(view), list(view)) == (len(book[outer]), book[outer])
+        assert [view[i] for i in range(len(view))] == book[outer]
+        for inner in cuts:  # views of views
+            assert list(view[inner]) == book[outer][inner]
+            assert [view[inner][i] for i in range(len(view[inner]))] == \
+                book[outer][inner]
+    for step in (2, -1, 0):
+        with pytest.raises(ValueError, match="^a class view takes no step$"):
+            cls[::step]
+    assert list(cls[::1]) == book
+
+
+def test_class_size_past_the_reach_of_len():
+    # |VT_0(100)| is about 2^93: len() refuses it, as for a range, and
+    # `size` gives it.  1^100 has checksum 5050 = 50 * 101.
+    cls = vt_enumerate(VtParams(100, 0))
+    assert cls.size == vt_class_sizes(100)[0] > 2 ** 63
+    with pytest.raises(OverflowError):
+        len(cls)
+    assert (cls[0], cls[cls.size - 1]) == (bytes(100), bytes([1]) * 100)
+    view = cls[1:-1]
+    assert view.size == cls.size - 2 and view[view.size - 1] == cls[cls.size - 2]
+    with pytest.raises(ValueError, match="^index out of range$"):
+        view[view.size]
+
+
+@pytest.mark.parametrize("cut", [slice(None), slice(1, -1), slice(3, None)])
+def test_class_index_is_refused_outside_the_sequence(cut):
+    view = vt_enumerate(VtParams(8, 0))[cut]
+    for i in (-1, len(view), len(view) + 5, -len(view)):
+        with pytest.raises(ValueError, match="^index out of range$"):
+            view[i]
+    assert view[1] is view[1]  # kept, and still no float index
+    with pytest.raises(TypeError):
+        view[1.0]
+
+
+def test_class_keeps_words_only_within_the_enumeration_budget(monkeypatch):
+    # Within the budget a word is unranked once and kept, as a tuple of the
+    # class would hold it; above it none is kept, so memory stays bounded.
+    kept = vt_enumerate(VtParams(16, 0))
+    view = kept[77:]
+    assert kept[77] is kept[77] and view[0] is view[0] == kept[77]
+    monkeypatch.setenv("DELCODE_BUDGET", "10000")  # 17^2 * 16 <= 10^4 < 2^16
+    cls = vt_enumerate(VtParams(16, 0))
+    view = cls[1:]
+    assert cls[77] == kept[77] and cls[77] is not cls[77]
+    assert view[76] == kept[77] and view[76] is not view[76]
     with pytest.raises(BudgetExceeded):
-        vt_enumerate(VtParams(30, 0))
+        list(cls)
+
+
+def test_counting_table_is_built_once_and_its_budget_checked_each_call(monkeypatch):
+    # far_params reads the class sizes at P and P + s, then takes both
+    # classes: one build each.  A cached table is still refused by the budget.
+    vt._build_rows.cache_clear()
+    far_params(64, 6)  # P = 6, s = 4
+    assert vt._build_rows.cache_info().misses == 2
+    monkeypatch.setenv("DELCODE_BUDGET", "100")  # 7^2 * 6 > 100
+    with pytest.raises(BudgetExceeded, match="counting table for n = 6 "):
+        vt_class_sizes(6)
 
 
 def test_params_validation():
@@ -247,9 +327,9 @@ def test_flip_on_codeword_fails():
 
 def test_erasure_requires_exactly_one():
     p = VtParams(4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected exactly one erasure, found 0$"):
         correct_erasure(p, parse_word("0110"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected exactly one erasure, found 2$"):
         correct_erasure(p, parse_word("0ee0"))
 
 
@@ -381,6 +461,9 @@ def test_every_codeword_reader_takes_int_bits_only(name):
     if name in ("vt_contains", "correct_erasure", "flip_candidates",
                 "correct_deletion"):  # the readers of one fixed length
         with pytest.raises(ValueError, match="^word length "):
+            read(word + (0,))
+    if name == "correct_deletion":
+        with pytest.raises(ValueError, match="^word length 4 != n-1 = 3$"):
             read(word + (0,))
     for symbol in (1.0, 0.0):
         with pytest.raises(ValueError) as exc:

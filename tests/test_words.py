@@ -133,7 +133,7 @@ PRODUCERS = {
     "vt_enumerate": lambda: vt_enumerate(VT),
     "far_encode": lambda: [far_encode(FAR, [1] * FAR.t)],
     "far_codeword": lambda: [far_codeword(FAR, FAR.codeword_count - 1)],
-    "far alphabets": lambda: FAR.inner_alphabet + FAR.final_alphabet,
+    "far alphabets": lambda: [*FAR.inner_alphabet, *FAR.final_alphabet],
     **{f"{kind}.codeword": lambda code=code: [code.codeword(code.codeword_count - 1)]
        for kind, code in CODES.items()},
     **{f"{kind}.codewords": lambda code=code: list(code.codewords())
