@@ -25,15 +25,21 @@ whether an inner block without an erasure suffered a flip or a
 deletion, which the next block's checksum tells.
 
 The scan does not visit clean blocks one by one.  `window_sums` gives the
-weighted checksum of every length-P window of the received word from one
-big-integer product, and the scan jumps from one suspect block to the
-next, or to the first erasure that one `find` meets in the stretch it
-copies; only there does the per-block correction code run.  The product
-takes O(n*P) digit operations, linear in n at fixed P, and pays while P
-is small: against per-block `sum(compress(...))` it took 0.004 ms vs
-0.13-0.18 ms at n = 3024, P = 14, 0.8-0.9 ms vs 1.0-1.4 ms at n = 10^5,
-P = 231, and 25-28 ms vs 26-28 ms at n = 10^6, P = 1157 (Python 3.11,
-2-CPU Xeon).
+weighted checksum of every length-P window of the received word at once,
+and the scan jumps from one suspect block to the next, or to the first
+erasure that one `find` meets in the stretch it copies; only there does
+the per-block correction code run.  Read as digits in base X = 256^w, w
+bytes wide enough for a window sum, the word times the ramp P, P-1, ...,
+1 holds every window sum as one digit.  While the sums fit in a byte
+(P <= 22) that is one product by a ramp of at most 22 bytes; wider
+digits take the ramp's closed form, one shift, one product by a small
+int and one exact division by (X-1)^2, so the kernel is linear in n at
+every P.
+The sums are read as one buffer, never unpacked into ints one by one.
+The flag that tells a flip from a deletion at block j, whether block
+j+1 passes its checksum, is the flag of the window P past block j,
+which the scan has already read; only a final block j+1, of its own
+length and residue, has its checksum taken on its own.
 
 A block code of length at most TABLE_MAX_LENGTH is decoded by table
 lookup (standard-array decoding of a short code, as in MacWilliams and
@@ -49,15 +55,11 @@ inner flips have their own table, of `_pick_flip`'s answers.  The decoder looks 
 only on a miss, so its answers, failures and the faults it propagates
 are the corrector's.  Every block that far-apart errors deliver is in a
 table: at far(60, 6) a correction costs one dict lookup instead of two
-to four corrector calls of about 3 us each.  An entry costs one
-corrector call and a hit saves one to four, so a table pays for itself
-within about as many corrections as it has entries, but the build
-doubles with each symbol of block length: `far_params(10P, P)` took
-0.12-0.20, 0.18-0.32, 0.37-0.66, 0.66-1.1, 1.3-2.3 and 2.7-4.8 ms for
-P = 3..8 (two runs, best of 9, Python 3.11, 2-CPU host whose speed
-drifts), 5.3-5.7 ms at P = 9 and 43-44 ms at P = 12, against 0.02-0.11
-ms without tables.  The bound, 8, keeps the build within a few
-milliseconds, about a tenth of a process's import and set-up; longer
+to four corrector calls.  An entry costs one corrector call and a hit
+saves one to four, so a table pays for itself within about as many
+corrections as it has entries, but the build doubles with each symbol
+of block length.  The bound, 8, keeps the build within a few
+milliseconds, a small part of a process's import and set-up; longer
 codes, the paper's P = 14 among them, keep empty tables and the
 correctors alone.
 """
@@ -66,9 +68,10 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DecodeFailure, check_index
 from .vt import (VtClass, VtParams, correct_deletion, correct_single,
@@ -237,13 +240,10 @@ def far_codeword(p: FarParams, index: int) -> Word:
     by one divides an index of about n bits t times, quadratic in n; the
     split divides each bit about once per level.  CPython 3.11's long
     division is itself quadratic, so the split still is, with a far
-    smaller constant: a draw took 0.97 -> 0.16 ms at far(10^4, 12), 78
-    -> 5.9 ms at far(10^5, 12) and 7.8 -> 0.48 s at far(10^6, 12) (best
-    of 3), and 3.5 -> 1.9 us at far(60, 6), where one leaf does it all
-    (median of 9; Python 3.11, 2-CPU host).  Leaves of 32 to 48 digits
-    drew fastest at far(3024, 14), far(10^4, 12) and far(10^5, 12):
-    shorter ones make more small divisions and calls, longer ones peel
-    longer numbers.
+    smaller constant; at far(60, 6) one leaf does it all.  Leaves of 32
+    to 48 digits drew fastest at far(3024, 14), far(10^4, 12) and
+    far(10^5, 12): shorter ones make more small divisions and calls,
+    longer ones peel longer numbers.
     """
     check_index(index, p.codeword_count)
     index, i = divmod(index, p.final_alphabet.size)
@@ -274,38 +274,52 @@ def _unrank_inner(p: FarParams, index: int, m: int, blocks: List[Word]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _ramp(P: int) -> Tuple[str, int, int]:
-    """(struct format, digit width in bytes, ramp) for windows of length
-    P: the ramp's little-endian digits are P, P-1, ..., 1, each wide
-    enough to hold a window sum, at most P(P+1)/2, without a carry."""
+def _digits(P: int) -> Tuple[str, int, int]:
+    """(buffer format, digit width w in bytes, factor) for windows of
+    length P.  w is the narrowest of 1, 2, 4 and 8 that holds a window
+    sum, at most P(P+1)/2, without a carry.  For w = 1 the factor is the
+    ramp, whose little-endian digits are P, P-1, ..., 1; for wider digits
+    it is (X-1)^2, X = 256^w, the divisor of the ramp's closed form."""
     top = P * (P + 1) // 2
-    fmt = next(f for f in "BHIQ" if top < 256 ** struct.calcsize("<" + f))
-    width = struct.calcsize("<" + fmt)
-    ramp = int.from_bytes(b"".join(v.to_bytes(width, "little")
-                                   for v in range(P, 0, -1)), "little")
-    return fmt, width, ramp
+    fmt = next(f for f in "BHIQ" if top.bit_length() <= 8 * struct.calcsize(f))
+    width = struct.calcsize(fmt)
+    if width == 1:
+        return fmt, width, int.from_bytes(bytes(range(P, 0, -1)), "little")
+    return fmt, width, ((1 << 8 * width) - 1) ** 2
 
 
 def window_sums(z: Union[bytes, bytearray], P: int) -> Sequence[int]:
     """Weighted checksum sum((i+1) * z[q+i]) of every length-P window of
     the 0/1 word z, by offset q = 0 .. len(z) - P.
 
-    Read as little-endian digits, z times the ramp P, P-1, ..., 1 holds
-    the sum of the window at q as digit q + P - 1, so one big-integer
-    product gives them all.  Digits are one byte while P(P+1)/2 <= 255
-    and the result is bytes; wider digits give a tuple of ints.
+    Read as little-endian digits in base X = 256^w (`_digits`), z times
+    the ramp P, P-1, ..., 1 holds the sum of the window at q as digit
+    q + P - 1, so one big-integer product gives them all.  One-byte
+    digits (P <= 22) multiply by the ramp, at most 22 bytes long, and
+    the result is bytes.  Wider digits (P >= 23) take the ramp's closed
+    form, sum((P-k) * X^k for k < P) = (X^(P+1) - ((P+1)*X - P)) / (X-1)^2:
+    one shift, one product by a small int and one exact division by a
+    divisor of at most 16 bytes.  Either way the work is linear in
+    len(z) at every P.  Wide digits come back as one buffer of ints, a
+    memoryview read in the host's byte order.
     """
-    fmt, width, ramp = _ramp(P)
+    fmt, width, factor = _digits(P)
     n = len(z)
-    if width > 1:
-        spread = bytearray(width * n)
-        spread[::width] = z
-        z = spread
-    product = int.from_bytes(z, "little") * ramp
     windows = max(n - P + 1, 0)
-    first = width * (P - 1)
-    digits = product.to_bytes(width * (n + P), "little")[first:first + width * windows]
-    return digits if width == 1 else struct.unpack(f"<{windows}{fmt}", digits)
+    if width == 1:
+        product = int.from_bytes(z, "little") * factor
+        return product.to_bytes(n + P, "little")[P - 1:P - 1 + windows]
+    spread = bytearray(width * n)
+    spread[::width] = z
+    x = int.from_bytes(spread, "little")
+    shift = 8 * width  # X = 2^shift
+    product = ((x << shift * (P + 1)) - x * ((P + 1 << shift) - P)) // factor
+    # Written in the host's byte order, each digit reads as one native
+    # int; a big-endian host holds the digits last first.
+    digits = memoryview(product.to_bytes(width * (n + P), sys.byteorder)).cast(fmt)
+    if sys.byteorder == "big":
+        digits = digits[::-1]
+    return digits[P - 1:P - 1 + windows]
 
 
 def _passing(sums: Sequence[int], table: bytes) -> bytes:
@@ -348,14 +362,17 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Symbols, FarDecodeInfo]:
     every correction is looked up in the block code's table first.
     At a mismatch in inner block j it corrects exactly one error, in
     block j itself (the module docstring says why), telling a deletion
-    from a flip by the next block's checksum; the fixed block stands for
-    P received symbols after a flip and P-1 after a deletion.  Nothing
-    left of the cursor is read again.  A block is sliced when the scan
-    reaches it: an inner block shorter than P mismatches, and a short
-    block after the one being corrected means a deletion is pending.
-    Terminates when the scan passes the final block; iterations counts
-    the corrections plus one, where a block the estimate holds as
-    received, or with only its erasure filled in, is no correction.
+    from a flip by whether the next block passes its checksum, which for
+    an inner next block is the flag of its window in the view the scan
+    just read, and for the final block its own checksum; the fixed block
+    stands for P received symbols after a flip and P-1 after a deletion.
+    Nothing left of the cursor is read again.  A block is sliced when
+    the scan reaches it: an inner block shorter than P mismatches, and a
+    short block after the one being corrected means a deletion is
+    pending.  Terminates when the scan passes the final block;
+    iterations counts the corrections plus one, where a block the
+    estimate holds as received, or with only its erasure filled in, is
+    no correction.
     Every DecodeFailure comes from a rule, none from another exception;
     one raised while handling block j carries diagnostic["block"] = j,
     and the final check that the estimate is a codeword names no block.
@@ -407,8 +424,12 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Symbols, FarDecodeInfo]:
                 used = len(blk)
             else:
                 # The next block follows blk; the final block runs to the end.
-                nxt = y[r + P:r + 2 * P if j + 1 < t else len(y)]
-                fixed, ambiguous, used = _correct_one(p, j, blk, nxt)
+                if j + 1 < t:  # its flag is the view's next, where it fits
+                    nxt = y[r + P:r + 2 * P]
+                    verdict = view[suspect + 1:suspect + 2] == b"\1"
+                else:
+                    nxt, verdict = y[r + P:], None
+                fixed, ambiguous, used = _correct_one(p, j, blk, nxt, verdict)
             info.ambiguous_flips += ambiguous
             out.extend(fixed)
             r += used
@@ -422,10 +443,11 @@ def far_decode(p: FarParams, y: Symbols) -> Tuple[Symbols, FarDecodeInfo]:
     except DecodeFailure as exc:
         exc.diagnostic.setdefault("block", j)
         raise
-    if not far_contains(p, out):
+    estimate = bytes(out)
+    if not far_contains(p, estimate):
         raise DecodeFailure("estimate is not a codeword",
-                            {"estimate_length": len(out)})
-    return like(received, out), info
+                            {"estimate_length": len(estimate)})
+    return like(received, estimate), info
 
 
 def _block_code(p: FarParams, j: int) -> VtParams:
@@ -447,19 +469,22 @@ def _pick_flip(code: VtParams, blk: bytes) -> Answer:
     return candidates[0], len(candidates) > 1
 
 
-def _correct_one(p: FarParams, j: int, blk: bytes,
-                 nxt: bytes) -> Tuple[bytes, bool, int]:
+def _correct_one(p: FarParams, j: int, blk: bytes, nxt: bytes,
+                 verdict: Optional[bool]) -> Tuple[bytes, bool, int]:
     """Fix the single error behind the checksum mismatch at inner block j.
 
     blk is block j as received: P symbols, fewer where the word ends
     early, and no erasure; every final block goes to `vt.correct_single`
     instead.  nxt is the next block as received, the symbols that follow
-    blk.  Returns a codeword of the inner VT class, whether it is an
-    ambiguous flip (a deletion gives False) and the received symbols it
-    stands for: P after a flip, P-1 after a deletion.  A full next block
-    holding an erasure has no checksum to tell them by, and is refused.
-    Each correction is looked up in `p.flip_table` or `p.inner_table`
-    first.
+    blk.  verdict is whether nxt passes its checksum when nxt is an inner
+    block, as the scan read it from the flag of its window (False where
+    nxt is cut short, and read only where nxt holds no erasure), and None
+    when nxt is the final block, whose checksum is taken here.  Returns a
+    codeword of the inner VT class, whether it is an ambiguous flip (a
+    deletion gives False) and the received symbols it stands for: P after
+    a flip, P-1 after a deletion.  A full next block holding an erasure
+    has no checksum to tell them by, and is refused.  Each correction is
+    looked up in `p.flip_table` or `p.inner_table` first.
     """
     if len(blk) < p.P:  # the word ends inside block j
         raise DecodeFailure("received word ends inside an inner block",
@@ -469,7 +494,9 @@ def _correct_one(p: FarParams, j: int, blk: bytes,
     code = _block_code(p, j + 1)
     if len(nxt) == code.n and ERASURE in nxt:
         raise DecodeFailure("checksum undefined with erasures present")
-    if len(nxt) == code.n and vt_syndrome(nxt, code.a, code.modulus) == 0:
+    if verdict is None:
+        verdict = len(nxt) == code.n and vt_syndrome(nxt, code.a, code.modulus) == 0
+    if verdict:
         return (*(p.flip_table.get(blk) or _pick_flip(p.inner_code, blk)), p.P)
     d = blk[:-1]
     hit = p.inner_table.get(d)  # correct_single's (word, False)

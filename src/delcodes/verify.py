@@ -346,14 +346,11 @@ def _roundtrip_case(report: VerifyReport, code, key: int, x: bytes,
     report.add_failure(witness, key)
 
 
-# Symbols corrupted that each process must get for a split to pay.  On a
-# 2-CPU x86-64 host with CPython 3.11, a fork and reap took 3.5-8.6 ms
-# (median 4.3-5.2 ms) at 61-69 MB RSS, and 2^20 symbols took 0.16 s of
-# far(3024,14) simulate, 0.47 s of VT_0(16) round trip and 1.3 s of
-# far(60,6) simulate: one fork costs at most about 3% of the work it
-# moves.  A 20-trial simulate of far(60,6) (1,200 symbols) stays in one
-# process; the VT_0(16) round trip and audit under at most one error
-# (3.0M each) split.
+# Symbols corrupted that each process must get for a split to pay: set
+# so that one fork and reap costs a few percent at most of the work it
+# moves (CHANGES.md has the measurements).  A 20-trial simulate of
+# far(60,6) (1,200 symbols) stays in one process; the VT_0(16) round
+# trip and audit under at most one error (3.0M each) split.
 SPLIT_WORK = 2 ** 20
 
 

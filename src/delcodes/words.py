@@ -68,9 +68,11 @@ def symbol_bytes(x: Symbols, allowed: bytes,
     if type(x) is not bytes:
         if type(x) is not tuple and not isinstance(x, (bytes, bytearray)):
             x = tuple(x)
-        try:  # bytearray reads a symbol in half the time bytes takes,
-            # but costs more per call: it pays from about 32 symbols
-            z = bytes(x) if len(x) < 32 else bytes(bytearray(x))
+        try:  # from a tuple, bytearray reads a symbol in half the time
+            # bytes takes, but costs more per call: it pays from about 32
+            # symbols; a buffer is copied once
+            z = (bytes(bytearray(x)) if type(x) is tuple and len(x) >= 32
+                 else bytes(x))
         except (TypeError, ValueError):  # a symbol that is no byte
             z = b"\xff"  # no symbol: refused below
     if not z.translate(None, allowed):

@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import random
+import sys
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -162,6 +164,10 @@ EVERY_7TH = {k: "F" for k in range(1, 60, 7)}
     # checksum and is copied; only the estimate check refuses it.
     (10, 5, 12, {1: "F", 5: "F"}, None,
      "estimate is not a codeword", {"estimate_length": 10}),
+    # far(62,6) has a final block of 8: the last inner block, 9, is no
+    # final block, and its erasure is refused all the same.
+    (62, 6, 0, {44: "F", 50: "E"}, None,
+     "checksum undefined with erasures present", {"block": 8}),
 ])
 def test_decode_failure_names_its_block(n, P, index, errors, length, message,
                                         diagnostic):
@@ -364,6 +370,26 @@ def test_decode_checksum_work_is_linear(monkeypatch):
     assert len(calls) <= p.t + 3 * k
 
 
+def test_decode_takes_inner_next_block_checksums_from_the_scan(monkeypatch):
+    # A flip at inner block j is told from a deletion by the flag of the
+    # window of block j+1, which the scan has already read: far's own
+    # vt_syndrome runs only for a final block j+1 and for the final block
+    # of the estimate.  A checksum per correction made 459 calls here.
+    p = far_params(12000, 6)
+    x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
+    g = sample_pattern(PatternFamily.p_far(p.n, 3 * p.P, kinds="F"), 0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vt_syndrome(*args)
+
+    monkeypatch.setattr(far, "vt_syndrome", counted)
+    _, info = far_decode(p, apply_pattern(x, g))
+    assert g.weight > 400 and info.iterations == g.weight + 1
+    assert len(calls) <= 2
+
+
 def _count_deletion_calls(monkeypatch):
     """The argument tuples of the correct_deletion calls, from now on:
     far's own and those vt.correct_single makes for a final block."""
@@ -446,9 +472,9 @@ def test_table_decode_of_a_deletion_in_a_run_across_blocks(monkeypatch):
     x, y, j = _deletion_in_a_run(p, 12345)
     blocks = []
 
-    def traced_correct_one(p, j, blk, nxt):
+    def traced_correct_one(p, j, blk, nxt, verdict):
         blocks.append(j)
-        return correct_one(p, j, blk, nxt)
+        return correct_one(p, j, blk, nxt, verdict)
 
     correct_one = far._correct_one
     monkeypatch.setattr(far, "_correct_one", traced_correct_one)
@@ -581,13 +607,57 @@ def test_far_params_refuses_the_counting_table_of_a_long_final_block():
 def test_window_sums_match_naive():
     # One-byte digits up to P = 22; P(P+1)/2 > 255 from P = 23 on.
     rng = random.Random(6)
-    for P in range(1, 41):
+    for P in [*range(1, 41), 46, 362]:
         for n in {0, 1, P - 1, P, P + 1, 3 * P + 2, 97}:
             z = bytes(rng.randrange(2) for _ in range(n))
             naive = [sum((i + 1) * z[q + i] for i in range(P))
                      for q in range(n - P + 1)]
             assert list(window_sums(z, P)) == naive, (P, n)
             assert list(window_sums(bytearray(z), P)) == naive, (P, n)
+
+
+def _naive_sums_of_ones(ones, n, P):
+    """Window sums of the length-n word that is 1 exactly at `ones`."""
+    return [sum(k - q + 1 for k in ones if q <= k < q + P)
+            for q in range(n - P + 1)]
+
+
+def test_window_sums_digits_are_the_narrowest_that_hold_a_sum():
+    # A window sum is at most P(P+1)/2: 253 at P = 22, 276 at P = 23,
+    # 65,341 at P = 361, 65,703 at P = 362, 4,294,930,221 at P = 92,681
+    # and 4,295,115,903 at P = 92,682.  One-byte sums come back as bytes.
+    ones = [0, 5, 17, 40, 41]
+    for P, width in [(22, 1), (23, 2), (361, 2), (362, 4), (92681, 4),
+                     (92682, 8)]:
+        n = P + 44
+        z = bytearray(n)
+        for k in ones + [n - 1 - k for k in ones]:
+            z[k] = 1
+        sums = window_sums(bytes(z), P)
+        assert (type(sums) is bytes) == (width == 1), P
+        assert memoryview(sums).itemsize == width, P
+        assert list(sums) == _naive_sums_of_ones(
+            [k for k in range(n) if z[k]], n, P), P
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_window_sums_are_read_in_the_host_byte_order(monkeypatch, order):
+    # Wide digits are written in the host's byte order and read back as
+    # native ints.  Written in the other order, every digit reads with
+    # its bytes swapped and nothing else changes: the digits stay in
+    # window order, so a host of either order reads the right sums.
+    rng = random.Random(362)
+    n = 400
+    ones = [k for k in range(n) if rng.randrange(2)]
+    z = bytes(k in ones for k in range(n))
+    monkeypatch.setattr(far, "sys", types.SimpleNamespace(byteorder=order))
+    for P in (23, 46, 362):
+        sums = window_sums(z, P)
+        want = _naive_sums_of_ones(ones, n, P)
+        if order != sys.byteorder:
+            want = [int.from_bytes(v.to_bytes(sums.itemsize, "little"), "big")
+                    for v in want]
+        assert list(sums) == want, P
 
 
 def test_two_byte_digit_windows_scan_and_check():
@@ -797,11 +867,11 @@ def test_correction_reads_only_its_block_and_the_next(index, seed):
     correct_one = far._correct_one
     calls = []
 
-    def traced_correct_one(p, j, blk, nxt):
-        call = [j, bytes(blk), bytes(nxt), None]
+    def traced_correct_one(p, j, blk, nxt, verdict):
+        call = [j, bytes(blk), bytes(nxt), verdict, None]
         calls.append(call)
-        fixed, ambiguous, call[3] = correct_one(p, j, blk, nxt)
-        return fixed, ambiguous, call[3]
+        fixed, ambiguous, call[4] = correct_one(p, j, blk, nxt, verdict)
+        return fixed, ambiguous, call[4]
 
     with mock.patch.object(far, "_correct_one", traced_correct_one):
         try:
@@ -809,13 +879,19 @@ def test_correction_reads_only_its_block_and_the_next(index, seed):
         except DecodeFailure:
             info = None
     behind, last = 0, 0
-    for k, (j, blk, nxt, used) in enumerate(calls):
+    for k, (j, blk, nxt, verdict, used) in enumerate(calls):
         assert last < j < t  # the final block goes to vt.correct_single
         r = (j - 1) * P - behind  # the cursor at block j
         after = P if j + 1 < t else P + p.s
         assert len(blk) == min(P, len(y) - r), (j, blk)
         assert len(nxt) == min(after, len(y) - r - len(blk)), (j, nxt)
         assert blk + nxt == y[r:r + len(blk) + len(nxt)], j
+        # The scan hands over the next inner block's checksum verdict; the
+        # final block's is taken by the correction itself.
+        assert (verdict is None) == (j + 1 == t), (j, verdict)
+        if verdict is not None and ERASURE not in nxt:
+            assert verdict == (len(nxt) == P and vt_syndrome(
+                nxt, p.a1, p.inner_code.modulus) == 0), j
         if used is None:  # the correction raised DecodeFailure
             assert k == len(calls) - 1 and info is None
         else:
