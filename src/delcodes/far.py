@@ -43,7 +43,7 @@ length and residue, has its checksum taken on its own.
 
 A block code of length at most TABLE_MAX_LENGTH is decoded by table
 lookup (standard-array decoding of a short code, as in MacWilliams and
-Sloane, ch. 1).  `far_params` maps each received block one deletion,
+Sloane, ch. 1).  `FarParams` maps each received block one deletion,
 erasure or flip away from a word of the class, and each word as
 received, to the answer the decoder's corrector gives for it, from one
 call of that corrector; blocks whose answer is a DecodeFailure are left
@@ -98,34 +98,67 @@ def _best_residue_without_constants(m: int) -> int:
 
 @dataclass(frozen=True)
 class FarParams:
+    """far(n, P): t - 1 inner blocks of length P and a final block of
+    length P + s, where n = t*P + s.  Every other field follows from n
+    and P and is set here, once, so none can be out of step with them.
+
+    The alphabets are views of the classes `vt_enumerate` returns:
+    sequences of bytes in lexicographic order that list no word, so the
+    budget is that of the counting tables at P and P + s.  The encoder,
+    the draw and the count read their `size`, exact past 2^63.  The inner
+    alphabet is the non-constant words of VT_a1(P), a1 chosen to make it
+    largest; for P >= 3 it is never empty, as the 2^P - 2 non-constant
+    words fall into at most 2P residues.  The final alphabet is all of
+    VT_a2(P + s), constants included, but a2 is chosen as if they were
+    dropped: under the paper's modulus it has one word fewer than the
+    largest class at P + s in {4, 6, 8, 10, 12, 16, 18, 22, 24} (9
+    words, not 10, for far(60, 6)).  The decoding tables (`_block_table`)
+    are vt.correct_single's answers for inner and for final blocks, one
+    table when s = 0, and _pick_flip's for inner flips; each block code
+    of length at most TABLE_MAX_LENGTH gets its table here, not at first
+    use, so a decode never pays for it, and an empty table leaves its
+    blocks to the corrector.
+    """
+
     n: int
     P: int
-    t: int
-    s: int
-    a1: int
-    a2: int
-    # The alphabets (`vt.VtClass` views: the encoder, the draw and the
-    # count read their `size`, exact past 2^63) and the decoding tables
-    # (`_block_table`): vt.correct_single's answers for inner and for
-    # final blocks, one table when s = 0, and _pick_flip's for inner
-    # flips.  They follow from the fields above, so they take no part in
-    # == and hash; an empty table leaves its blocks to the corrector.
-    inner_alphabet: VtClass = field(repr=False, compare=False)
-    final_alphabet: VtClass = field(repr=False, compare=False)
-    inner_table: Dict[bytes, Answer] = field(default_factory=dict, repr=False,
-                                             compare=False)
-    flip_table: Dict[bytes, Answer] = field(default_factory=dict, repr=False,
-                                            compare=False)
-    final_table: Dict[bytes, Answer] = field(default_factory=dict, repr=False,
-                                             compare=False)
+    t: int = field(init=False, compare=False)
+    s: int = field(init=False, compare=False)
+    a1: int = field(init=False, compare=False)
+    a2: int = field(init=False, compare=False)
+    inner_code: VtParams = field(init=False, repr=False, compare=False)
+    final_code: VtParams = field(init=False, repr=False, compare=False)
+    inner_alphabet: VtClass = field(init=False, repr=False, compare=False)
+    final_alphabet: VtClass = field(init=False, repr=False, compare=False)
+    inner_table: Dict[bytes, Answer] = field(init=False, repr=False, compare=False)
+    flip_table: Dict[bytes, Answer] = field(init=False, repr=False, compare=False)
+    final_table: Dict[bytes, Answer] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def inner_code(self) -> VtParams:
-        return VtParams(self.P, self.a1)
-
-    @cached_property
-    def final_code(self) -> VtParams:
-        return VtParams(self.P + self.s, self.a2)
+    def __post_init__(self):
+        n, P = self.n, self.P
+        if P < 3:
+            raise ValueError("need P >= 3 so the inner alphabet is non-empty")
+        if n < 2 * P:
+            raise ValueError("need n >= 2P (at least two blocks)")
+        t, s = divmod(n, P)
+        a1 = _best_residue_without_constants(P)
+        a2 = _best_residue_without_constants(P + s) if s else a1
+        inner_code, final_code = VtParams(P, a1), VtParams(P + s, a2)
+        final = vt_enumerate(final_code)
+        inner = vt_enumerate(inner_code) if s else final  # s = 0: one class
+        # In lexicographic order 0^P, of checksum 0, is first if present
+        # and 1^P, of checksum P(P+1)/2, last.
+        ones = P * (P + 1) // 2 % inner_code.modulus == a1
+        final_table = _block_table(final_code, final, "DEF", correct_single)
+        derived = dict(
+            t=t, s=s, a1=a1, a2=a2, inner_code=inner_code, final_code=final_code,
+            inner_alphabet=inner[(a1 == 0):inner.size - ones], final_alphabet=final,
+            inner_table=(_block_table(inner_code, inner, "DE", correct_single)
+                         if s else final_table),
+            flip_table=_block_table(inner_code, inner, "F", _pick_flip),
+            final_table=final_table)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen: set once, here
 
     @cached_property
     def _sum_tables(self) -> Tuple[bytes, bytes]:
@@ -151,42 +184,9 @@ class FarParams:
 
 
 def far_params(n: int, P: int) -> FarParams:
-    """Construct parameters: t - 1 inner blocks of length P and a final
-    block of length P + s, where n = t*P + s.
-
-    The alphabets are views of the classes `vt_enumerate` returns:
-    sequences of bytes in lexicographic order that list no word, so the
-    budget is that of the counting tables at P and P + s.  The inner
-    alphabet is the non-constant words of VT_a1(P), a1 chosen to make it
-    largest; for P >= 3 it is never empty, as the 2^P - 2 non-constant
-    words fall into at most 2P residues.  The final alphabet is all of
-    VT_a2(P + s), constants included, but a2 is chosen as if they were
-    dropped: under the paper's modulus it has one word fewer than the
-    largest class at P + s in {4, 6, 8, 10, 12, 16, 18, 22, 24} (9 words,
-    not 10, for far(60, 6)).  Each block code of length at most
-    TABLE_MAX_LENGTH gets its decoding table here, not at first use, so
-    a decode never pays for it.
-    """
-    if P < 3:
-        raise ValueError("need P >= 3 so the inner alphabet is non-empty")
-    if n < 2 * P:
-        raise ValueError("need n >= 2P (at least two blocks)")
-    t, s = divmod(n, P)
-    a1 = _best_residue_without_constants(P)
-    a2 = _best_residue_without_constants(P + s) if s else a1
-    inner_code, final_code = VtParams(P, a1), VtParams(P + s, a2)
-    final = vt_enumerate(final_code)
-    inner = vt_enumerate(inner_code) if s else final  # s = 0: one class
-    # In lexicographic order 0^P, of checksum 0, is first if present and
-    # 1^P, of checksum P(P+1)/2, last.
-    ones = P * (P + 1) // 2 % inner_code.modulus == a1
-    alphabet = inner[(a1 == 0):inner.size - ones]
-    final_table = _block_table(final_code, final, "DEF", correct_single)
-    inner_table = (_block_table(inner_code, inner, "DE", correct_single)
-                   if s else final_table)
-    return FarParams(n, P, t, s, a1, a2, alphabet, final, inner_table,
-                     _block_table(inner_code, inner, "F", _pick_flip),
-                     final_table)
+    """The far code far(n, P), built with its alphabets and tables: see
+    `FarParams`."""
+    return FarParams(n, P)
 
 
 def _block_table(code: VtParams, words: Sequence[Word], kinds: str,

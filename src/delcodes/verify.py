@@ -64,8 +64,9 @@ class _Code:
 
 class VtCodeAdapter(_Code):
     """VT_a(n), held as its class (`vt.vt_enumerate`), built on first
-    use, so decoding a single word builds none; its size comes from the
-    class sizes, so a verify refused by its budget builds no class."""
+    use, so decoding a single word builds none; its size is the class's,
+    read from the counting table, so a verify refused by its budget lists
+    no word."""
 
     def __init__(self, n: int, a: int):
         self.params = vt.VtParams(n, a)
@@ -74,9 +75,9 @@ class VtCodeAdapter(_Code):
     def words(self) -> Sequence[Word]:
         return vt.vt_enumerate(self.params)
 
-    @functools.cached_property
+    @property
     def codeword_count(self) -> int:
-        return vt.vt_class_sizes(self.params.n)[self.params.a]
+        return self.words.size
 
     def codewords(self) -> Iterable[Word]:
         return iter(self.words)

@@ -17,7 +17,8 @@ from delcodes.patterns import PatternFamily, family_size
 def test_redundancy():
     assert analysis.redundancy(12, 16) == 8.0
     assert analysis.redundancy(9, 8) == 6.0
-    with pytest.raises(ValueError):
+    assert analysis.redundancy(4, 1) == 4.0
+    with pytest.raises(ValueError, match="^need size >= 1$"):
         analysis.redundancy(4, 0)
 
 
@@ -76,6 +77,38 @@ def test_rep_bounds():
     assert r.value == pytest.approx([6.0, 7.0])
     with pytest.raises(FormulaDomainError):
         analysis.rep_bounds(3, 2)
+
+
+# Each bound at an end of its domain, which a check one off would refuse:
+# (evaluator, arguments, value).
+DOMAIN_ENDS = [
+    (analysis.rep_bounds, (5, 0), [0.0, 1.0]),  # no repetition
+    (analysis.any_code_lower, (2048, 1), 11 - 10 - 1 - 1),
+    (analysis.any_code_lower, (4, 4), -40 - 2 ** 11 * 4 - 1),
+    (analysis.frac_upper, (3, 1, 6), 0.0),  # log argument 1
+    (analysis.frac_upper_K, (1, 1, 2), 0.0),
+    (analysis.far_upper, (5, 5), math.log2(5) + 1),
+    (analysis.far_lower, (49152, 2), 0.0),
+    (analysis.far_lower_largeP, (12, 2), 0.0),
+    (analysis.burst_lower, (2, 1), 1 - 6 - math.log2(5)),
+]
+
+
+@pytest.mark.parametrize("bound, args, value", DOMAIN_ENDS)
+def test_bounds_take_the_ends_of_their_domains(bound, args, value):
+    assert bound(*args).value == pytest.approx(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    # A log argument of 0 is refused before math.log2 sees it.
+    (lambda: analysis.frac_upper(0, 1, 6), "positive log argument"),
+    (lambda: analysis.frac_upper_K(0, 1, 2), "positive log argument"),
+    # P = 2 is in far_upper's range; delta(2) = 1.5 is what refuses it.
+    (lambda: analysis.far_upper(10, 2), r"^delta\(2\) = 1.5 >= 1"),
+])
+def test_bounds_refuse_outside_their_domains(call, message):
+    with pytest.raises(FormulaDomainError, match=message):
+        call()
 
 
 def test_delta():

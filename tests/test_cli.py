@@ -518,11 +518,14 @@ def test_verify_budget_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize("mode", ["roundtrip", "combinatorial"])
 def test_vt_verify_over_budget_lists_no_codeword(capsys, monkeypatch, mode):
     # VT_0(24) has 671,092 codewords: listing them took seconds and
-    # hundreds of MB before the refusal.
-    def refuse(p):
-        raise AssertionError(f"VT_{p.a}({p.n}) listed before the budget check")
+    # hundreds of MB before the refusal.  The class is built, for its
+    # size, but neither lists nor unranks a word.
+    def refuse(cls, *args):
+        raise AssertionError(f"VT_{cls.params.a}({cls.params.n}) listed "
+                             "before the budget check")
 
-    monkeypatch.setattr(vt, "vt_enumerate", refuse)
+    monkeypatch.setattr(vt.VtClass, "__iter__", refuse)
+    monkeypatch.setattr(vt.VtClass, "__getitem__", refuse)
     code, out, err = run(capsys, "verify", "--mode", mode, "--code", "vt",
                          "--n", "24", "--a", "0", "--family", "atmost:1")
     assert code == 3 and out == ""

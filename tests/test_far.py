@@ -1,8 +1,10 @@
 import ast
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
+import pickle
 import random
 import sys
 import types
@@ -44,6 +46,25 @@ def test_params_validation():
         far_params(12, 2)  # inner alphabet would be empty
     with pytest.raises(ValueError):
         far_params(5, 3)  # fewer than two blocks
+
+
+def test_far_params_is_n_and_P():
+    # Every other field follows from (n, P), so none can be set apart.
+    p = far_params(60, 6)
+    assert list(inspect.signature(FarParams).parameters) == ["n", "P"]
+    assert FarParams(60, 6) == p and hash(FarParams(60, 6)) == hash(p)
+    assert repr(p) == "FarParams(n=60, P=6, t=10, s=0, a1=1, a2=1)"
+    assert (p.inner_code, p.final_code) == (VtParams(6, 1), VtParams(6, 1))
+    assert p.inner_alphabet.size == p.final_alphabet.size == 9
+    derived = ["t", "s", "a1", "a2", "inner_code", "final_code", "inner_alphabet",
+               "final_alphabet", "inner_table", "flip_table", "final_table"]
+    assert [f.name for f in dataclasses.fields(p)] == ["n", "P"] + derived
+    for name in derived:
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            dataclasses.replace(p, **{name: getattr(p, name)})
+    q = dataclasses.replace(p, n=66)
+    assert q == far_params(66, 6) and (q.t, q.s) == (11, 0)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 @pytest.mark.parametrize("n, P, classes", [
@@ -424,8 +445,10 @@ def test_table_decode_makes_no_corrector_call(monkeypatch):
     # At P = 6 every block far-apart errors deliver is in a table: the
     # decode answers as the correctors would, without calling one.
     p = far_params(12000, 6)
-    without_tables = dataclasses.replace(p, inner_table={}, flip_table={},
-                                         final_table={})
+    with monkeypatch.context() as m:
+        m.setattr(far, "TABLE_MAX_LENGTH", 0)
+        without_tables = far_params(p.n, p.P)
+    assert without_tables.inner_table == without_tables.flip_table == {}  # s = 0
     x = far_codeword(p, random.Random(0).randrange(p.codeword_count))
     calls = _corrector_calls(monkeypatch)
     for kinds in "DEF":

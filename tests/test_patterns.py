@@ -151,6 +151,7 @@ PATTERN_FAULTS = [
     (((3, "F"), (1, "D")), "positions must be strictly increasing and distinct"),
     (((1, "X"),), "unknown error kind 'X'"),
     (((1, "DE"),), "unknown error kind 'DE'"),
+    (((4, "X"),), "unknown error kind 'X'"),  # a bad kind at position n
     # Two faults: out of order and a position of n + 1.  The order is
     # checked first.
     (((5, "F"), (1, "D")), "positions must be strictly increasing and distinct"),
@@ -263,6 +264,20 @@ def test_kinds_restriction():
     # Kinds are read as a set, in the order D, E, F.
     assert PatternFamily.at_most(5, 1, kinds="FD").kinds == "DF"
     assert PatternFamily.at_most(5, 1, kinds="DD") == fam
+
+
+def test_is_member_reads_the_spread_the_spacing_and_the_cap():
+    # A burst binds the spread of its support, a far family the gap of
+    # each pair and a cap the weight, each with its bound included.
+    burst, far = PatternFamily.burst(12, 2), PatternFamily.p_far(12, 4)
+    capped = PatternFamily.at_most(12, 2)
+    assert is_member(ErrorPattern.from_dict(12, {5: "D", 6: "E", 7: "F"}), burst)
+    assert not is_member(ErrorPattern.from_dict(12, {5: "D", 8: "F"}), burst)
+    assert is_member(ErrorPattern.from_dict(12, {1: "D", 5: "F", 9: "E"}), far)
+    assert not is_member(ErrorPattern.from_dict(12, {1: "D", 4: "F"}), far)
+    assert is_member(ErrorPattern.from_dict(12, {1: "D", 12: "F"}), capped)
+    assert not is_member(ErrorPattern.from_dict(12, {1: "D", 2: "E", 3: "F"}),
+                         capped)
 
 
 def test_enumeration_order_and_uniqueness():

@@ -17,9 +17,13 @@ def test_params():
     assert (p.block, p.m, p.pad) == (3, 3, 2)
     p = RepParams(15, 2)
     assert (p.block, p.m, p.pad) == (5, 3, 0)
-    with pytest.raises(ValueError):
-        RepParams(4, 2)  # block 5 > n
-    with pytest.raises(ValueError):
+    p = RepParams(5, 0)  # no repetition
+    assert (p.block, p.m, p.pad) == (1, 5, 0)
+    p = RepParams(5, 2)  # one block fills the word
+    assert (p.block, p.m, p.pad) == (5, 1, 0)
+    with pytest.raises(ValueError, match="^block length 5 exceeds n = 4$"):
+        RepParams(4, 2)
+    with pytest.raises(ValueError, match="^need t >= 0$"):
         RepParams(4, -1)
 
 
@@ -108,6 +112,7 @@ def test_pad_debris_is_dropped():
 def test_burst_params_roundtrip():
     bp = burst_params(9, 1)
     assert (bp.n, bp.t) == (9, 2)
+    assert burst_params(9, 0) == RepParams(9, 1)  # spread 0: one position
     with pytest.raises(ValueError, match="^need b >= 0$"):
         burst_params(9, -1)
     fam = PatternFamily.burst(9, 1)

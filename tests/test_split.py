@@ -86,6 +86,26 @@ def test_split_simulate_reports_as_one_process(monkeypatch, forks, trials, seed)
         assert max(w["trial"] for w in expected["counterexamples"]) >= 30
 
 
+# Two parts, the head and one forked tail, are what a 2-CPU host runs.
+def test_two_part_roundtrip_reports_as_one_process(monkeypatch, forks):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    call = ROUNDTRIPS["far18-pfar18-DEF"]
+    expected = _serial(monkeypatch, call)
+    assert call().to_json_dict() == expected
+    assert len(forks) == 1
+
+
+def test_two_part_simulate_reports_as_one_process(monkeypatch, forks):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+
+    def call():
+        return simulate(make_code("far", n=60, P=6), PatternFamily.p_far(60, 18),
+                        45, 1)
+    expected = _serial(monkeypatch, call)
+    assert call().to_json_dict() == expected
+    assert len(forks) == 1
+
+
 def test_split_children_inherit_the_patched_modulus(monkeypatch, forks, levenshtein):
     # Under modulus 2n no single flip is ambiguous, so a child that read
     # the paper's modulus would report failures.

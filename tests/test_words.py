@@ -17,7 +17,7 @@ from delcodes.rep import RepParams, rep_decode, rep_encode
 from delcodes.verify import make_code
 from delcodes.vt import (correct_deletion, correct_erasure, correct_single,
                          flip_candidates, vt_enumerate)
-from delcodes.words import (ERASURE, codeword_bytes, parse_codeword,
+from delcodes.words import (ERASURE, codeword_bytes, like, parse_codeword,
                             parse_word, received_bytes, weight, word_to_str)
 
 CODES = {"vt": make_code("vt", n=8, a=0), "rep": make_code("rep", n=9, t=1),
@@ -139,6 +139,19 @@ PRODUCERS = {
     **{f"{kind}.codewords": lambda code=code: list(code.codewords())
        for kind, code in CODES.items()},
 }
+
+
+def test_weight_counts_the_ones():
+    assert weight(b"") == 0
+    assert weight((1, 0, 1, True)) == 3
+    assert weight(parse_word("0110111")) == 5
+
+
+def test_like_hands_a_tuple_back_for_any_iterable_that_is_no_buffer():
+    z = parse_word("011")
+    assert like([0, 1, 1], z) == like(iter(z), z) == like((0,), z) == (0, 1, 1)
+    for word in (b"", bytearray(b"\0")):
+        assert like(word, bytearray(z)) == z and type(like(word, z)) is bytes
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCERS))

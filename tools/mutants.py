@@ -4,7 +4,8 @@ Each mutant changes one thing in one module of the checkout: it deletes
 a statement (puts `pass` in its place), swaps a comparison (`<`/`<=`,
 `>`/`>=`, `==`/`!=`), swaps `+`/`-`, turns `//` into `*` and `%` into
 `//`, swaps `and`/`or`, or raises an int literal 0-3 by one.  The named
-tests then run against it with `pytest -x`; a mutant they pass survives.
+tests then run against it with `pytest -x`; a mutant they pass survives,
+and one that ends the test process before pytest returns is killed.
 Every run is capped in address space (RLIMIT_AS) and in time, so a
 mutant that drops a budget check or loops is killed, not the host.
 Docstrings, imports and `pass` are never deleted.
@@ -18,7 +19,7 @@ One worker per CPU this process may use runs in its own copy of the
 checkout.  The clean tests run first and must pass; the time cap is four
 times the clean run and at least 30 s, the address-space cap
 MEMORY_MB.  `--lines 90-120` keeps the mutants on those lines.  The
-survivors and the mutants that hit a cap are printed as
+survivors and the mutants that hit a cap or exited early are printed as
 `path:line  kind  change`.
 """
 
@@ -28,6 +29,7 @@ import copy
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -45,11 +47,16 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
 KEEP = (ast.Import, ast.ImportFrom, ast.Pass)
 MEMORY_MB = 1024
 # pytest in a child that caps its own address space first (a preexec_fn
-# is unsafe in a process with threads)
-CAPPED_PYTEST = ("import resource, sys, pytest; "
+# is unsafe in a process with threads).  It names itself and pytest's
+# status once pytest.main has returned, so a mutant that ends the
+# process early with status 0 (os._exit(0), a fork that unwinds into the
+# test) is not taken for a pass.
+CAPPED_PYTEST = ("import os, resource, sys, pytest; "
                  f"cap = {MEMORY_MB} << 20; "
                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
-                 "sys.exit(pytest.main(sys.argv[1:]))")
+                 "status = pytest.main(sys.argv[1:]); "
+                 "print(f'pytest.main in {os.getpid()} returned {status}'); "
+                 "sys.exit(status)")
 
 
 def _deletable(stmt: ast.stmt) -> bool:
@@ -113,7 +120,10 @@ def mutate(tree: ast.Module, path, kind: str) -> str:
 
 
 def run_tests(root: Path, tests, timeout: float) -> str:
-    """'passed', 'failed', 'timeout' or 'memory' for one run in root."""
+    """'passed', 'failed', 'exited', 'timeout' or 'memory' for one run in
+    root.  A run passes only where pytest.main itself returned 0; one
+    that ended before it returned, with any status, exited.  Every
+    process left in the run's group is killed when it ends."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(root / "src"))
     with subprocess.Popen([sys.executable, "-c", CAPPED_PYTEST, "-x", "-q",
@@ -123,9 +133,16 @@ def run_tests(root: Path, tests, timeout: float) -> str:
         try:
             out, _ = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, 9)
+            out = None
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # nothing of the group is left
+            pass
+        if out is None:
             proc.communicate()
             return "timeout"
+    if f"pytest.main in {proc.pid} returned" not in out:
+        return "exited"
     if proc.returncode == 0:
         return "passed"
     return "memory" if "MemoryError" in out else "failed"
@@ -191,6 +208,7 @@ def main(argv=None) -> int:
     print(f"\n{total} mutants in {elapsed / 60:.1f} min: "
           f"{sum(r[4] == 'failed' for r in results)} killed by a test, "
           f"{sum(r[4] in ('timeout', 'memory') for r in results)} by a cap, "
+          f"{sum(r[4] == 'exited' for r in results)} by an early exit, "
           f"{sum(r[4] == 'passed' for r in results)} survived")
     for module, line, kind, change, outcome in flagged:
         print(f"{module}:{line}  {kind}  {change}  [{outcome}]")
