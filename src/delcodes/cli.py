@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 from . import analysis, verify
 from .errors import BudgetExceeded, DecodeFailure, exact_integers
-from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
+from .patterns import (KINDS, ErrorPattern, PatternFamily, apply_pattern,
                        family_size, sample_pattern)
 from .words import parse_codeword, parse_word, word_to_str
 
@@ -54,7 +54,7 @@ def _parse_family(spec: str, n: int) -> PatternFamily:
     families = {"atmost": (PatternFamily.at_most, "atmost:T"),
                 "pfar": (PatternFamily.p_far, "pfar:P[:T]"),
                 "burst": (PatternFamily.burst, "burst:B")}
-    body, kinds = spec, "DEF"
+    body, kinds = spec, KINDS
     if "@" in spec:
         body, kinds = spec.split("@", 1)
     name, *fields = body.split(":")

@@ -22,7 +22,9 @@ Every final block, and any block holding an erasure, goes to
 `vt.correct_single`, which corrects it from its length and erasure
 count.  The decoder keeps only the decision that rule cannot make:
 whether an inner block without an erasure suffered a flip or a
-deletion, which the next block's checksum tells.
+deletion, which the next block's checksum tells.  A deletion then goes
+to `vt.correct_single` too; a flip goes to `_pick_flip`, far's one rule
+of its own, as the constant words are not in the inner alphabet.
 
 The scan does not visit clean blocks one by one.  `window_sums` gives the
 weighted checksum of every length-P window of the received word at once,
@@ -47,11 +49,11 @@ Sloane, ch. 1).  `FarParams` maps each received block one deletion,
 erasure or flip away from a word of the class, and each word as
 received, to the answer the decoder's corrector gives for it, from one
 call of that corrector; blocks whose answer is a DecodeFailure are left
-out.  The entries for final blocks, and for inner blocks with an
-erasure or a deletion, are `vt.correct_single`'s answers (for a
-deletion that is `vt.correct_deletion`'s word, which the decoder calls
-on a miss), so at s = 0 the inner and final codes share one table;
-inner flips have their own table, of `_pick_flip`'s answers.  The decoder looks a block up first and calls the corrector
+out; `patterns.apply_pattern` makes the blocks.  The entries for final
+blocks, and for inner blocks with an erasure or a deletion, are
+`vt.correct_single`'s answers, so at s = 0 the inner and final codes
+share one table; inner flips have their own table, of `_pick_flip`'s
+answers.  The decoder looks a block up first and calls the corrector
 only on a miss, so its answers, failures and the faults it propagates
 are the corrector's.  Every block that far-apart errors deliver is in a
 table: at far(60, 6) a correction costs one dict lookup instead of two
@@ -74,8 +76,9 @@ from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DecodeFailure, check_index
-from .vt import (VtClass, VtParams, correct_deletion, correct_single,
-                 flip_candidates, vt_class_sizes, vt_enumerate, vt_syndrome)
+from .patterns import KINDS, ErrorPattern, apply_pattern
+from .vt import (VtClass, VtParams, correct_single, flip_candidates,
+                 vt_class_sizes, vt_enumerate, vt_syndrome)
 from .words import ERASURE, UNITS, Symbols, Word, like, received_bytes, symbol_bytes
 
 TABLE_MAX_LENGTH = 8  # longest block code decoded by table lookup: see above
@@ -149,7 +152,7 @@ class FarParams:
         # In lexicographic order 0^P, of checksum 0, is first if present
         # and 1^P, of checksum P(P+1)/2, last.
         ones = P * (P + 1) // 2 % inner_code.modulus == a1
-        final_table = _block_table(final_code, final, "DEF", correct_single)
+        final_table = _block_table(final_code, final, KINDS, correct_single)
         derived = dict(
             t=t, s=s, a1=a1, a2=a2, inner_code=inner_code, final_code=final_code,
             inner_alphabet=inner[(a1 == 0):inner.size - ones], final_alphabet=final,
@@ -192,17 +195,15 @@ def far_params(n: int, P: int) -> FarParams:
 def _block_table(code: VtParams, words: Sequence[Word], kinds: str,
                  answer: Callable[[VtParams, bytes], Answer]) -> Dict[bytes, Answer]:
     """answer(code, key) for every key that is one of `words`, the class
-    of `code`, or one error of `kinds` away from one: a deletion (D), an
-    erasure (E) or a flip (F).  A key whose answer is a DecodeFailure is
-    left out.  Empty for a code longer than TABLE_MAX_LENGTH."""
+    of `code`, or one error of `kinds` away from one, as `apply_pattern`
+    makes it.  A key whose answer is a DecodeFailure is left out.  Empty
+    for a code longer than TABLE_MAX_LENGTH."""
     if code.n > TABLE_MAX_LENGTH:
         return {}
+    errors = [ErrorPattern(code.n, ((i, kind),))
+              for i in range(1, code.n + 1) for kind in kinds]
     keys = set(words)
-    for w in words:
-        for i, bit in enumerate(w):
-            head, tail = w[:i], w[i + 1:]
-            middle = {"D": b"", "E": UNITS[ERASURE], "F": UNITS[1 - bit]}
-            keys.update(head + middle[kind] + tail for kind in kinds)
+    keys.update(apply_pattern(w, g) for w in words for g in errors)
     table = {}
     for key in keys:
         try:
@@ -499,5 +500,4 @@ def _correct_one(p: FarParams, j: int, blk: bytes, nxt: bytes,
     if verdict:
         return (*(p.flip_table.get(blk) or _pick_flip(p.inner_code, blk)), p.P)
     d = blk[:-1]
-    hit = p.inner_table.get(d)  # correct_single's (word, False)
-    return hit[0] if hit else correct_deletion(p.inner_code, d), False, p.P - 1
+    return (*(p.inner_table.get(d) or correct_single(p.inner_code, d)), p.P - 1)

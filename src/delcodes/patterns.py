@@ -37,26 +37,24 @@ class ErrorPattern:
     errors: Tuple[Tuple[int, str], ...]  # ((pos, kind), ...) sorted by pos
 
     def __post_init__(self):
-        """Accept a valid pattern in one pass; only an invalid one runs
-        the checks below, in their order, to pick the message."""
-        last, n = 0, self.n
+        """Check the pattern in one pass: a position that is no int is
+        refused at once, positions out of order before any other fault."""
+        n, last, ordered, fault = self.n, -math.inf, True, None
         for pos, kind in self.errors:
-            if (type(pos) is not int or not last < pos <= n
-                    or kind not in _KIND_SYMBOLS):
-                break
+            if type(pos) is not int:  # bool too
+                raise ValueError("error positions must be integers")
+            if pos <= last:
+                ordered = False
             last = pos
-        else:
-            return
-        if any(type(pos) is not int for pos, _ in self.errors):  # bool too
-            raise ValueError("error positions must be integers")
-        positions = [p for p, _ in self.errors]
-        if positions != sorted(set(positions)):
+            if fault is None:
+                if not 1 <= pos <= n:
+                    fault = f"position {pos} outside 1..{n}"
+                elif kind not in _KIND_SYMBOLS:
+                    fault = f"unknown error kind {kind!r}"
+        if not ordered:
             raise ValueError("positions must be strictly increasing and distinct")
-        for pos, kind in self.errors:
-            if not 1 <= pos <= self.n:
-                raise ValueError(f"position {pos} outside 1..{self.n}")
-            if not isinstance(kind, str) or len(kind) != 1 or kind not in KINDS:
-                raise ValueError(f"unknown error kind {kind!r}")
+        if fault is not None:
+            raise ValueError(fault)
 
     @classmethod
     def from_dict(cls, n: int, errors: Dict[int, str]) -> "ErrorPattern":
@@ -203,7 +201,9 @@ def _weight_counts(f: PatternFamily) -> Iterator[int]:
         = C(x, k) * base^k * base * perm(x-k, gap+1) / (perm(x, gap) * (k+1)),
     with one big-by-small product and quotient per weight, where
     math.comb from scratch and a product of each binomial by base^k would
-    each cost a big-by-big operation per weight.
+    each cost a big-by-big operation per weight.  While k < gap the ratio
+    is perm(x-gap, k+1) / perm(x, k), of k+1 factors, not gap+1, so a
+    count does not grow with P where P >= n leaves weights 0 and 1 only.
     """
     base = len(f.kinds)
     gap = f.spacing - 1
@@ -215,8 +215,9 @@ def _weight_counts(f: PatternFamily) -> Iterator[int]:
             supports = sum(c for _, c in _burst_spreads(f, k + 1))
             yield supports * base ** (k + 1)
             continue
-        count = (count * base * math.perm(x - k, gap + 1)
-                 // (math.perm(x, gap) * (k + 1)))
+        up, down = ((math.perm(x - gap, k + 1), math.perm(x, k)) if k < gap
+                    else (math.perm(x - k, gap + 1), math.perm(x, gap)))
+        count = count * base * up // (down * (k + 1))
         yield count
         x -= gap
 

@@ -37,7 +37,8 @@ from . import far, rep, vt
 from .errors import DecodeFailure, check_budget, check_index
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
-from .words import Symbols, Word, codeword_bytes, parse_codeword, word_to_str
+from .words import (ERASURE, Symbols, Word, codeword_bytes, parse_codeword,
+                    word_to_str)
 
 _MASK64 = (1 << 64) - 1
 
@@ -252,15 +253,10 @@ def check_verify_budget(codeword_count: int, family: PatternFamily) -> int:
 
 def _output_class(g: ErrorPattern) -> Tuple[int, Tuple[int, ...]]:
     """The deletion count of g and its erasure positions in received
-    coordinates (position minus the deletions before it): what the word
-    received through g shows of g."""
-    deleted, erased = 0, []
-    for pos, kind in g.errors:
-        if kind == "D":
-            deleted += 1
-        elif kind == "E":
-            erased.append(pos - deleted)
-    return deleted, tuple(erased)
+    coordinates (1-based): what the word received through g shows of g,
+    read off the all-zero word received through it."""
+    y = apply_pattern(bytes(g.n), g)
+    return g.n - len(y), tuple(i for i, s in enumerate(y, 1) if s == ERASURE)
 
 
 def _collision_witness(words: Sequence[bytes], patterns: Sequence[ErrorPattern],
@@ -517,9 +513,11 @@ def simulate(code, family: PatternFamily, trials: int,
     witnesses as a longer run restricted to trials below k.  Because trial
     i depends on (seed, i) alone, above SPLIT_WORK symbols the trials are
     split over the usable CPUs (see _run_items) with the same report.
+    A trial count over the budget is refused before any trial runs.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
+    check_budget(trials, lambda: f"the {trials} trials")
     count = code.codeword_count
     report = VerifyReport(
         mode="montecarlo", codebook_size=count,

@@ -1,10 +1,12 @@
 import ast
 import inspect
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,10 +142,29 @@ def test_encode_and_decode_read_long_words_from_files(capsys, tmp_path):
      "usage error: unknown family kind 'ATMOST'"),
     (("count", "--n", "-5", "--family", "pfar:3"),
      "usage error: bad family spec 'pfar:3': need n >= 0"),
+    # Everything after the first '@' is the kinds.
+    (("count", "--n", "5", "--family", "atmost:1@D@E"),
+     "usage error: bad family spec 'atmost:1@D@E': bad kinds 'D@E'"),
 ])
 def test_cli_refuses_inputs_out_of_range(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", message + "\n")
+
+
+def test_an_inline_word_of_the_cap_is_read(capsys):
+    word = "01" * 2048
+    code, out, _ = run(capsys, "corrupt", "--word", word,
+                       "--pattern", '{"n": 4096, "errors": []}')
+    assert (code, out) == (0, word + "\n")
+
+
+def test_simulate_text_counts_the_successes(capsys):
+    argv = ("simulate", "--code", "vt", "--n", "6", "--a", "0",
+            "--family", "atmost:2", "--trials", "20", "--seed", "1")
+    code, obj, _ = run_json(capsys, *argv)
+    assert code == 2 and 0 < obj["failures"] < 20
+    assert run(capsys, *argv) == (
+        2, f"montecarlo: fail, {20 - obj['failures']}/20 successes, seed 1\n", "")
 
 
 @pytest.mark.parametrize("command, flag", [("decode", "--word"),
@@ -454,7 +475,7 @@ HUGE = "9" * 400
     ("bounds", "--name", "rep_bounds", "--n", HUGE, "--t", "3"),
     ("bounds", "--name", "far_lower", "--n", HUGE, "--P", "5"),
     ("bounds", "--name", "far_lower_largeP", "--n", "100", "--P", HUGE),
-    ("fraction", "--n", HUGE, "--t", "3", "--omega", "6"),
+    ("fraction", "--n", HUGE * 2, "--t", "3", "--omega", HUGE),
 ], ids=lambda argv: argv[2] if argv[0] == "bounds" else argv[0])
 def test_inputs_too_large_for_a_float_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -466,6 +487,15 @@ def test_fraction(capsys):
                             "--omega", "100")
     assert code == 0
     assert obj["fraction"] >= obj["bound"] >= 0.58
+    # A 400-digit n is counted exactly: P_n has about 400 digits, and the
+    # ratio of the two exact counts is rounded once.
+    code, obj, _ = run_json(capsys, "fraction", "--n", HUGE, "--t", "3",
+                            "--omega", "6")
+    n = int(HUGE)
+    gap = 3 * (n // 54) - 1
+    far = sum(math.comb(n - (k - 1) * gap, k) * 3 ** k for k in range(1, 4))
+    every = sum(math.comb(n, k) * 3 ** k for k in range(1, 4))
+    assert code == 0 and obj["fraction"] == (1 + far) / (1 + every)
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):
@@ -513,6 +543,22 @@ def test_verify_budget_exit_code(capsys, monkeypatch):
                        "--code", "vt", "--n", "4", "--a", "0",
                        "--family", "atmost:1")
     assert code == 3 and "budget" in err
+
+
+def test_simulate_refuses_a_trial_count_over_the_budget(capsys, monkeypatch):
+    # 10^22 trials would never finish: the count is refused before the
+    # first trial, which here would raise instead of running.
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the budget check")
+    monkeypatch.setattr(verify, "_roundtrip_case", no_trial)
+    monkeypatch.delenv("DELCODE_BUDGET", raising=False)
+    start = time.perf_counter()
+    result = run(capsys, "simulate", "--code", "far", "--n", "60", "--P", "6",
+                 "--family", "pfar:18", "--trials", str(10 ** 22),
+                 "--seed", "1")
+    assert time.perf_counter() - start < 1
+    assert result == (3, "", f"budget exceeded: the {10 ** 22} trials exceed "
+                             "the budget of 16777216\n")
 
 
 @pytest.mark.parametrize("mode", ["roundtrip", "combinatorial"])

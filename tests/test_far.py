@@ -213,7 +213,7 @@ def _boom(*args):
 def test_decode_failures_come_only_from_the_decoders_rules(monkeypatch):
     # A fault in a corrector propagates: reports would count it as an
     # ordinary decode failure if far_decode turned it into one.
-    monkeypatch.setattr(far, "correct_deletion", _boom)
+    monkeypatch.setattr(vt, "correct_deletion", _boom)
     p = far_params(10 * ABOVE, ABOVE)
     y = apply_pattern(far_codeword(p, 0),
                       ErrorPattern.from_dict(p.n, {19: "D"}))
@@ -237,6 +237,26 @@ def _class_images(code, kinds):
                   for i in range(1, code.n + 1) for kind in kinds]
 
 
+def _spliced_table(code, kinds, corrector):
+    """A decoding table built without apply_pattern: each word of the
+    class of `code` with one symbol deleted (D), erased (E) or flipped
+    (F) in place, and each word itself, mapped to its corrector's answer
+    where that is no DecodeFailure."""
+    words = list(vt_enumerate(code))
+    keys = set(words)
+    for w in words:
+        for i, bit in enumerate(w):
+            middle = {"D": b"", "E": bytes([ERASURE]), "F": bytes([1 - bit])}
+            keys.update(w[:i] + middle[kind] + w[i + 1:] for kind in kinds)
+    table = {}
+    for key in keys:
+        try:
+            table[key] = corrector(code, key)
+        except DecodeFailure:
+            pass
+    return table
+
+
 @pytest.mark.parametrize("s", [0, 1, 2])
 @pytest.mark.parametrize("P", range(3, far.TABLE_MAX_LENGTH + 1))
 def test_tables_hold_the_correctors_answers(P, s):
@@ -250,6 +270,9 @@ def test_tables_hold_the_correctors_answers(P, s):
         if code.n > far.TABLE_MAX_LENGTH:
             assert table == {}
             continue
+        # At s = 0 the inner blocks share the final table, of all kinds.
+        built = "DEF" if table is p.final_table else kinds
+        assert table == _spliced_table(code, built, corrector)
         for key, answer in table.items():
             assert answer == corrector(code, key), key
         for w, images in _class_images(code, kinds):
@@ -270,7 +293,8 @@ def test_paper_scale_code_builds_no_table():
 
 
 def _corrector_calls(monkeypatch):
-    """The names of far's corrector calls, from now on."""
+    """The names of far's corrector calls, and of the deletion corrector
+    that vt.correct_single calls, from now on."""
     calls = []
 
     def counting(name, corrector):
@@ -279,14 +303,17 @@ def _corrector_calls(monkeypatch):
             return corrector(*args)
         return counted
 
-    for name in ("correct_deletion", "correct_single", "flip_candidates"):
-        monkeypatch.setattr(far, name, counting(name, getattr(far, name)))
+    for module, name in ((vt, "correct_deletion"), (far, "correct_single"),
+                         (far, "flip_candidates")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
 
 
 def test_far_corrects_erasure_and_final_blocks_through_correct_single():
-    # Erasure and final-block correction stay in vt.correct_single: far.py
-    # neither imports nor names the VT erasure and flip correctors.
+    # Erasure, deletion and final-block correction stay in
+    # vt.correct_single: far.py neither imports nor names the VT erasure,
+    # deletion and flip correctors, only correct_single and the flip
+    # candidates that _pick_flip filters.
     tree = ast.parse(Path(far.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -297,7 +324,8 @@ def test_far_corrects_erasure_and_final_blocks_through_correct_single():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert "correct_single" in names and "*" not in names
-    assert not names & {"correct_erasure", "correct_flip"}
+    assert "flip_candidates" in names
+    assert not names & {"correct_erasure", "correct_deletion", "correct_flip"}
 
 
 def test_larger_parameters_roundtrip():
@@ -413,14 +441,13 @@ def test_decode_takes_inner_next_block_checksums_from_the_scan(monkeypatch):
 
 def _count_deletion_calls(monkeypatch):
     """The argument tuples of the correct_deletion calls, from now on:
-    far's own and those vt.correct_single makes for a final block."""
+    those vt.correct_single makes for an inner or a final block."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return correct_deletion(*args)
 
-    monkeypatch.setattr(far, "correct_deletion", counted)
     monkeypatch.setattr(vt, "correct_deletion", counted)
     return calls
 

@@ -1,6 +1,6 @@
 """Rules every module keeps: no top-level name bound twice, no name
-imported and never used, one symbol test, and no heavy import when the
-package and its CLI load."""
+imported and never used, one symbol test, one home for what an error
+kind does, and no heavy import when the package and its CLI load."""
 
 import ast
 import os
@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import delcodes
+from delcodes.patterns import KINDS
 
 SRC = Path(delcodes.__file__).resolve().parents[1]
 ROOT = SRC.parent
@@ -77,3 +78,29 @@ def test_loading_the_package_and_cli_imports_no_heavy_module():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "delcodes.cli" in loaded and not loaded & heavy
+
+
+def _is_kind_text(node):
+    """Whether node is a string literal of error-kind letters only."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value != "" and set(node.value) <= set(KINDS))
+
+
+def test_only_patterns_says_what_an_error_kind_does():
+    # What a deletion, erasure or flip does to a word is apply_pattern's
+    # rule alone: another module that compares with a kind letter, or
+    # maps one to a symbol, holds a second copy of it.
+    found = []
+    for path in sorted((SRC / "delcodes").glob("*.py")):
+        if path.name == "patterns.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Dict):
+                operands = [key for key in node.keys if key is not None]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}"
+                      for operand in operands if _is_kind_text(operand)]
+    assert not found

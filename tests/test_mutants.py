@@ -68,3 +68,30 @@ def test_no_process_of_a_run_outlives_it(tmp_path):
     finally:
         if _alive(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_child_holding_the_output_open_does_not_hold_the_run(tmp_path):
+    # The child keeps every file the test process had, its copy of the
+    # run's output among them, and sleeps: the run still ends when the
+    # test process does, and the child with it.
+    body = ("import os, time\n\ndef test_one():\n"
+            "    pid = os.fork()\n"
+            "    if pid == 0:\n"
+            "        time.sleep(60)\n"
+            "        os._exit(0)\n"
+            "    open('child.pid', 'w').write(str(pid))\n")
+    root = _checkout(tmp_path, body)
+    start = time.monotonic()
+    outcome = mutants.run_tests(root, ["test_one.py"], 60)
+    elapsed = time.monotonic() - start
+    pid = int((root / "child.pid").read_text())
+    try:
+        assert outcome == "passed" and elapsed < 30
+        deadline = time.monotonic() + 10
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(pid)
+    finally:
+        if _alive(pid):
+            os.kill(pid, signal.SIGKILL)

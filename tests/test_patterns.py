@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from delcodes import patterns
 from delcodes.errors import BudgetExceeded, DecodeFailure, exact_integers
-from delcodes.patterns import (ErrorPattern, PatternFamily, apply_pattern,
-                               enumerate_family, family_size, is_member,
-                               sample_pattern)
+from delcodes.patterns import (KINDS, ErrorPattern, PatternFamily,
+                               apply_pattern, enumerate_family, family_size,
+                               is_member, sample_pattern)
 from delcodes.words import (ERASURE, codeword_bytes, parse_word,
                             received_bytes, symbol_bytes, word_to_str)
 
@@ -170,6 +171,49 @@ def test_pattern_validation():
         with pytest.raises(ValueError) as exc:
             ErrorPattern(4, errors)
         assert str(exc.value) == message, errors
+
+
+def reference_pattern_message(n, errors):
+    """The message of ErrorPattern's checks made one at a time, each over
+    the whole pattern, or None for a valid pattern."""
+    if any(type(pos) is not int for pos, _ in errors):
+        return "error positions must be integers"
+    positions = [p for p, _ in errors]
+    if positions != sorted(set(positions)):
+        return "positions must be strictly increasing and distinct"
+    for pos, kind in errors:
+        if not 1 <= pos <= n:
+            return f"position {pos} outside 1..{n}"
+        if not isinstance(kind, str) or len(kind) != 1 or kind not in KINDS:
+            return f"unknown error kind {kind!r}"
+    return None
+
+
+def test_pattern_validation_gives_the_message_of_the_checks_one_at_a_time():
+    # Seeded patterns near the edges: most positions in or next to 1..n,
+    # drawn in order or not, some not ints; most kinds valid.
+    rng = random.Random(38)
+    odd_positions = [2.0, True, None, "1", -1]
+    odd_kinds = ["X", "DE", "", "d", 5, None]
+    outcomes = set()
+    for _ in range(20000):
+        n = rng.randrange(6)
+        k = rng.randrange(5)
+        positions = (sorted(rng.sample(range(-1, n + 3), min(k, n + 4)))
+                     if rng.random() < 0.6 else
+                     [rng.randrange(-1, n + 3) for _ in range(k)])
+        errors = tuple(
+            (rng.choice(odd_positions) if rng.random() < 0.05 else pos,
+             rng.choice(odd_kinds) if rng.random() < 0.1 else rng.choice(KINDS))
+            for pos in positions)
+        try:
+            ErrorPattern(n, errors)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert message == reference_pattern_message(n, errors), (n, errors)
+        outcomes.add(message and message.split()[0])
+    assert outcomes == {None, "error", "positions", "position", "unknown"}
 
 
 def test_pattern_json_roundtrip():
@@ -470,6 +514,30 @@ def test_one_far_family_is_the_at_most_family(n):
         assert family_size(PatternFamily.p_far(n, 1, t=t)) == \
             family_size(PatternFamily.at_most(n, t))
     assert family_size(PatternFamily.p_far(n, 1)) == 4 ** n
+
+
+def test_far_family_sizes_are_the_sums_of_binomials():
+    # Size-k supports with gaps of at least P are C(n - (k-1)(P-1), k).
+    for n in range(40):
+        for P in range(1, 50):
+            for t in (None, 0, 1, 2, 5):
+                if t is not None and t > n:
+                    continue
+                top = n if t is None else t
+                expected = 1 + sum(
+                    math.comb(n - (k - 1) * (P - 1), k) * 3 ** k
+                    for k in range(1, top + 1) if n - (k - 1) * (P - 1) >= k)
+                assert family_size(PatternFamily.p_far(n, P, t=t)) == \
+                    expected, (n, P, t)
+
+
+def test_a_far_family_wider_than_its_word_is_counted_at_once():
+    # P >= n leaves weights 0 and 1 only.  Each weight's count came from
+    # the last through products of P factors, which took 0.3 s at
+    # P = 10^5 and grew as P^2.
+    start = time.perf_counter()
+    assert family_size(PatternFamily.p_far(100, 3 * 10 ** 5)) == 301
+    assert time.perf_counter() - start < 0.5
 
 
 def test_family_size_streams_the_weight_counts():

@@ -243,6 +243,26 @@ def test_split_names_a_child_that_dies_without_its_part(forks):
     assert _open_fds() == fds
 
 
+def test_split_names_a_child_ended_by_an_interrupt(forks):
+    # An interrupt in a child is no Exception: the child exits with status
+    # 1, sending nothing, and never unwinds into its caller's stack (here
+    # one that did would end with status 99).
+    parent = os.getpid()
+
+    def run(part, items):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt
+    report = verify.VerifyReport(mode="roundtrip", codebook_size=2,
+                                 result="pass", cases=0)
+    try:
+        with pytest.raises(ChildProcessError, match="ended with wait status 256$"):
+            verify._split(report, run, [range(0, 1), range(1, 2)])
+    finally:
+        if os.getpid() != parent:
+            os._exit(99)
+    assert len(forks) == 1
+
+
 def test_split_kills_the_first_child_when_the_second_fork_fails(monkeypatch,
                                                                  forks):
     # The first child would sleep 30 s per codeword: returning at once

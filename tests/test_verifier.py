@@ -427,7 +427,8 @@ def test_audit_index_memory_per_case():
 
 def test_audit_calls_apply_pattern_once_per_case(monkeypatch):
     # The benchmark traces patterns.apply_pattern inside the audit: each
-    # case is one call, and a kept witness may search the family once.
+    # case is one call, each pattern one more for its output class, and a
+    # kept witness may search the family once.
     calls = {"apply_pattern": 0}
     _bind_counter(monkeypatch, patterns, "apply_pattern", calls)
     for kinds, passed in (("D", True), ("DEF", False)):
@@ -438,8 +439,8 @@ def test_audit_calls_apply_pattern_once_per_case(monkeypatch):
         cases = report.codebook_size * report.family_size
         witnesses = len(report.counterexamples)
         assert witnesses == (0 if passed else 10)
-        assert cases <= calls["apply_pattern"] \
-            <= cases + witnesses * report.family_size
+        assert cases + report.family_size <= calls["apply_pattern"] \
+            <= cases + (witnesses + 1) * report.family_size
 
 
 @pytest.mark.parametrize("family", [

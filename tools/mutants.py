@@ -122,25 +122,31 @@ def mutate(tree: ast.Module, path, kind: str) -> str:
 def run_tests(root: Path, tests, timeout: float) -> str:
     """'passed', 'failed', 'exited', 'timeout' or 'memory' for one run in
     root.  A run passes only where pytest.main itself returned 0; one
-    that ended before it returned, with any status, exited.  Every
-    process left in the run's group is killed when it ends."""
+    that ended before it returned, with any status, exited.  The run
+    writes its output to a temporary file, not a pipe, so a process it
+    forked that keeps its copy of the output open cannot hold the run
+    open: the run ends when its own process does.  Every process left in
+    the run's group is killed when it ends."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(root / "src"))
-    with subprocess.Popen([sys.executable, "-c", CAPPED_PYTEST, "-x", "-q",
-                           "-p", "no:cacheprovider", *tests],
-                          cwd=root, env=env, start_new_session=True, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True) as proc:
-        try:
-            out, _ = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            out = None
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:  # nothing of the group is left
-            pass
-        if out is None:
-            proc.communicate()
+    with tempfile.TemporaryFile("w+", errors="replace") as log:
+        with subprocess.Popen([sys.executable, "-c", CAPPED_PYTEST, "-x", "-q",
+                               "-p", "no:cacheprovider", *tests],
+                              cwd=root, env=env, start_new_session=True,
+                              stdout=log, stderr=subprocess.STDOUT) as proc:
+            try:
+                proc.wait(timeout=timeout)
+                timed_out = False
+            except subprocess.TimeoutExpired:
+                timed_out = True
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # nothing of the group is left
+                pass
+        if timed_out:
             return "timeout"
+        log.seek(0)
+        out = log.read()
     if f"pytest.main in {proc.pid} returned" not in out:
         return "exited"
     if proc.returncode == 0:
