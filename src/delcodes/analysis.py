@@ -19,9 +19,13 @@ from .patterns import PatternFamily, family_size
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One evaluated bound: the evaluator's `name`, the `inputs` it was
+    given, its `value` (a float, or [lower, upper] for a two-sided bound)
+    and `applicability`, the range of parameters over which it holds."""
+
     name: str
     inputs: dict
-    value: object  # float, or [lower, upper] for two-sided bounds
+    value: object
     applicability: str
 
     def to_json_dict(self) -> dict:

@@ -348,6 +348,11 @@ def far_contains(p: FarParams, x: Symbols) -> bool:
 
 @dataclass
 class FarDecodeInfo:
+    """What one far_decode call did: `iterations` is the number of
+    corrections it made plus one, and `ambiguous_flips` the number of
+    flips it fixed by picking one of two or more candidate fixes, so a
+    wrong estimate with it above zero is flagged."""
+
     iterations: int = 0
     ambiguous_flips: int = 0
 

@@ -28,6 +28,11 @@ from .words import ERASURE, UNITS, Symbols, codeword_bytes, like
 KINDS = "DEF"
 _KIND_SYMBOLS = tuple(KINDS)  # a kind is one of these strings
 
+# A budget unit of exact counting: 2^12 bit operations, about what one
+# enumerated pattern costs (1-2 us on a 2-CPU x86-64 host), so the same
+# budget bounds an exact count's time as it bounds an enumeration's.
+COUNT_UNIT = 2 ** 12
+
 
 @dataclass(frozen=True)
 class ErrorPattern:
@@ -189,6 +194,52 @@ def _spaced(f: PatternFamily, k: int) -> bool:
     return f.kind != "burst" or k < 2
 
 
+def _times(count: int, bits: float) -> int:
+    """count * bits rounded up, in integers, so count may pass any float."""
+    return (count * math.ceil(bits * 2 ** 32) + 2 ** 32 - 1) >> 32
+
+
+def _size_bits(f: PatternFamily) -> int:
+    """An upper bound on the bit length of the family's size.
+
+    Uncapped, the patterns of spacing s on n positions number a(n) =
+    a(n-1) + base*a(n-s) (position n clean, or marked with s-1 clean
+    positions before it), at most L^(n+s-1) for any L > 1 with
+    L^s >= L^(s-1) + base; capped at K errors, they number at most
+    (K+1) * (n*base)^K.  L is found by bisection, with s - 1 cut to 2^53
+    for the float arithmetic, which can only raise it.
+    """
+    base, s, cap = len(f.kinds), f.spacing, f.max_weight()
+    lo, hi = 0.0, float(base)  # L - 1
+    clean, target = min(s - 1, 2 ** 53), math.log(base)
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        if clean * math.log1p(mid) + math.log(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 1 + min(_times(f.n + s - 1, math.log2(1 + hi)),
+                   _times(cap, math.log2(max(f.n * base, 2)))
+                   + (cap + 1).bit_length())
+
+
+def check_count_budget(f: PatternFamily) -> None:
+    """Refuse an exact count whose work exceeds the budget, in units of
+    COUNT_UNIT bit operations, before any of it is done.
+
+    Each of the max_weight steps of `_weight_counts` multiplies and
+    divides a count of at most `_size_bits` bits by products of at most
+    min(spacing - 1, max_weight) + 1 factors below n + spacing.
+    """
+    steps = f.max_weight()
+    factor_bits = ((min(f.spacing - 1, steps) + 1)
+                   * (f.n + f.spacing).bit_length())
+    work = steps * (_size_bits(f) + factor_bits) * (1 + factor_bits // 64)
+    units = -(-work // COUNT_UNIT)
+    check_budget(units, lambda: f"the {units} x {COUNT_UNIT} bit operations "
+                                "of the family's exact count")
+
+
 def _weight_counts(f: PatternFamily) -> Iterator[int]:
     """Yield the number of patterns of each weight k = 0..max_weight: the
     supports of size k times base^k kind assignments, base = len(kinds).
@@ -204,16 +255,24 @@ def _weight_counts(f: PatternFamily) -> Iterator[int]:
     each cost a big-by-big operation per weight.  While k < gap the ratio
     is perm(x-gap, k+1) / perm(x, k), of k+1 factors, not gap+1, so a
     count does not grow with P where P >= n leaves weights 0 and 1 only.
+
+    A burst's size-k supports, k >= 2, summed over spreads d as
+    (n-d) * C(d-1, k-2), number n*C(b, k-1) - (k-1)*C(b+1, k) (the
+    hockey stick), so its count is lead * (n*k - (k-1)*(b+1)) / k with
+    lead = base^k * C(b, k-1), again one small ratio from the last.
+
+    Refuses a count over the budget (`check_count_budget`) first.
     """
+    check_count_budget(f)
     base = len(f.kinds)
     gap = f.spacing - 1
     x = f.n + gap
-    count = 1
+    count, lead = 1, base  # lead of weight 1: base * C(b, 0)
     yield count
     for k in range(f.max_weight()):
         if not _spaced(f, k + 1):
-            supports = sum(c for _, c in _burst_spreads(f, k + 1))
-            yield supports * base ** (k + 1)
+            lead = lead * base * (f.b - k + 1) // k
+            yield lead * (f.n * (k + 1) - k * (f.b + 1)) // (k + 1)
             continue
         up, down = ((math.perm(x - gap, k + 1), math.perm(x, k)) if k < gap
                     else (math.perm(x - k, gap + 1), math.perm(x, gap)))

@@ -19,6 +19,10 @@ from .words import Symbols, codeword_bytes, like, received_bytes
 
 @dataclass(frozen=True)
 class RepParams:
+    """rep(n, t): `n` is the codeword length and `t` the number of
+    deletable errors corrected; each information bit fills a block of
+    2t+1 symbols, and the codeword ends in `pad` zeros."""
+
     n: int
     t: int
 

@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import far, rep, vt
+from . import far, vt
 from .errors import DecodeFailure, check_budget, check_index
 from .patterns import (ErrorPattern, PatternFamily, apply_pattern,
                        enumerate_family, family_size, sample_pattern)
@@ -95,8 +95,13 @@ class VtCodeAdapter(_Code):
 
 
 class RepCodeAdapter(_Code):
+    """rep(n, t).  `rep` is imported by the first rep or burst code, so a
+    process that builds none never loads it."""
+
     def __init__(self, n: int, t: int):
-        self.params = rep.RepParams(n, t)
+        from .rep import RepParams, rep_decode, rep_encode
+        self.params = RepParams(n, t)
+        self._encode, self._decode = rep_encode, rep_decode
 
     @property
     def codeword_count(self) -> int:
@@ -106,20 +111,20 @@ class RepCodeAdapter(_Code):
         check_index(index, self.codeword_count)
         m = self.params.m
         info = bytes((index >> (m - 1 - i)) & 1 for i in range(m))
-        return rep.rep_encode(self.params, info)
+        return self._encode(self.params, info)
 
     def encode(self, info: str) -> Tuple[Word, dict]:
         """Encode an info word given as text; returns (codeword, its config)."""
         word = parse_codeword(info)
-        return rep.rep_encode(self.params, word), {"info": word_to_str(word)}
+        return self._encode(self.params, word), {"info": word_to_str(word)}
 
     def decode(self, received: Symbols) -> Tuple[Symbols, bool]:
-        info, tied = rep.rep_decode(self.params, received)
-        return rep.rep_encode(self.params, info), tied
+        info, tied = self._decode(self.params, received)
+        return self._encode(self.params, info), tied
 
     def decode_diagnostics(self, received: Symbols) -> Tuple[Symbols, dict]:
         """The decoded info word (not the codeword) and the tie flag."""
-        info, tied = rep.rep_decode(self.params, received)
+        info, tied = self._decode(self.params, received)
         return info, {"majorityTie": tied}
 
 
@@ -127,7 +132,8 @@ class BurstCodeAdapter(RepCodeAdapter):
     """The repetition code that rep.burst_params sizes for spread <= b."""
 
     def __init__(self, n: int, b: int):
-        self.params = rep.burst_params(n, b)
+        from .rep import burst_params
+        super().__init__(n, burst_params(n, b).t)
 
 
 class FarCodeAdapter(_Code):
@@ -194,9 +200,22 @@ def _json_fields(obj, skip: Sequence[str] = ()) -> dict:
 
 @dataclass
 class VerifyReport:
-    mode: str  # combinatorial | roundtrip | montecarlo
+    """The outcome of one audit, round trip or Monte Carlo run.
+
+    `mode` is "combinatorial", "roundtrip" or "montecarlo" and `result`
+    "pass" or "fail".  `codebook_size` counts the code's words and
+    `family_size` the family's patterns (the two exhaustive modes);
+    `trial_count` and `seed` are a Monte Carlo run's.  `cases` counts the
+    round trip's decodes, `failures` the failing cases and
+    `ambiguity_count` the decodes whose result carried the decoder's
+    ambiguity flag.  `counterexamples` holds the witnesses of the ten
+    smallest failing cases, `config` the family and the code as asked
+    for, and `case_keys` the key of each witness, in the same order.
+    """
+
+    mode: str
     codebook_size: int
-    result: str  # pass | fail
+    result: str
     family_size: Optional[int] = None
     trial_count: Optional[int] = None
     cases: Optional[int] = None
@@ -205,7 +224,6 @@ class VerifyReport:
     seed: Optional[int] = None
     counterexamples: List[dict] = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    # The case key of each kept counterexample, in the same order.
     case_keys: list = field(default_factory=list, repr=False, compare=False)
 
     @property

@@ -561,6 +561,21 @@ def test_simulate_refuses_a_trial_count_over_the_budget(capsys, monkeypatch):
                              "the budget of 16777216\n")
 
 
+def test_count_refuses_work_over_the_budget_before_counting(capsys, monkeypatch):
+    # The exact count of pFar(3) at n = 10^22 takes 3.3 * 10^21 steps on
+    # counts of about 0.9 n bits and would never end; at n = 10^5 it took
+    # 1.7 s.  Its work is priced and refused before the first step.
+    monkeypatch.delenv("DELCODE_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--n", str(10 ** 22),
+                         "--family", "pfar:3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: the ")
+    assert err.endswith(" x 4096 bit operations of the family's exact count "
+                        "exceed the budget of 16777216\n")
+
+
 @pytest.mark.parametrize("mode", ["roundtrip", "combinatorial"])
 def test_vt_verify_over_budget_lists_no_codeword(capsys, monkeypatch, mode):
     # VT_0(24) has 671,092 codewords: listing them took seconds and

@@ -1,12 +1,15 @@
 """Rules every module keeps: no top-level name bound twice, no name
 imported and never used, one symbol test, one home for what an error
-kind does, and no heavy import when the package and its CLI load."""
+kind does, a docstring on every dataclass, and no heavy import when the
+package and its CLI load, nor a module the caller does not use."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import delcodes
 from delcodes.patterns import KINDS
@@ -78,6 +81,39 @@ def test_loading_the_package_and_cli_imports_no_heavy_module():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "delcodes.cli" in loaded and not loaded & heavy
+
+
+@pytest.mark.parametrize("imports, unused", [
+    # What bench/workloads.py imports: decoding far and VT words, and
+    # auditing them, needs neither the bound evaluators nor rep.
+    ("delcodes.far, delcodes.patterns, delcodes.verify, delcodes.vt",
+     {"delcodes.analysis", "delcodes.rep"}),
+    # The CLI lists the bound evaluators in its parser, but builds a rep
+    # code only for a rep or burst command.
+    ("delcodes.cli", {"delcodes.rep"}),
+])
+def test_a_module_the_caller_does_not_use_is_not_loaded(imports, unused):
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys, {imports}; "
+         "print(*sorted(sys.modules), sep='\\n')"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "delcodes.verify" in loaded and not loaded & unused
+
+
+def test_every_dataclass_has_a_docstring():
+    # It says what the fields hold; without one, dataclass writes one from
+    # inspect.signature each time the module loads.
+    classes = [(path.name, node) for path in sorted((SRC / "delcodes").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ClassDef)
+               and any(ast.unparse(d).split("(")[0] == "dataclass"
+                       for d in node.decorator_list)]
+    assert len(classes) >= 8
+    assert [f"{name}: {node.name}" for name, node in classes
+            if ast.get_docstring(node) is None] == []
 
 
 def _is_kind_text(node):

@@ -554,3 +554,41 @@ def test_family_size_streams_the_weight_counts():
         tracemalloc.stop()
     assert size == 4 ** 20000
     assert peak < 1_000_000
+
+
+def test_burst_sizes_are_the_sums_over_spreads():
+    # Size-k burst supports, k >= 2, are (n-d) * C(d-1, k-2) summed over
+    # the spreads d <= b; the count takes the sum's closed form.
+    for n in range(1, 25):
+        for b in range(n):
+            for kinds in ("D", "EF", "DEF"):
+                fam = PatternFamily.burst(n, b, kinds=kinds)
+                base = len(kinds)
+                assert family_size(fam) == 1 + n * base + sum(
+                    base ** k * sum((n - d) * math.comb(d - 1, k - 2)
+                                    for d in range(k - 1, b + 1))
+                    for k in range(2, fam.max_weight() + 1)), (n, b, kinds)
+
+
+def test_a_wide_burst_is_counted_at_once():
+    # Spread n - 1 admits every pattern.  One binomial per weight and
+    # spread, each from scratch, took 64 s here.
+    start = time.perf_counter()
+    assert family_size(PatternFamily.burst(2001, 2000)) == 4 ** 2001
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_size_bound_holds_and_is_tight_for_large_families():
+    # check_count_budget prices a count by this bound: it must never be
+    # below the size, and far above it only for small sizes.
+    for n in range(0, 40, 3):
+        for fam in ([PatternFamily.at_most(n, t) for t in range(n + 1)]
+                    + [PatternFamily.p_far(n, P, t=t) for P in (2, 3, 7, 50)
+                       for t in (None, 1, 4) if t is None or t <= n]
+                    + [PatternFamily.burst(n, b, kinds="DE")
+                       for b in range(n)]):
+            assert family_size(fam).bit_length() <= patterns._size_bits(fam)
+    for fam in (PatternFamily.p_far(10 ** 4, 3), PatternFamily.p_far(10 ** 4, 36),
+                PatternFamily.at_most(10 ** 4, 10 ** 4)):
+        bits = family_size(fam).bit_length()
+        assert bits <= patterns._size_bits(fam) <= 1.01 * bits
