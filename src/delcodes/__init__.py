@@ -11,7 +11,8 @@ when one of their names is first read, so a process that only builds,
 corrupts and decodes VT or far codes never compiles them.
 """
 
-import importlib
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .words import ERASURE, Word, parse_word, word_to_str, weight
 from .errors import BudgetExceeded, DecodeFailure, FormulaDomainError
@@ -38,7 +39,7 @@ _LAZY = {
 # Every public name, the ones bound on first use included; no submodule.
 __all__ = sorted([*(name for name, value in globals().items()
                     if not name.startswith("_")
-                    and not isinstance(value, type(importlib))), *_LAZY])
+                    and not isinstance(value, _ModuleType)), *_LAZY])
 
 __version__ = "0.1.0"
 
@@ -50,7 +51,7 @@ def __getattr__(name):
     module = _LAZY.get(name, name)
     if module not in _LAZY.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = importlib.import_module(f"{__name__}.{module}")
+    value = _import_module(f"{__name__}.{module}")
     if name != module:
         value = globals()[name] = getattr(value, name)
     return value

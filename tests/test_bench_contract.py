@@ -6,8 +6,6 @@ only in a traced bench run."""
 
 import importlib
 import json
-import os
-import subprocess
 import sys
 import time
 from array import array
@@ -78,38 +76,3 @@ def test_every_expected_layer_is_called(bench, monkeypatch, name):
             workload.unit(state, inputs, k, tally, True)
     assert missing() == []
     assert tally.problems == untraced.problems == 0, tally.messages
-
-
-# In a fresh interpreter: a workload's set-up, its first units and a decode
-# round, at the sizes above; prints the output checks that failed and the
-# delcodes modules loaded.
-_DEFERRED_PROBE = """
-import json, sys, time
-from array import array
-sys.path.insert(0, sys.argv[1])
-import workloads
-workload = workloads.WORKLOADS[sys.argv[2]]
-workload.params.update(json.loads(sys.argv[3]))
-tally = workloads.Tally(clock=time.perf_counter, decode_ms=[array("d")])
-state = workload.setup()
-inputs = workload.prepare(state, 1)
-for k in range(min(2, workload.units(inputs))):
-    workload.unit(state, inputs, k, tally, True)
-workload.decode_round(state, inputs, tally, True)
-print(tally.problems, *sorted(m for m in sys.modules if m.startswith("delcodes")))
-"""
-
-
-@pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])
-def test_no_workload_loads_the_bounds_or_rep(name):
-    # analysis and rep load on first use; a workload that used them would
-    # pay the import inside a timed unit, not in its set-up.
-    result = subprocess.run(
-        [sys.executable, "-c", _DEFERRED_PROBE, str(ROOT / "bench"), name,
-         json.dumps(SMALL[name])],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    problems, *loaded = result.stdout.split()
-    assert problems == "0" and "delcodes.far" in loaded
-    assert not {"delcodes.analysis", "delcodes.rep"} & set(loaded)

@@ -4,6 +4,7 @@ kind does, a docstring on every dataclass, and no heavy import when the
 package and its CLI load, nor a module the caller does not use."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import delcodes
 from delcodes.patterns import KINDS
+from test_bench_contract import SMALL, SPEC
 
 SRC = Path(delcodes.__file__).resolve().parents[1]
 ROOT = SRC.parent
@@ -101,6 +103,42 @@ def test_a_module_the_caller_does_not_use_is_not_loaded(imports, unused):
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "delcodes.verify" in loaded and not loaded & unused
+
+
+# In a fresh interpreter: a workload's set-up, its first units and a decode
+# round; prints the output checks that failed and the delcodes modules
+# loaded.
+_WORKLOAD_PROBE = """
+import json, sys, time
+from array import array
+sys.path.insert(0, sys.argv[1])
+import workloads
+workload = workloads.WORKLOADS[sys.argv[2]]
+workload.params.update(json.loads(sys.argv[3]))
+tally = workloads.Tally(clock=time.perf_counter, decode_ms=[array("d")])
+state = workload.setup()
+inputs = workload.prepare(state, 1)
+for k in range(min(2, workload.units(inputs))):
+    workload.unit(state, inputs, k, tally, True)
+workload.decode_round(state, inputs, tally, True)
+print(tally.problems, *sorted(m for m in sys.modules if m.startswith("delcodes")))
+"""
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])
+def test_no_workload_loads_the_bounds_or_rep(name):
+    # analysis and rep load on first use; a workload that used them would
+    # pay the import inside a timed unit, not in its set-up.  At the bench
+    # contract's small sizes.
+    result = subprocess.run(
+        [sys.executable, "-c", _WORKLOAD_PROBE, str(ROOT / "bench"), name,
+         json.dumps(SMALL[name])],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    problems, *loaded = result.stdout.split()
+    assert problems == "0" and "delcodes.far" in loaded
+    assert not {"delcodes.analysis", "delcodes.rep"} & set(loaded)
 
 
 def test_every_dataclass_has_a_docstring():
