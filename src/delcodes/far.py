@@ -49,21 +49,21 @@ Sloane, ch. 1).  `FarParams` maps each received block one deletion,
 erasure or flip away from a word of the class, and each word as
 received, to the answer the decoder's corrector gives for it, from one
 call of that corrector; blocks whose answer is a DecodeFailure are left
-out; `patterns.apply_pattern` makes the blocks.  The entries for final
-blocks, and for inner blocks with an erasure or a deletion, are
-`vt.correct_single`'s answers, so at s = 0 the inner and final codes
-share one table; inner flips have their own table, of `_pick_flip`'s
-answers.  The decoder looks a block up first and calls the corrector
-only on a miss, so its answers, failures and the faults it propagates
-are the corrector's.  Every block that far-apart errors deliver is in a
-table: at far(60, 6) a correction costs one dict lookup instead of two
-to four corrector calls.  An entry costs one corrector call and a hit
-saves one to four, so a table pays for itself within about as many
-corrections as it has entries, but the build doubles with each symbol
-of block length.  The bound, 8, keeps the build within a few
-milliseconds, a small part of a process's import and set-up; longer
-codes, the paper's P = 14 among them, keep empty tables and the
-correctors alone.
+out; `patterns.apply_pattern` makes the blocks, by the patterns of the
+at-most-one family.  The entries for final blocks, and for inner blocks
+with an erasure or a deletion, are `vt.correct_single`'s answers, so at
+s = 0 the inner and final codes share one table; inner flips have their
+own table, of `_pick_flip`'s answers.  The decoder looks a block up first
+and calls the corrector only on a miss, so its answers, failures and the
+faults it propagates are the corrector's.  Every block that far-apart
+errors deliver is in a table: at far(60, 6) a correction costs one dict
+lookup instead of two to four corrector calls.  An entry costs one
+corrector call and a hit saves one to four, so a table pays for itself
+within about as many corrections as it has entries, but the build
+doubles with each symbol of block length.  The bound, 8, keeps the build
+within a few milliseconds, a small part of a process's import and
+set-up; longer codes, the paper's P = 14 among them, keep empty tables
+and the correctors alone.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DecodeFailure, check_index
-from .patterns import KINDS, ErrorPattern, apply_pattern
+from .patterns import KINDS, PatternFamily, apply_pattern, enumerate_family
 from .vt import (VtClass, VtParams, correct_single, flip_candidates,
                  vt_class_sizes, vt_enumerate, vt_syndrome)
 from .words import ERASURE, UNITS, Symbols, Word, like, received_bytes, symbol_bytes
@@ -194,18 +194,16 @@ def far_params(n: int, P: int) -> FarParams:
 
 def _block_table(code: VtParams, words: Sequence[Word], kinds: str,
                  answer: Callable[[VtParams, bytes], Answer]) -> Dict[bytes, Answer]:
-    """answer(code, key) for every key that is one of `words`, the class
-    of `code`, or one error of `kinds` away from one, as `apply_pattern`
-    makes it.  A key whose answer is a DecodeFailure is left out.  Empty
-    for a code longer than TABLE_MAX_LENGTH."""
+    """answer(code, key) for every key that `apply_pattern` makes from one
+    of `words`, the class of `code`, by a pattern of at most one error of
+    `kinds`; the empty pattern keeps the word.  A key whose answer is a
+    DecodeFailure is left out.  Empty for a code longer than
+    TABLE_MAX_LENGTH."""
     if code.n > TABLE_MAX_LENGTH:
         return {}
-    errors = [ErrorPattern(code.n, ((i, kind),))
-              for i in range(1, code.n + 1) for kind in kinds]
-    keys = set(words)
-    keys.update(apply_pattern(w, g) for w in words for g in errors)
+    family = list(enumerate_family(PatternFamily.at_most(code.n, 1, kinds=kinds)))
     table = {}
-    for key in keys:
+    for key in {apply_pattern(w, g) for w in words for g in family}:
         try:
             table[key] = answer(code, key)
         except DecodeFailure:

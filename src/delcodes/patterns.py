@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import check_budget
 from .words import ERASURE, UNITS, Symbols, codeword_bytes, like
@@ -145,7 +145,7 @@ class PatternFamily:
 
     def max_weight(self) -> int:
         if self.kind == "burst":
-            return min(self.b + 1, self.n)
+            return self.b + 1
         cap = 1 + (self.n - 1) // self.spacing
         return cap if self.t is None else min(cap, self.t)
 
@@ -181,12 +181,6 @@ def apply_pattern(x: Symbols, g: ErrorPattern) -> Symbols:
         start = pos
     out.append(z[start:])
     return like(x, b"".join(out))
-
-
-def _burst_spreads(f: PatternFamily, k: int) -> List[Tuple[int, int]]:
-    """(spread d, number of size-k burst supports of spread d), k >= 2."""
-    return [(d, (f.n - d) * math.comb(d - 1, k - 2))
-            for d in range(k - 1, f.b + 1)]
 
 
 def _spaced(f: PatternFamily, k: int) -> bool:
@@ -287,18 +281,26 @@ def family_size(f: PatternFamily) -> int:
     return sum(_weight_counts(f))
 
 
+def _spaced_pool(f: PatternFamily, k: int) -> range:
+    """Size-k supports with gaps >= spacing are the k-subsets of this pool,
+    1..n-(k-1)*(spacing-1), `_spread` out; at weight 0 it is empty."""
+    return range(1, f.n - (k - 1) * (f.spacing - 1) + 1) if k else range(0)
+
+
+def _spread(f: PatternFamily, combo: Sequence[int]) -> Tuple[int, ...]:
+    """The support of a k-subset of `_spaced_pool`: i-th up by i*(spacing-1)."""
+    gap = f.spacing - 1
+    return tuple([p + i * gap for i, p in enumerate(combo)])
+
+
 def _iter_supports(f: PatternFamily, k: int) -> Iterator[Tuple[int, ...]]:
-    """Yield size-k supports in lexicographic order."""
-    n = f.n
+    """The size-k supports in lexicographic order."""
     if _spaced(f, k):
-        gap = f.spacing - 1
-        for combo in itertools.combinations(range(1, n - (k - 1) * gap + 1), k):
-            yield tuple(p + i * gap for i, p in enumerate(combo))
-        return
-    for first in range(1, n - k + 2):
-        last_max = min(first + f.b, n)
-        for rest in itertools.combinations(range(first + 1, last_max + 1), k - 1):
-            yield (first,) + rest
+        pool = _spaced_pool(f, k)
+        return (_spread(f, combo) for combo in itertools.combinations(pool, k))
+    return ((first, *rest) for first in range(1, f.n - k + 2)
+            for rest in itertools.combinations(
+                range(first + 1, min(first + f.b, f.n) + 1), k - 1))
 
 
 def enumerate_family(f: PatternFamily) -> Iterator[ErrorPattern]:
@@ -330,22 +332,22 @@ def is_member(g: ErrorPattern, f: PatternFamily) -> bool:
     return all(b - a >= f.spacing for a, b in zip(support, support[1:]))
 
 
-def _pick(cumulative: Sequence[int], rng: random.Random) -> int:
-    """Index drawn with probability proportional to the counts whose
-    running totals are given: the first total above a draw below the last."""
-    return bisect.bisect_right(cumulative, rng.randrange(cumulative[-1]))
+def _pick(totals: Sequence[int], rng: random.Random, key=None) -> int:
+    """Index drawn in proportion to the counts whose running totals, or
+    their key(entry), are given: the first total above a draw below the last."""
+    last = totals[-1] if key is None else key(totals[-1])
+    return bisect.bisect_right(totals, rng.randrange(last), key=key)
 
 
 def _sample_support(f: PatternFamily, k: int, rng: random.Random) -> Tuple[int, ...]:
-    n = f.n
+    """A uniform size-k support.  A burst's supports of spread at most d
+    number n*C(d, k-1) - (k-1)*C(d+1, k), as `_weight_counts` counts them."""
     if _spaced(f, k):
-        gap = f.spacing - 1
-        combo = sorted(rng.sample(range(1, n - (k - 1) * gap + 1), k))
-        return tuple(p + i * gap for i, p in enumerate(combo))
-    spreads = _burst_spreads(f, k)
-    totals = list(itertools.accumulate(count for _, count in spreads))
-    d = spreads[_pick(totals, rng)][0]
-    first = rng.randrange(1, n - d + 1)
+        return _spread(f, sorted(rng.sample(_spaced_pool(f, k), k)))
+    spreads = range(k - 1, f.b + 1)
+    d = spreads[_pick(spreads, rng, lambda d: f.n * math.comb(d, k - 1)
+                      - (k - 1) * math.comb(d + 1, k))]
+    first = rng.randrange(1, f.n - d + 1)
     interior = sorted(rng.sample(range(first + 1, first + d), k - 2))
     return (first, *interior, first + d)
 

@@ -3,7 +3,9 @@ import inspect
 import json
 import math
 import os
+import random
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -706,3 +708,143 @@ def test_cli_builds_codes_only_through_the_registry():
             imported.update(alias.name.rsplit(".", 1)[-1]
                             for alias in node.names)
     assert imported and not imported & {"vt", "far", "rep"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--trials", "200", "--seed", "1"),
+    ("verify", "--mode", "roundtrip"),
+], ids=["simulate", "verify"])
+@pytest.mark.parametrize("P", [10 ** 30, 2 ** 62], ids=["10^30", "2^62"])
+def test_a_far_family_wider_than_any_list_runs(capsys, argv, P):
+    # With P >= n a pFar(P) family is the at-most-one family.  Its empty
+    # pattern was picked from the n + P - 1 positions of weight 0, which
+    # overflowed (exit 1) at P = 10^30 and ran out of memory (exit 3) at
+    # 2^62.
+    code, out, err = run(capsys, *argv, "--code", "vt", "--n", "6", "--a", "0",
+                         "--family", f"pfar:{P}@DE")
+    assert (code, err) == (0, "") and ": pass" in out
+
+
+def test_a_deeply_nested_pattern_is_an_error_line(capsys):
+    # The JSON reader gives up with a RecursionError, which ended in a
+    # traceback.
+    code, out, err = run(capsys, "corrupt", "--word", "0110",
+                         "--pattern", "[" * 100000)
+    assert code == 1 and out == ""
+    assert err.startswith("error: maximum recursion depth exceeded")
+
+
+# Valid command lines, each command and each code kind; the fuzz test
+# changes one or two of their values.
+FUZZ_COMMANDS = [
+    ("vt-enum", "--n", "4", "--a", "0"),
+    ("encode", "--code", "rep", "--n", "9", "--t", "1", "--info", "101"),
+    ("encode", "--code", "burst", "--n", "10", "--b", "1", "--info", "10"),
+    ("encode", "--code", "far", "--n", "12", "--P", "3",
+     "--info", "0,0,1,1"),
+    ("decode", "--code", "vt", "--n", "4", "--a", "0", "--word", "010"),
+    ("decode", "--code", "rep", "--n", "9", "--t", "1",
+     "--word", "111000111"),
+    ("decode", "--code", "burst", "--n", "10", "--b", "1",
+     "--word", "1111100000"),
+    ("decode", "--code", "far", "--n", "12", "--P", "3",
+     "--word", "01101110010e", "--format", "json"),
+    ("corrupt", "--word", "011011100100", "--family", "pfar:9",
+     "--seed", "1"),
+    ("corrupt", "--word", "0110",
+     "--pattern", '{"n": 4, "errors": [{"pos": 2, "kind": "F"}]}'),
+    ("count", "--n", "12", "--family", "pfar:3:2@DE"),
+    ("count", "--n", "12", "--family", "burst:3", "--format", "json"),
+    ("bounds", "--name", "frac_upper", "--n", "20", "--t", "2",
+     "--omega", "6"),
+    ("bounds", "--name", "far_lower", "--n", "20", "--P", "4"),
+    ("fraction", "--n", "20", "--t", "2", "--omega", "6"),
+    ("verify", "--mode", "combinatorial", "--code", "vt", "--n", "4",
+     "--a", "0", "--family", "atmost:1@D"),
+    ("verify", "--mode", "roundtrip", "--code", "far", "--n", "12",
+     "--P", "3", "--family", "pfar:9"),
+    ("verify", "--mode", "roundtrip", "--code", "rep", "--n", "9",
+     "--t", "1", "--family", "atmost:1"),
+    ("simulate", "--code", "burst", "--n", "10", "--b", "1",
+     "--family", "burst:1", "--trials", "20", "--seed", "1"),
+    ("simulate", "--code", "far", "--n", "12", "--P", "3",
+     "--family", "pfar:9", "--trials", "20", "--seed", "1"),
+]
+
+# Values each flag is set to.  Every number is tiny or far past the budget
+# of 200000, so a case that is accepted is quick.
+_NUMBERS = ["-1", "0", "1", "2", "3", "\u0663", "\u0661\u0662", "1e3", "0x10",
+            "", " 5", str(10 ** 22), "9" * 400]
+_HUGE = str(10 ** 30)
+FUZZ_VALUES = {
+    "number": _NUMBERS,
+    "--family": ["atmost:1", "pfar:9", "burst:0", "pfar:1", f"pfar:{_HUGE}",
+                 f"pfar:{_HUGE}@D", f"atmost:{10 ** 22}", f"burst:{_HUGE}",
+                 f"pfar:3:{10 ** 22}", f"pfar:{10 ** 22}:1", "pfar:0",
+                 "pfar:-3", "atmost:1@X", "pfar:9@", "burst:1:1", "", ":",
+                 "pfar:\u0669", "atmost:1@D@E"],
+    "--word": ["", "01x", "e", "0110", "1" * 12, "0e0e0e0e0e0e", "0" * 4097,
+               "@/nonexistent/word.txt", "\u0660\u0661"],
+    "--pattern": ["{", "[]", "null", "[" * 100000, '{"n": 4, "errors": []}',
+                  '{"n": 4, "errors": [{"pos": 5, "kind": "D"}]}',
+                  '{"n": 4, "errors": [{"pos": 1, "kind": "X"}]}',
+                  '{"n": "4", "errors": []}',
+                  f'{{"n": {10 ** 22}, "errors": []}}',
+                  '{"n": 4, "errors": [{"pos": 2, "kind": "F"}, '
+                  '{"pos": 1, "kind": "D"}]}'],
+    "--info": ["", "0,0", "1,1,1,1", "-1,0,0,0", "10", "0,0,0,99",
+               "1" * 5000, f"0,0,0,{10 ** 22}"],
+    "--name": sorted(analysis.BOUND_EVALUATORS) + ["nope"],
+    "--mode": ["roundtrip", "combinatorial", "fast"],
+    "--code": sorted(verify.CODES) + ["nope"],
+    "--format": ["text", "json", "xml"],
+}
+
+
+class _Overtime(BaseException):
+    """A fuzz case ran past its time limit.  No handler of main takes a
+    BaseException; a TimeoutError would pass as an OSError's exit 1."""
+
+
+def _fuzz_cases(seed, count):
+    """count command lines of FUZZ_COMMANDS, each with one or two values
+    set from FUZZ_VALUES, seeded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        argv = list(rng.choice(FUZZ_COMMANDS))
+        for i in rng.sample(range(2, len(argv), 2), rng.choice((1, 2))):
+            pool = FUZZ_VALUES.get(argv[i - 1], FUZZ_VALUES["number"])
+            argv[i] = rng.choice(pool)
+        yield argv
+
+
+def run_fuzz_cases(capsys, monkeypatch, seed, count=400, limit=10):
+    """Run the fuzz cases in this process; return the faults found."""
+    monkeypatch.setenv("DELCODE_BUDGET", "200000")
+
+    def overtime(*args):
+        raise _Overtime
+
+    faults = []
+    previous = signal.signal(signal.SIGALRM, overtime)
+    try:
+        for argv in _fuzz_cases(seed, count):
+            signal.setitimer(signal.ITIMER_REAL, limit)
+            try:
+                code = main(argv)
+            except (Exception, _Overtime) as exc:  # out of main
+                code = exc
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2, 3) or (code in (1, 3) and not err):
+                faults.append((argv, code, err))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    return faults
+
+
+def test_cli_fuzz_ends_every_case_in_an_exit_code(capsys, monkeypatch):
+    # Every malformed input ends in exit 1 or 3 with a message, never in a
+    # traceback or a hang.
+    assert run_fuzz_cases(capsys, monkeypatch, seed=1) == []

@@ -1,7 +1,8 @@
 """Rules every module keeps: no top-level name bound twice, no name
 imported and never used, one symbol test, one home for what an error
-kind does, a docstring on every dataclass, and no heavy import when the
-package and its CLI load, nor a module the caller does not use."""
+kind does and for making and counting patterns, a docstring on every
+dataclass, and no heavy import when the package and its CLI load, nor a
+module the caller does not use."""
 
 import ast
 import json
@@ -178,3 +179,18 @@ def test_only_patterns_says_what_an_error_kind_does():
             found += [f"{path.name}:{node.lineno}"
                       for operand in operands if _is_kind_text(operand)]
     assert not found
+
+
+def test_only_patterns_builds_a_pattern_or_counts_supports():
+    # A pattern family's members and their counts have one home: a module
+    # that builds an ErrorPattern, or counts supports with math.comb or
+    # math.perm, holds a second copy of a family's rule.
+    made = {"ErrorPattern", "comb", "perm"}
+    calls = {}
+    for path in sorted((SRC / "delcodes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in made:
+                    calls.setdefault(path.name, set()).add(name)
+    assert calls == {"patterns.py": made}
